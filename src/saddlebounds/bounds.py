@@ -231,6 +231,11 @@ class SaddleProblem:
     def kernel_b(self):
         return kernel_basis_rect(self.B, self.rel_tol)
 
+    @cached_property
+    def k_inverse(self):
+        """K^{-1}, read-only, from one solve against the identity."""
+        return _frozen(np.linalg.solve(self.k_matrix, np.eye(self.n + self.m)))
+
     @property
     def is_lowest_rank(self):
         return self.summary.rank_a == self.n - self.m

@@ -6,7 +6,6 @@ The oracle is the ground truth every bound is checked against: a full
 dense eigensolve of K, capped by default at order 2000.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,9 +208,8 @@ def inverse_identity_residual(problem, weight):
             f"augmented saddle matrix is numerically singular: min |eig| = "
             f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
         )
-    eye = np.eye(n + m)
-    k_inv = np.linalg.solve(problem.k_matrix, eye)
-    kw_inv = np.linalg.solve(kw, eye)
+    k_inv = problem.k_inverse
+    kw_inv = np.linalg.solve(kw, np.eye(n + m))
     w_dense = _weight_dense(weight, m)
     block = np.zeros((n + m, n + m))
     block[n:, n:] = w_dense
@@ -241,12 +239,11 @@ def log_gamma_grid(gamma_min, gamma_max, points):
     return np.logspace(np.log10(gamma_min), np.log10(gamma_max), points)
 
 
-def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP, workers=1):
+def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
     """Evaluate min{1/gamma, mu_min(A_gamma)} over a gamma grid.
 
-    Rows are computed independently (optionally in a thread pool) and
-    merged in grid order, so the result is deterministic for a fixed
-    grid. The oracle value is computed once and repeated per row.
+    Rows are computed in grid order, so the result is deterministic for
+    a fixed grid. The oracle value is computed once and repeated per row.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -259,17 +256,9 @@ def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP, workers=1):
     bt_b = problem.B.array.T @ problem.B.array
     a = problem.A.array
 
-    def mu_min_at(gamma):
-        return float(np.linalg.eigvalsh(a + gamma * bt_b)[0])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mu = list(pool.map(mu_min_at, g))
-    else:
-        mu = [mu_min_at(gamma) for gamma in g]
-
     rows = []
-    for gamma, mu_min in zip(g, mu):
+    for gamma in g:
+        mu_min = float(np.linalg.eigvalsh(a + gamma * bt_b)[0])
         inv = 1.0 / gamma
         rows.append(SweepRow(float(gamma), inv, mu_min, min(inv, mu_min), actual))
     diffs = np.array([r.inv_gamma - r.mu_min_a_gamma for r in rows])

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from saddlebounds.errors import ParseError, StructureError
 from saddlebounds.mmio import (
+    _parse_float,
+    _parse_int,
+    _tokens,
     format_matrix_market,
     read_matrix_market,
     write_matrix_market,
@@ -12,8 +18,90 @@ from saddlebounds.mmio import (
 
 
 def write_text(path, text):
-    path.write_text(text, encoding="ascii")
+    # newline="" keeps CRLF line endings as written
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
     return str(path)
+
+
+def reference_format(array, symmetric=False):
+    """The per-entry writer loop, kept as the byte reference for
+    format_matrix_market (validation and comments left out)."""
+    arr = np.asarray(array, dtype=float)
+    rows, cols = arr.shape
+    kind = "symmetric" if symmetric else "general"
+    out = [f"%%MatrixMarket matrix coordinate real {kind}"]
+    entries = []
+    for j in range(cols):
+        start = j if symmetric else 0
+        for i in range(start, rows):
+            if arr[i, j] != 0.0:
+                entries.append((i, j, arr[i, j]))
+    out.append(f"{rows} {cols} {len(entries)}")
+    out.extend(f"{i + 1} {j + 1} {v:.17g}" for i, j, v in entries)
+    return "\n".join(out) + "\n"
+
+
+def reference_read_data(text):
+    """The line-by-line reader of a data section, kept as the reference for
+    read_matrix_market: per line tokenize, parse, range-check and store.
+    ``text`` has a well-formed banner on its first line and a well-formed
+    size line on its second."""
+    lines = text.splitlines()
+    _, _, fmt, _, symmetry = lines[0].split()
+    size = [int(t) for t in lines[1].split()]
+    rows, cols = size[:2]
+    out = np.zeros((rows, cols))
+    data_lines = [
+        (lineno, line)
+        for lineno, line in enumerate(lines[2:], start=3)
+        if line.strip() and not line.lstrip().startswith("%")
+    ]
+    last = data_lines[-1][0] if data_lines else 2
+    if fmt == "coordinate":
+        if len(data_lines) != size[2]:
+            raise ParseError(f"expected {size[2]} entries, found {len(data_lines)}", last)
+        for lineno, line in data_lines:
+            toks = _tokens(line)
+            if len(toks) != 3:
+                raise ParseError(f"entry needs 'row col value', got {len(toks)} tokens", lineno)
+            i = _parse_int(toks[0][0], lineno, toks[0][1])
+            j = _parse_int(toks[1][0], lineno, toks[1][1])
+            v = _parse_float(toks[2][0], lineno, toks[2][1])
+            if not 1 <= i <= rows:
+                raise ParseError(f"row index {i} outside 1..{rows}", lineno, toks[0][1])
+            if not 1 <= j <= cols:
+                raise ParseError(f"column index {j} outside 1..{cols}", lineno, toks[1][1])
+            out[i - 1, j - 1] = v
+            if symmetry == "symmetric":
+                out[j - 1, i - 1] = v
+        return out
+    if symmetry == "symmetric":
+        coords = [(i, j) for j in range(cols) for i in range(j, rows)]
+    else:
+        coords = [(i, j) for j in range(cols) for i in range(rows)]
+    if len(data_lines) != len(coords):
+        raise ParseError(
+            f"expected {len(coords)} values for a {rows} x {cols} {symmetry} array, "
+            f"found {len(data_lines)}",
+            last,
+        )
+    for (lineno, line), (i, j) in zip(data_lines, coords):
+        toks = _tokens(line)
+        if len(toks) != 1:
+            raise ParseError(f"array entry needs one value per line, got {len(toks)}", lineno)
+        out[i, j] = _parse_float(toks[0][0], lineno, toks[0][1])
+        if symmetry == "symmetric":
+            out[j, i] = out[i, j]
+    return out
+
+
+def outcome(read, path):
+    """A matrix, or the message, line and column of the ParseError."""
+    try:
+        return read(path)
+    except ParseError as err:
+        return (str(err), err.line, err.column)
 
 
 class TestRoundTrip:
@@ -185,3 +273,203 @@ class TestWriter:
         assert lines[1] == "2 2 2"
         assert lines[2] == "2 1 1"
         assert lines[3] == "1 2 2"
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def coordinate_text(entries, rows=100, cols=100, symmetry="general"):
+    lines = [f"%%MatrixMarket matrix coordinate real {symmetry}", f"{rows} {cols} {len(entries)}"]
+    return "\n".join(lines + list(entries)) + "\n"
+
+
+JUNK_TOKENS = ["0", "1", "2", "+1", "1_0", "-1", "1.0", "1e0", "x", "2.5", "-0.0",
+               "nan", "1e400", "9" * 20, "%"]
+
+
+@st.composite
+def matrix_market_texts(draw):
+    """Small Matrix Market texts with a valid header and a data section
+    mixing entries, junk lines, blank and comment lines and wrong counts."""
+    fmt = draw(st.sampled_from(["coordinate", "array"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    rows = draw(st.integers(1, 3))
+    cols = rows if symmetry == "symmetric" else draw(st.integers(1, 3))
+    value = st.floats(width=64).map(repr)
+    if fmt == "coordinate":
+        expected = draw(st.integers(0, 6))
+        index = st.integers(0, 4).map(str)
+        entry = st.tuples(index, index, value).map(" ".join)
+        size = f"{rows} {cols} {expected}"
+    else:
+        expected = rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * cols
+        entry = value
+        size = f"{rows} {cols}"
+    junk = st.lists(st.sampled_from(JUNK_TOKENS), max_size=4).map(" ".join)
+    count = expected + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    data = draw(st.lists(st.one_of(entry, entry, entry, junk),
+                         min_size=max(count, 0), max_size=max(count, 0)))
+    noise = st.sampled_from(["", "  \t", "% note", "  %indented"])
+    for pos, line in draw(st.lists(st.tuples(st.integers(0, len(data)), noise), max_size=3)):
+        data.insert(pos, line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"%%MatrixMarket matrix {fmt} real {symmetry}", size, *data]
+    return newline.join(lines) + newline
+
+
+class TestBulkReader:
+    @pytest.fixture
+    def big_entries(self):
+        # 6000 entries: data lines 3..6002 span two 4096-line slices
+        rng = np.random.default_rng(7)
+        i = rng.integers(1, 101, 6000).tolist()
+        j = rng.integers(1, 101, 6000).tolist()
+        v = rng.standard_normal(6000).tolist()
+        return [f"{a} {b} {x!r}" for a, b, x in zip(i, j, v)]
+
+    def test_large_file_matches_reference(self, tmp_path, big_entries):
+        # random coordinates repeat, so later duplicates must win across slices
+        text = coordinate_text(big_entries)
+        path = write_text(tmp_path / "big.mtx", text)
+        assert_same_outcome(read_matrix_market(path), reference_read_data(text))
+
+    @pytest.mark.parametrize(
+        "bad, column, message",
+        [
+            ("3 4 0.5x", 5, "expected a number, got '0.5x'"),
+            ("3 101 0.5", 3, "column index 101 outside 1..100"),
+            ("3 4", None, "entry needs 'row col value', got 2 tokens"),
+        ],
+    )
+    def test_error_past_first_slice(self, tmp_path, big_entries, bad, column, message):
+        big_entries[4997] = bad  # file line 5000
+        path = write_text(tmp_path / "bad.mtx", coordinate_text(big_entries))
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert (info.value.line, info.value.column) == (5000, column)
+        assert str(info.value).startswith(message)
+
+    def test_misaligned_lines_with_matching_token_total(self, tmp_path):
+        path = write_text(tmp_path / "m.mtx", coordinate_text(["1 2", "3 4 5 6"], 4, 4))
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert (info.value.line, info.value.column) == (3, None)
+        assert "got 2 tokens" in str(info.value)
+
+    @pytest.mark.parametrize("token", ["1.0", "1e0"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_integer_index_rejected(self, tmp_path, token, position):
+        fields = ["2", "2", "1.5"]
+        fields[position] = token
+        path = write_text(tmp_path / "i.mtx", coordinate_text([" ".join(fields)], 3, 3))
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert (info.value.line, info.value.column) == (3, 1 + 2 * position)
+        assert f"expected an integer, got {token!r}" in str(info.value)
+
+    def test_python_integer_syntax_accepted(self, tmp_path):
+        path = write_text(tmp_path / "i.mtx", coordinate_text(["+1 1_0 2.5", "1_0 +2 1_5"], 10, 10))
+        out = read_matrix_market(path)
+        assert out[0, 9] == 2.5
+        assert out[9, 1] == 15.0
+        assert np.count_nonzero(out) == 2
+
+    def test_duplicate_entries_last_wins(self, tmp_path):
+        path = write_text(tmp_path / "d.mtx", coordinate_text(["1 2 1.0", "2 2 3.0", "1 2 -4.0"], 2, 2))
+        np.testing.assert_array_equal(read_matrix_market(path), [[0.0, -4.0], [0.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "entries, value",
+        [(["2 1 5.0", "1 2 7.0"], 7.0), (["1 2 7.0", "2 1 5.0"], 5.0)],
+    )
+    def test_symmetric_upper_entries_mirror_in_file_order(self, tmp_path, entries, value):
+        path = write_text(tmp_path / "s.mtx", coordinate_text(entries, 2, 2, "symmetric"))
+        np.testing.assert_array_equal(read_matrix_market(path), [[0.0, value], [value, 0.0]])
+
+    def test_blank_whitespace_comment_lines_and_crlf(self, tmp_path):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\r\n"
+            "% header\r\n"
+            "2 2 2\r\n"
+            "\r\n"
+            "  \t \r\n"
+            "1 1 1.5\r\n"
+            "   % indented comment\r\n"
+            "%\r\n"
+            "2 1 -2.5\r\n"
+            "\r\n"
+        )
+        path = write_text(tmp_path / "c.mtx", text)
+        np.testing.assert_array_equal(read_matrix_market(path), [[1.5, 0.0], [-2.5, 0.0]])
+
+    def test_crlf_error_position(self, tmp_path):
+        text = "%%MatrixMarket matrix array real general\r\n1 2\r\n\r\n1.0\r\n  oops\r\n"
+        path = write_text(tmp_path / "c.mtx", text)
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert (info.value.line, info.value.column) == (5, 3)
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_no_entries_gives_zeros(self, tmp_path, symmetry):
+        path = write_text(tmp_path / "z.mtx", coordinate_text([], 3, 3, symmetry) + "% trailing\n")
+        out = read_matrix_market(path)
+        assert out.shape == (3, 3)
+        assert not out.any()
+
+    @pytest.mark.parametrize("nnz", [-1, 10**12])
+    def test_impossible_entry_count(self, tmp_path, nnz):
+        text = f"%%MatrixMarket matrix coordinate real general\n2 2 {nnz}\n1 1 1.0\n"
+        path = write_text(tmp_path / "n.mtx", text)
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert str(info.value) == f"expected {nnz} entries, found 1 (line 3)"
+
+    @settings(max_examples=200)
+    @given(text=matrix_market_texts())
+    def test_matches_line_by_line_reference(self, tmp_path_factory, text):
+        path = write_text(tmp_path_factory.getbasetemp() / "ref.mtx", text)
+        assert_same_outcome(outcome(read_matrix_market, path), outcome(reference_read_data, text))
+
+
+class TestWriterReference:
+    def test_corpus_bytes_match_reference(self, corpus):
+        for label, p in corpus:
+            a, b = p.A.array, p.B.array
+            assert format_matrix_market(a, symmetric=True) == reference_format(a, True), label
+            assert format_matrix_market(b) == reference_format(b), label
+
+    SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0])
+
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                          elements=st.one_of(SPECIAL, st.floats(width=64))))
+    def test_general_bytes_match_reference(self, arr):
+        assert format_matrix_market(arr) == reference_format(arr)
+
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                          elements=st.one_of(SPECIAL, st.floats(allow_nan=False))))
+    def test_symmetric_bytes_match_reference(self, arr):
+        n = min(arr.shape)
+        sym = np.tril(arr[:n, :n]) + np.tril(arr[:n, :n], -1).T
+        assert format_matrix_market(sym, symmetric=True) == reference_format(sym, True)
+
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                          elements=st.one_of(SPECIAL, st.floats(width=64))),
+           symmetric=st.booleans())
+    def test_write_then_read_round_trips(self, tmp_path_factory, arr, symmetric):
+        if symmetric:
+            n = min(arr.shape)
+            arr = np.tril(arr[:n, :n]) + np.tril(arr[:n, :n], -1).T
+            if np.isnan(arr).any():
+                return
+        path = tmp_path_factory.getbasetemp() / "rt.mtx"
+        write_matrix_market(path, arr, symmetric=symmetric)
+        back = read_matrix_market(path)
+        # -0.0 is not stored, so it reads back as +0.0
+        assert np.array_equal(back, arr, equal_nan=True)
+        assert not np.signbit(back[arr == 0.0]).any()
