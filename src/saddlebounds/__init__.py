@@ -27,7 +27,6 @@ from .bounds import (
     rho_from_angles,
     rusten_winther,
     spectral_split,
-    spectral_summary,
     wbound,
 )
 from .errors import (
@@ -58,7 +57,6 @@ from .harness import (
     OracleResult,
     SweepResult,
     SweepRow,
-    assemble_K,
     augmented_condition,
     certify,
     containment_violations,
@@ -76,12 +74,9 @@ from .linalg import (
     SvdDecomposition,
     SymmetricMatrix,
     default_rank_tol,
-    kernel_basis,
     kernel_basis_rect,
     numerical_rank,
     principal_angles,
-    range_basis,
-    row_space_basis,
     svd,
     sym_eig,
 )

@@ -115,6 +115,13 @@ class BoundReport:
     intervals: tuple = None
 
 
+def _eigvalsh(matrix, what):
+    try:
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolve of the {what} failed: {exc}") from exc
+
+
 def saddle_matrix(a, b):
     """Assemble the dense block matrix [[A, B^T], [B, 0]]."""
     n = a.shape[0]
@@ -135,6 +142,15 @@ class SaddleProblem:
     m < n, and the assembled saddle matrix nonsingular. The eigensolve of
     A, the SVD of B and the eigenvalues of K are computed once here and
     reused by every bound.
+
+    Every quantity that several bounds and checks share is computed on
+    first use and then kept, read-only, so its factorization runs once
+    per problem: B^T B, K^{-1}, the principal angles of (range(A),
+    range(B^T)), of (ker(A), ker(B)) and of the split basis; and once
+    per scalar gamma: the eigenvalues of A + gamma B^T B and the
+    |eigenvalues| of the augmented saddle matrix K_gamma. Per gamma only
+    value vectors are kept, never A_gamma, K_gamma or their inverses, so
+    memory stays flat however many gammas are checked.
     """
 
     def __init__(self, a, b, rel_tol=None, sym_tol=DEFAULT_SYM_TOL, strict_psd=False):
@@ -183,10 +199,7 @@ class SaddleProblem:
         self.svd_b = sdec
 
         k = saddle_matrix(self.A.array, self.B.array)
-        try:
-            k_vals = np.linalg.eigvalsh(k)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigensolve of the saddle matrix failed: {exc}") from exc
+        k_vals = _eigvalsh(k, "saddle matrix")
         self.k_matrix = _frozen(k)
         self.k_eigs = _frozen(k_vals)  # ascending
         kmax = float(np.abs(k_vals).max())
@@ -196,6 +209,7 @@ class SaddleProblem:
                 f"saddle matrix is numerically singular: min |eig| = {kmin:.6e} "
                 f"vs rel_tol * ||K|| = {self.rel_tol * kmax:.6e}"
             )
+        self._per_gamma = {}  # (kind, gamma) -> read-only value vector
 
     @cached_property
     def summary(self):
@@ -236,6 +250,58 @@ class SaddleProblem:
         """K^{-1}, read-only, from one solve against the identity."""
         return _frozen(np.linalg.solve(self.k_matrix, np.eye(self.n + self.m)))
 
+    @cached_property
+    def bt_b(self):
+        """B^T B, read-only; shared by the augmented blocks and the sweep."""
+        b = self.B.array
+        return _frozen(b.T @ b)
+
+    @cached_property
+    def range_angles(self):
+        """Principal angles between range(A) and range(B^T)."""
+        return principal_angles(self.range_a, self.row_space_b)
+
+    @cached_property
+    def kernel_angles(self):
+        """Principal angles between ker(A) and ker(B)."""
+        return principal_angles(self.kernel_a, self.kernel_b)
+
+    @cached_property
+    def split_quantities(self):
+        """(mu_{n-m}, angles, degenerate) of the spectral split; see
+        ``_general_split_quantities``, which checks the rank first."""
+        k = self.n - self.m
+        raw = self.eig_a.values
+        mu_nm = float(self.a_values[k - 1])
+        degenerate = abs(float(raw[k - 1]) - float(raw[k])) <= self.rel_tol * abs(float(raw[0]))
+        basis = SubspaceBasis(self.n, k, self.eig_a.vectors[:, :k], "range", self.rel_tol)
+        return mu_nm, principal_angles(basis, self.row_space_b), degenerate
+
+    def _per_gamma_values(self, kind, weight, compute):
+        if not isinstance(weight, ScalarWeight):  # a full weight is never cached
+            return _frozen(compute())
+        key = (kind, weight.gamma)
+        if key not in self._per_gamma:
+            self._per_gamma[key] = _frozen(compute())
+        return self._per_gamma[key]
+
+    def augmented_eigs(self, weight):
+        """Eigenvalues of A + B^T W B, ascending; once per scalar gamma."""
+        return self._per_gamma_values(
+            "augmented", weight,
+            lambda: _eigvalsh(assemble_augmented(self, weight).array, "augmented block"),
+        )
+
+    def augmented_saddle_abs_eigs(self, weight):
+        """|eigenvalues| of [[A + B^T W B, B^T], [B, 0]]; once per scalar gamma."""
+        return self._per_gamma_values(
+            "augmented-saddle", weight,
+            lambda: np.abs(_eigvalsh(
+                saddle_matrix(assemble_augmented(self, weight).array, self.B.array),
+                "augmented saddle matrix",
+            )),
+        )
+
     @property
     def is_lowest_rank(self):
         return self.summary.rank_a == self.n - self.m
@@ -243,11 +309,6 @@ class SaddleProblem:
     @property
     def k_norm(self):
         return float(np.abs(self.k_eigs).max())
-
-
-def spectral_summary(problem):
-    """Extreme eigen and singular value data of a validated problem."""
-    return problem.summary
 
 
 def rusten_winther(summary):
@@ -289,7 +350,7 @@ def assemble_augmented(problem, weight):
     """A + B^T W B as a SymmetricMatrix (exactly symmetrized)."""
     b = problem.B.array
     if isinstance(weight, ScalarWeight):
-        term = weight.gamma * (b.T @ b)
+        term = weight.gamma * problem.bt_b
     elif isinstance(weight, MatrixWeight):
         w = weight.matrix.array
         if w.shape != (problem.m, problem.m):
@@ -323,11 +384,7 @@ def wbound(problem, weight):
     +infinity), leaving mu_min(A) alone; that case needs A itself to be
     positive definite.
     """
-    aw = assemble_augmented(problem, weight)
-    try:
-        vals = np.linalg.eigvalsh(aw.array)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolve of the augmented block failed: {exc}") from exc
+    vals = problem.augmented_eigs(weight)
     mu_min_aw = float(vals[0])
     mu_max_aw = float(vals[-1])
     if mu_min_aw <= problem.rel_tol * max(mu_max_aw, 0.0):
@@ -367,7 +424,7 @@ def rho_from_angles(problem):
     """(1 - cos(theta_min), theta_min) for the angle between range(A) and
     range(B^T). Meaningful as a bound ingredient only in the lowest-rank
     case; callers enforce that."""
-    ang = principal_angles(problem.range_a, problem.row_space_b)
+    ang = problem.range_angles
     cos_min = float(ang.cosines[0])
     theta_min = float(ang.angles[0])
     return 1.0 - cos_min, theta_min
@@ -436,7 +493,7 @@ def kernel_angle_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """Same bound expressed through the minimal angle between ker(A) and
     ker(B); in the lowest-rank case the two formulations agree."""
     _require_lowest_rank(problem)
-    ang = principal_angles(problem.kernel_a, problem.kernel_b)
+    ang = problem.kernel_angles
     cos_min = float(ang.cosines[0])
     psi_min = float(ang.angles[0])
     s = problem.summary
@@ -496,14 +553,7 @@ def _general_split_quantities(problem):
             f"rank(A) = {problem.summary.rank_a} < n - m = {k}; "
             "the saddle matrix would be singular"
         )
-    raw = problem.eig_a.values
-    mu_nm = float(problem.a_values[k - 1])
-    degenerate = abs(float(raw[k - 1]) - float(raw[k])) <= problem.rel_tol * abs(float(raw[0]))
-    basis = SubspaceBasis(
-        problem.n, k, problem.eig_a.vectors[:, :k], "range", problem.rel_tol
-    )
-    ang = principal_angles(basis, problem.row_space_b)
-    return mu_nm, ang, degenerate
+    return problem.split_quantities
 
 
 def general_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):

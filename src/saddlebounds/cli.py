@@ -15,6 +15,7 @@ import sys
 
 from . import __version__
 from .bounds import (
+    DEFAULT_ANGLE_TOL,
     ScalarWeight,
     agamma_bound,
     applicable_bounds,
@@ -32,7 +33,9 @@ from .errors import (
     ZeroAngleError,
 )
 from .harness import (
+    DEFAULT_CERT_SLACK,
     DEFAULT_COND_CAP,
+    DEFAULT_SIZE_CAP,
     augmented_condition,
     certify,
     containment_violations,
@@ -235,8 +238,8 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def run_verification(problem, gammas, cert_slack=1e-8, angle_tol=1e-10,
-                     size_cap=2000, emit=print):
+def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
+                     angle_tol=DEFAULT_ANGLE_TOL, size_cap=DEFAULT_SIZE_CAP, emit=print):
     """Invariant suite shared by the verify subcommand and tests.
 
     Returns a list of failure descriptions; empty means everything held.

@@ -17,13 +17,12 @@ from .bounds import (
     saddle_matrix,
 )
 from .errors import (
-    ConvergenceError,
     ParameterOutOfRangeError,
     RankAssumptionError,
     SingularAugmentedError,
     SizeCapError,
 )
-from .linalg import SymmetricMatrix, _frozen, principal_angles
+from .linalg import _frozen
 
 DEFAULT_SIZE_CAP = 2000
 DEFAULT_CERT_SLACK = 1e-8
@@ -104,11 +103,6 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def assemble_K(problem):
-    """The dense saddle matrix [[A, B^T], [B, 0]] of a problem."""
-    return SymmetricMatrix.from_array(problem.k_matrix)
-
-
 def oracle(problem, size_cap=DEFAULT_SIZE_CAP):
     """Full spectrum of K from a dense eigensolve (cached at problem
     construction), refusing problems above the size cap."""
@@ -169,16 +163,10 @@ def _weight_dense(weight, m):
     raise ParameterOutOfRangeError(f"unsupported weight type {type(weight).__name__}")
 
 
-def _augmented_saddle(problem, weight):
-    aw = assemble_augmented(problem, weight)
-    return aw, saddle_matrix(aw.array, problem.B.array)
-
-
 def augmented_condition(problem, weight):
     """Spectral condition number of the augmented saddle matrix; +inf
     when it is exactly singular."""
-    _, kw = _augmented_saddle(problem, weight)
-    vals = np.abs(np.linalg.eigvalsh(kw))
+    vals = problem.augmented_saddle_abs_eigs(weight)
     lo = float(vals.min())
     hi = float(vals.max())
     if lo == 0.0:
@@ -198,16 +186,14 @@ def inverse_identity_residual(problem, weight):
     """
     n = problem.n
     m = problem.m
-    aw, kw = _augmented_saddle(problem, weight)
-    try:
-        kw_vals = np.abs(np.linalg.eigvalsh(kw))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolve of the augmented saddle matrix failed: {exc}") from exc
+    kw_vals = problem.augmented_saddle_abs_eigs(weight)
     if float(kw_vals.max()) == 0.0 or float(kw_vals.min()) <= problem.rel_tol * float(kw_vals.max()):
         raise SingularAugmentedError(
             f"augmented saddle matrix is numerically singular: min |eig| = "
             f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
         )
+    aw = assemble_augmented(problem, weight)
+    kw = saddle_matrix(aw.array, problem.B.array)
     k_inv = problem.k_inverse
     kw_inv = np.linalg.solve(kw, np.eye(n + m))
     w_dense = _weight_dense(weight, m)
@@ -216,7 +202,7 @@ def inverse_identity_residual(problem, weight):
     scale = max(1.0, float(np.linalg.norm(k_inv, "fro")))
     residual = float(np.linalg.norm(k_inv - kw_inv - block, "fro")) / scale
 
-    aw_vals = np.linalg.eigvalsh(aw.array)
+    aw_vals = problem.augmented_eigs(weight)
     if float(aw_vals[0]) > problem.rel_tol * max(float(aw_vals[-1]), 0.0):
         b = problem.B.array
         s_w = b @ np.linalg.solve(aw.array, b.T)
@@ -253,7 +239,7 @@ def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
     if np.any(np.diff(g) <= 0):
         raise ParameterOutOfRangeError("gamma grid must be strictly increasing")
     actual = oracle(problem, size_cap).mu_min_plus
-    bt_b = problem.B.array.T @ problem.B.array
+    bt_b = problem.bt_b
     a = problem.A.array
 
     rows = []
@@ -289,7 +275,7 @@ def ptp_spectrum_deviation(problem):
     v = problem.row_space_b.columns
     p = np.hstack([u, v])
     gram_eigs = np.sort(np.linalg.eigvalsh(p.T @ p))
-    cos = principal_angles(problem.range_a, problem.row_space_b).cosines
+    cos = problem.range_angles.cosines
     k = cos.shape[0]
     expected = np.sort(
         np.concatenate([np.ones(problem.n - 2 * k), 1.0 - cos, 1.0 + cos])

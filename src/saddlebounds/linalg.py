@@ -207,22 +207,6 @@ def _basis_from_eig(dec, rel_tol, kind):
     return SubspaceBasis(n, dim, _frozen(cols), kind, rel_tol)
 
 
-def range_basis(m, rel_tol=None):
-    """Orthonormal basis of the numerical range of a symmetric matrix."""
-    sm = _coerce_symmetric(m)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(sm.order)
-    return _basis_from_eig(sym_eig(sm), rel_tol, "range")
-
-
-def kernel_basis(m, rel_tol=None):
-    """Orthonormal basis of the numerical null space of a symmetric matrix."""
-    sm = _coerce_symmetric(m)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(sm.order)
-    return _basis_from_eig(sym_eig(sm), rel_tol, "kernel")
-
-
 def kernel_basis_rect(m, rel_tol=None):
     """Orthonormal basis of the null space of a rectangular matrix."""
     rm = _coerce_rect(m)
@@ -234,16 +218,6 @@ def kernel_basis_rect(m, rel_tol=None):
         raise ConvergenceError(f"singular value decomposition failed: {exc}") from exc
     rank = numerical_rank(s, rel_tol)
     return SubspaceBasis(rm.cols, rm.cols - rank, _frozen(vh[rank:].T), "kernel", rel_tol)
-
-
-def row_space_basis(m, rel_tol=None):
-    """Orthonormal basis of the row space (range of the transpose)."""
-    rm = _coerce_rect(m)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(max(rm.rows, rm.cols))
-    dec = svd(rm)
-    rank = numerical_rank(dec.singular_values, rel_tol)
-    return SubspaceBasis(rm.cols, rank, _frozen(dec.right_vectors[:, :rank]), "range", rel_tol)
 
 
 def principal_angles(x, y):
@@ -264,27 +238,3 @@ def principal_angles(x, y):
         raise ConvergenceError(f"singular value decomposition failed: {exc}") from exc
     cos = np.clip(s, 0.0, 1.0)
     return PrincipalAngles(_frozen(cos), _frozen(np.arccos(cos)))
-
-
-def eig_residuals(m, dec):
-    """Frobenius residuals (reconstruction, orthogonality) of an
-    eigendecomposition; callers compare them to their scaled tolerances."""
-    arr = _coerce_symmetric(m).array
-    recon = np.linalg.norm(arr @ dec.vectors - dec.vectors * dec.values, "fro")
-    eye = np.eye(dec.vectors.shape[1])
-    orth = np.linalg.norm(dec.vectors.T @ dec.vectors - eye, "fro")
-    return float(recon), float(orth)
-
-
-def svd_residuals(m, dec):
-    """Frobenius residuals (reconstruction, left orthogonality, right
-    orthogonality) of an economy SVD."""
-    arr = _coerce_rect(m).array
-    recon = np.linalg.norm(
-        arr - (dec.left_vectors * dec.singular_values) @ dec.right_vectors.T, "fro"
-    )
-    k = dec.singular_values.shape[0]
-    eye = np.eye(k)
-    lorth = np.linalg.norm(dec.left_vectors.T @ dec.left_vectors - eye, "fro")
-    rorth = np.linalg.norm(dec.right_vectors.T @ dec.right_vectors - eye, "fro")
-    return float(recon), float(lorth), float(rorth)

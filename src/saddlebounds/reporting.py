@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SaddleProblem
+from .bounds import DEFAULT_ANGLE_TOL, SaddleProblem
 from .errors import (
     ParameterOutOfRangeError,
     ProblemValidationError,
     StructureError,
 )
+from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP
 from .linalg import default_rank_tol
 from .mmio import read_matrix_market
 
@@ -33,14 +34,14 @@ class RunConfig:
     """
 
     rel_tol: float = None
-    angle_tol: float = 1e-10
-    cert_slack: float = 1e-8
+    angle_tol: float = DEFAULT_ANGLE_TOL
+    cert_slack: float = DEFAULT_CERT_SLACK
     gamma_min: float = 1e-4
     gamma_max: float = 1e4
     gamma_points: int = 25
     output_format: str = "json"
     seed: int = 0
-    size_cap: int = 2000
+    size_cap: int = DEFAULT_SIZE_CAP
 
     def __post_init__(self):
         if self.rel_tol is not None and not self.rel_tol > 0:

@@ -30,7 +30,6 @@ from saddlebounds.bounds import (
     rusten_winther,
     saddle_matrix,
     spectral_split,
-    spectral_summary,
     wbound,
     weight_mu_max,
 )
@@ -98,7 +97,7 @@ class TestProblemValidation:
             SaddleProblem(np.eye(2), np.array([[1.0, 0.0]]), rel_tol=0.0)
 
     def test_summary_of_toy(self):
-        s = spectral_summary(toy())
+        s = toy().summary
         assert s.mu_max == 1.0
         assert s.mu_min == 0.0
         assert s.mu_min_plus == 1.0

@@ -1,0 +1,171 @@
+"""Derived-quantity caches on SaddleProblem: each eigensolve and each set
+of principal angles runs once per problem (or once per gamma), the cached
+values are read-only and bit-identical to a fresh computation, and a full
+weight never reads the per-gamma cache."""
+
+import numpy as np
+import pytest
+
+from saddlebounds import bounds, cli, harness, linalg
+from saddlebounds.bounds import (
+    MatrixWeight,
+    SaddleProblem,
+    ScalarWeight,
+    applicable_bounds,
+    assemble_augmented,
+    general_rank_optimal_gamma,
+    optimal_gamma,
+    saddle_matrix,
+    wbound,
+)
+from saddlebounds.harness import augmented_condition, inverse_identity_residual
+from saddlebounds.linalg import SubspaceBasis, principal_angles
+from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank
+
+GAMMAS = (0.1, 1.0, 10.0)
+
+
+def lowest_rank_arrays():
+    p = gen_random_lowest_rank(12, 5, seed=3)
+    return p.A.array, p.B.array
+
+
+def general_rank_arrays():
+    p = gen_ipm_like(12, 4, 1e-2, seed=1)
+    return p.A.array, p.B.array
+
+
+@pytest.fixture(params=["lowest-rank", "general-rank"])
+def arrays(request):
+    return lowest_rank_arrays() if request.param == "lowest-rank" else general_rank_arrays()
+
+
+@pytest.fixture
+def eigvalsh_operands(monkeypatch):
+    """Copies of every matrix passed to numpy.linalg.eigvalsh while active."""
+    seen = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return seen
+
+
+def _classify(problem, operands):
+    counts = {"K": 0, "A_W": 0, "K_W": 0, "other": 0}
+    blocks = []
+    for g in GAMMAS:
+        aw = assemble_augmented(problem, ScalarWeight(g)).array
+        blocks.append(("A_W", aw))
+        blocks.append(("K_W", saddle_matrix(aw, problem.B.array)))
+    for op in operands:
+        if op.shape == problem.k_matrix.shape and np.array_equal(op, problem.k_matrix):
+            counts["K"] += 1
+            continue
+        kind = next((k for k, m in blocks if m.shape == op.shape and np.array_equal(m, op)),
+                    "other")
+        counts[kind] += 1
+    return counts
+
+
+class TestFactorizationCounts:
+    def test_verify_eigensolves_each_block_once_per_gamma(self, arrays, eigvalsh_operands):
+        a, b = arrays
+        p = SaddleProblem(a, b)
+        failures = cli.run_verification(p, GAMMAS, emit=lambda line: None)
+        assert failures == []
+        counts = _classify(p, list(eigvalsh_operands))
+        # the stacked-basis check solves P^T P once, on lowest-rank problems only
+        other = 1 if p.is_lowest_rank else 0
+        assert counts == {"K": 1, "A_W": 3, "K_W": 3, "other": other}
+
+    def test_principal_angles_run_at_most_three_times(self, arrays, monkeypatch):
+        calls = []
+
+        def counting(x, y):
+            calls.append((x.dim, y.dim))
+            return principal_angles(x, y)
+
+        for mod in (bounds, harness, linalg):
+            if hasattr(mod, "principal_angles"):
+                monkeypatch.setattr(mod, "principal_angles", counting)
+        a, b = arrays
+        p = SaddleProblem(a, b)
+        gamma = optimal_gamma(p) if p.is_lowest_rank else general_rank_optimal_gamma(p)
+        applicable_bounds(p, gamma=gamma)
+        cli.run_verification(p, GAMMAS, emit=lambda line: None)
+        # range(A) and ker(A) angles, and the split angles
+        assert len(calls) == (3 if p.is_lowest_rank else 1)
+
+
+class TestCachedValues:
+    def test_read_only_and_equal_to_a_fresh_computation(self):
+        a, b = lowest_rank_arrays()
+        p = SaddleProblem(a, b)
+        cli.run_verification(p, GAMMAS, emit=lambda line: None)
+        k = p.n - p.m
+        split_basis = SubspaceBasis(p.n, k, p.eig_a.vectors[:, :k], "range", p.rel_tol)
+        expected = [
+            (p.bt_b, p.B.array.T @ p.B.array),
+            (p.range_angles, principal_angles(p.range_a, p.row_space_b)),
+            (p.kernel_angles, principal_angles(p.kernel_a, p.kernel_b)),
+            (p.split_quantities[1], principal_angles(split_basis, p.row_space_b)),
+        ]
+        for g in GAMMAS:
+            w = ScalarWeight(g)
+            aw = assemble_augmented(p, w).array
+            kw = saddle_matrix(aw, p.B.array)
+            expected.append((p.augmented_eigs(w), np.linalg.eigvalsh(aw)))
+            expected.append((p.augmented_saddle_abs_eigs(w), np.abs(np.linalg.eigvalsh(kw))))
+        for cached, fresh in expected:
+            if isinstance(cached, linalg.PrincipalAngles):
+                pairs = [(cached.cosines, fresh.cosines), (cached.angles, fresh.angles)]
+            else:
+                pairs = [(cached, fresh)]
+            for c, f in pairs:
+                assert not c.flags.writeable
+                assert np.array_equal(c, f)
+                with pytest.raises(ValueError):
+                    c[0] = 1.0
+        assert p.augmented_eigs(ScalarWeight(1.0)) is p.augmented_eigs(ScalarWeight(1.0))
+        assert p.range_angles is p.range_angles
+
+    def test_repeated_verification_emits_identical_lines(self, arrays):
+        a, b = arrays
+        p = SaddleProblem(a, b)
+        first, second, fresh = [], [], []
+        cli.run_verification(p, GAMMAS, emit=first.append)
+        cli.run_verification(p, GAMMAS, emit=second.append)
+        cli.run_verification(SaddleProblem(a, b), GAMMAS, emit=fresh.append)
+        assert first == second == fresh
+        assert len(first) > 3 * len(GAMMAS)
+
+
+class TestMatrixWeightBypassesCache:
+    def test_full_weight_is_solved_every_time(self, eigvalsh_operands):
+        a, b = lowest_rank_arrays()
+        p = SaddleProblem(a, b)
+        m = p.m
+        wbound(p, ScalarWeight(2.0))
+        augmented_condition(p, ScalarWeight(2.0))
+        del eigvalsh_operands[:]
+        # the same operator as the cached gamma = 2, and a different one
+        for w in (MatrixWeight.from_array(2.0 * np.eye(m)),
+                  MatrixWeight.from_array(np.diag(np.linspace(0.5, 3.0, m)))):
+            before = len(eigvalsh_operands)
+            first = wbound(p, w)
+            second = wbound(p, w)
+            augmented_condition(p, w)
+            assert len(eigvalsh_operands) - before == 3
+            fresh = np.linalg.eigvalsh(assemble_augmented(p, w).array)
+            assert first.details["mu_min_augmented"] == float(fresh[0])
+            assert second.details == first.details
+        # the scalar weight is still served from the cache
+        before = len(eigvalsh_operands)
+        wbound(p, ScalarWeight(2.0))
+        augmented_condition(p, ScalarWeight(2.0))
+        inverse_identity_residual(p, ScalarWeight(2.0))
+        assert len(eigvalsh_operands) == before

@@ -21,7 +21,6 @@ from saddlebounds.errors import (
 )
 from saddlebounds.harness import (
     SWEEP_CSV_HEADER,
-    assemble_K,
     augmented_condition,
     certify,
     containment_violations,
@@ -95,8 +94,14 @@ class TestCertify:
 
     def test_assemble_K_layout(self):
         p = toy()
-        k = assemble_K(p)
-        assert np.array_equal(k.array, p.k_matrix)
+        k = p.k_matrix
+        n = p.n
+        assert np.array_equal(k[:n, :n], p.A.array)
+        assert np.array_equal(k[:n, n:], p.B.array.T)
+        assert np.array_equal(k[n:, :n], p.B.array)
+        assert not k[n:, n:].any()
+        assert np.array_equal(k, k.T)
+        assert not k.flags.writeable
 
 
 class TestInverseIdentity:

@@ -15,18 +15,67 @@ from saddlebounds.linalg import (
     RectMatrix,
     SubspaceBasis,
     SymmetricMatrix,
+    _basis_from_eig,
     default_rank_tol,
-    eig_residuals,
-    kernel_basis,
     kernel_basis_rect,
     numerical_rank,
     principal_angles,
-    range_basis,
-    row_space_basis,
     svd,
-    svd_residuals,
     sym_eig,
 )
+
+
+# Helpers that only the tests use: subspace bases of a bare matrix and the
+# residuals of a decomposition, built from the package's own primitives.
+
+
+def range_basis(m, rel_tol=None):
+    """Orthonormal basis of the numerical range of a symmetric matrix."""
+    sm = m if isinstance(m, SymmetricMatrix) else SymmetricMatrix.from_array(m)
+    if rel_tol is None:
+        rel_tol = default_rank_tol(sm.order)
+    return _basis_from_eig(sym_eig(sm), rel_tol, "range")
+
+
+def kernel_basis(m, rel_tol=None):
+    """Orthonormal basis of the numerical null space of a symmetric matrix."""
+    sm = m if isinstance(m, SymmetricMatrix) else SymmetricMatrix.from_array(m)
+    if rel_tol is None:
+        rel_tol = default_rank_tol(sm.order)
+    return _basis_from_eig(sym_eig(sm), rel_tol, "kernel")
+
+
+def row_space_basis(m, rel_tol=None):
+    """Orthonormal basis of the row space (range of the transpose)."""
+    rm = m if isinstance(m, RectMatrix) else RectMatrix.from_array(m)
+    if rel_tol is None:
+        rel_tol = default_rank_tol(max(rm.rows, rm.cols))
+    dec = svd(rm)
+    rank = numerical_rank(dec.singular_values, rel_tol)
+    return SubspaceBasis(rm.cols, rank, dec.right_vectors[:, :rank], "range", rel_tol)
+
+
+def eig_residuals(m, dec):
+    """Frobenius residuals (reconstruction, orthogonality) of an
+    eigendecomposition."""
+    arr = SymmetricMatrix.from_array(m).array
+    recon = np.linalg.norm(arr @ dec.vectors - dec.vectors * dec.values, "fro")
+    eye = np.eye(dec.vectors.shape[1])
+    orth = np.linalg.norm(dec.vectors.T @ dec.vectors - eye, "fro")
+    return float(recon), float(orth)
+
+
+def svd_residuals(m, dec):
+    """Frobenius residuals (reconstruction, left orthogonality, right
+    orthogonality) of an economy SVD."""
+    arr = RectMatrix.from_array(m).array
+    recon = np.linalg.norm(
+        arr - (dec.left_vectors * dec.singular_values) @ dec.right_vectors.T, "fro"
+    )
+    eye = np.eye(dec.singular_values.shape[0])
+    lorth = np.linalg.norm(dec.left_vectors.T @ dec.left_vectors - eye, "fro")
+    rorth = np.linalg.norm(dec.right_vectors.T @ dec.right_vectors - eye, "fro")
+    return float(recon), float(lorth), float(rorth)
 
 
 def _random_symmetric(n, seed):
