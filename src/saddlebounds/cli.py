@@ -329,7 +329,7 @@ def main(argv=None):
     except (ParseError, StructureError, ParameterOutOfRangeError, ZeroAngleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SaddleBoundsError as exc:

@@ -1,16 +1,18 @@
 """Matrix Market reader and writer for dense real matrices.
 
 Handles coordinate and array formats with general or symmetric storage.
-The reader converts the data section in bulk, a fixed slice of lines at
-a time, so the memory it needs beyond the file's lines and the matrix
-stays bounded. A malformed data section is then scanned line by line,
-and its ParseError carries the line and column of the first bad token.
+The reader hands the data section to numpy's C text reader. Whatever
+that reader declines (a malformed section, or syntax only Python's
+int() and float() accept, such as 1_0, interior % comments or an empty
+section) is scanned line by line: the scan returns the same columns,
+or raises a ParseError with the line and column of the first bad token.
 Values are written with 17 significant digits so float64 entries
 round-trip exactly, and entries are emitted in a fixed column-major
 order so output bytes are stable.
 """
 
 import re
+import warnings
 
 import numpy as np
 
@@ -23,13 +25,7 @@ _FORMATS = ("coordinate", "array")
 _FIELDS = ("real", "integer")
 _SYMMETRIES = ("general", "symmetric")
 
-# Data lines tokenized and converted at a time: only one slice's token
-# lists are alive at once.
-_SLICE_LINES = 4096
-
-
-class _Malformed(Exception):
-    """The bulk conversion rejected the data section."""
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def _tokens(line):
@@ -98,21 +94,19 @@ def read_matrix_market(path):
         raise ParseError(f"matrix dimensions must be positive, got {rows} x {cols}", idx + 1)
     if symmetry == "symmetric" and rows != cols:
         raise ParseError(f"symmetric matrix must be square, got {rows} x {cols}", idx + 1)
-    out = np.zeros((rows, cols))
+    try:
+        out = np.zeros((rows, cols))
+    except (MemoryError, ValueError):
+        raise ParseError(f"a {rows} x {cols} matrix does not fit in memory", idx + 1) from None
 
     symmetric = symmetry == "symmetric"
     if fmt == "coordinate":
         count = _parse_int(size_toks[2][0], idx + 1, size_toks[2][1])
-        kinds = ((int, np.int64), (int, np.int64), (float, np.float64))
     else:
         count = rows * (rows + 1) // 2 if symmetric else rows * cols
-        kinds = ((float, np.float64),)
-    try:
-        columns = _bulk_columns(lines, idx + 1, count, kinds)
-        if fmt == "coordinate" and not _indices_in_range(*columns[:2], rows, cols):
-            raise _Malformed
-    except _Malformed:
-        _raise_first_error(lines, idx, fmt, symmetry, rows, cols, count)
+    columns = _load_columns(lines[idx + 1 :], fmt, rows, cols, count)
+    if columns is None:
+        columns = _scan_columns(lines, idx, fmt, symmetry, rows, cols, count)
 
     if fmt == "coordinate":
         i, j, v = columns
@@ -135,41 +129,28 @@ def read_matrix_market(path):
     return out
 
 
-def _data_slices(lines, start):
-    """Token lists of the data lines in ``lines[start:]``, blank and
-    comment lines dropped, one slice of _SLICE_LINES lines at a time."""
-    for s in range(start, len(lines), _SLICE_LINES):
-        toks = [line.split() for line in lines[s : s + _SLICE_LINES]]
-        yield [t for t in toks if t and not t[0].startswith("%")]
-
-
-def _bulk_columns(lines, start, count, kinds):
-    """Convert a data section of ``count`` lines into one array per token
-    position; ``kinds`` holds a (parser, dtype) pair per position.
-
-    Raises _Malformed on a wrong line count, a line with the wrong number
-    of tokens, or a token its parser rejects.
-    """
-    if not 0 <= count <= len(lines) - start:
-        raise _Malformed
-    width = len(kinds)
-    columns = [np.empty(count, dtype) for _, dtype in kinds]
-    pos = 0
-    for toks in _data_slices(lines, start):
-        end = pos + len(toks)
-        if end > count or any(len(t) != width for t in toks):
-            raise _Malformed
-        if not toks:
-            continue
-        for column, (parse, dtype), texts in zip(columns, kinds, zip(*toks)):
-            try:
-                column[pos:end] = np.fromiter(map(parse, texts), dtype, end - pos)
-            except (ValueError, OverflowError):
-                raise _Malformed from None
-        pos = end
-    if pos != count:
-        raise _Malformed
-    return columns
+def _load_columns(data, fmt, rows, cols, count):
+    """The columns of the data lines ``data`` as read by np.loadtxt, or
+    None when it declines them: any error or warning (which includes an
+    empty section), a wrong line count or shape, or an index outside the
+    matrix. Comment lines are left to the line scan (comments=None), so
+    a trailing ``% ...`` on a data line is never silently dropped."""
+    with warnings.catch_warnings():
+        # numpy 1.x parses 1.0 as an integer with only a DeprecationWarning
+        warnings.simplefilter("error")
+        try:
+            if fmt == "coordinate":
+                table = np.loadtxt(data, dtype=_ENTRY, comments=None, ndmin=1)
+            else:
+                # ndmin=2 keeps the values of a single line in one row
+                table = np.loadtxt(data, dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if fmt == "array":
+        return [table[:, 0]] if table.shape == (count, 1) else None
+    if len(table) != count or not _indices_in_range(table["i"], table["j"], rows, cols):
+        return None
+    return [table["i"], table["j"], table["v"]]
 
 
 def _indices_in_range(i, j, rows, cols):
@@ -177,10 +158,11 @@ def _indices_in_range(i, j, rows, cols):
     return bool((i >= 1).all() and (i <= rows).all() and (j >= 1).all() and (j <= cols).all())
 
 
-def _raise_first_error(lines, idx, fmt, symmetry, rows, cols, count):
-    """Raise the ParseError of the first malformed line after the size
-    line ``lines[idx]``, with the line and column a line-by-line reader
-    reports. Runs only after the bulk conversion rejected the section."""
+def _scan_columns(lines, idx, fmt, symmetry, rows, cols, count):
+    """Scan the data section after the size line ``lines[idx]`` line by
+    line with Python's int() and float(). Return its columns, as
+    _load_columns does, or raise the ParseError of the first malformed
+    line with the line and column of the bad token."""
     data_lines = []
     for off, line in enumerate(lines[idx + 1 :], start=idx + 2):
         if line.lstrip().startswith("%") or not line.strip():
@@ -191,30 +173,35 @@ def _raise_first_error(lines, idx, fmt, symmetry, rows, cols, count):
     if fmt == "coordinate":
         if len(data_lines) != count:
             raise ParseError(f"expected {count} entries, found {len(data_lines)}", last)
+        entries = []
         for lineno, line in data_lines:
             toks = _tokens(line)
             if len(toks) != 3:
                 raise ParseError(f"entry needs 'row col value', got {len(toks)} tokens", lineno)
             i = _parse_int(toks[0][0], lineno, toks[0][1])
             j = _parse_int(toks[1][0], lineno, toks[1][1])
-            _parse_float(toks[2][0], lineno, toks[2][1])
+            v = _parse_float(toks[2][0], lineno, toks[2][1])
             if not 1 <= i <= rows:
                 raise ParseError(f"row index {i} outside 1..{rows}", lineno, toks[0][1])
             if not 1 <= j <= cols:
                 raise ParseError(f"column index {j} outside 1..{cols}", lineno, toks[1][1])
-    else:
-        if len(data_lines) != count:
-            raise ParseError(
-                f"expected {count} values for a {rows} x {cols} {symmetry} array, "
-                f"found {len(data_lines)}",
-                last,
-            )
-        for lineno, line in data_lines:
-            toks = _tokens(line)
-            if len(toks) != 1:
-                raise ParseError(f"array entry needs one value per line, got {len(toks)}", lineno)
-            _parse_float(toks[0][0], lineno, toks[0][1])
-    raise RuntimeError("the bulk conversion rejected a data section the line scan accepts")
+            entries.append((i, j, v))
+        table = np.array(entries, dtype=_ENTRY)
+        return [table["i"], table["j"], table["v"]]
+
+    if len(data_lines) != count:
+        raise ParseError(
+            f"expected {count} values for a {rows} x {cols} {symmetry} array, "
+            f"found {len(data_lines)}",
+            last,
+        )
+    values = []
+    for lineno, line in data_lines:
+        toks = _tokens(line)
+        if len(toks) != 1:
+            raise ParseError(f"array entry needs one value per line, got {len(toks)}", lineno)
+        values.append(_parse_float(toks[0][0], lineno, toks[0][1]))
+    return [np.array(values, dtype=np.float64)]
 
 
 def format_matrix_market(array, symmetric=False, comment=None):

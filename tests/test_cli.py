@@ -58,6 +58,14 @@ class TestGenerate:
         assert rc == cli.EXIT_INPUT
         assert "missing parameters: b2" in capsys.readouterr().err
 
+    def test_out_names_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        rc = cli.main(["generate", "--family", "toy", "--params", '{"b1": 0.6, "b2": 0.8}',
+                       "--out", str(target)])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_family_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             cli.main(["generate", "--family", "nope", "--out", str(tmp_path / "x")])
@@ -115,6 +123,21 @@ class TestBound:
                        "--B", str(tmp_path / "nope.mtx")])
         assert rc == cli.EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_input_file(self, tmp_path, capsys):
+        _, pb, out = generate_toy(tmp_path)
+        rc = cli.main(["bound", "--A", str(out), "--B", pb])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_oversized_size_line(self, tmp_path, capsys):
+        _, pb, _ = generate_toy(tmp_path)
+        pa = tmp_path / "huge.mtx"
+        pa.write_text("%%MatrixMarket matrix coordinate real general\n"
+                      "10000000 10000000 1\n1 1 1.0\n")
+        rc = cli.main(["bound", "--A", str(pa), "--B", pb])
+        assert rc == cli.EXIT_INPUT
+        assert "does not fit in memory (line 2)" in capsys.readouterr().err
 
     def test_auto_gamma_on_lowest_rank(self, tmp_path):
         pa, pb, _ = generate_toy(tmp_path)

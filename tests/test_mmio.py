@@ -1,11 +1,14 @@
 """Matrix Market reader and writer, including error positions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from saddlebounds import mmio
 from saddlebounds.errors import ParseError, StructureError
 from saddlebounds.mmio import (
     _parse_float,
@@ -248,6 +251,16 @@ class TestParseErrors:
         text = "%%MatrixMarket matrix array real general\n1 2\n1.0 2.0\n2.0\n"
         self.check(tmp_path, text, line=3, fragment="one value")
 
+    def test_array_values_on_one_line(self, tmp_path):
+        text = "%%MatrixMarket matrix array real general\n3 1\n1 2 3\n"
+        self.check(tmp_path, text, line=3, column=None,
+                   fragment="expected 3 values for a 3 x 1 general array, found 1")
+
+    def test_oversized_size_line(self, tmp_path):
+        text = "%%MatrixMarket matrix coordinate real general\n10000000 10000000 1\n1 1 1.0\n"
+        self.check(tmp_path, text, line=2, column=None,
+                   fragment="a 10000000 x 10000000 matrix does not fit in memory")
+
     def test_zero_dimension(self, tmp_path):
         self.check(tmp_path, "%%MatrixMarket matrix coordinate real general\n0 2 0\n",
                    line=2, fragment="positive")
@@ -290,7 +303,10 @@ def coordinate_text(entries, rows=100, cols=100, symmetry="general"):
 
 
 JUNK_TOKENS = ["0", "1", "2", "+1", "1_0", "-1", "1.0", "1e0", "x", "2.5", "-0.0",
-               "nan", "1e400", "9" * 20, "%"]
+               "nan", "-nan", "1e400", "9" * 20, "%", "%c", "1_0.5", "2.5\x00", "1\x00"]
+
+# str.splitlines() breaks a line at \x0b, \x0c and \x1c; \x1f only separates
+SEPARATORS = [" ", " ", " ", "   ", "\t", " \t\t", "\x1f", "\x0b", "\x0c", "\x1c", "\x00"]
 
 
 @st.composite
@@ -301,11 +317,12 @@ def matrix_market_texts(draw):
     symmetry = draw(st.sampled_from(["general", "symmetric"]))
     rows = draw(st.integers(1, 3))
     cols = rows if symmetry == "symmetric" else draw(st.integers(1, 3))
-    value = st.floats(width=64).map(repr)
+    value = st.one_of(st.floats(width=64).map(repr), st.sampled_from(["1_0.5", "-nan"]))
+    sep = st.sampled_from(SEPARATORS)
     if fmt == "coordinate":
         expected = draw(st.integers(0, 6))
         index = st.integers(0, 4).map(str)
-        entry = st.tuples(index, index, value).map(" ".join)
+        entry = st.tuples(index, sep, index, sep, value).map("".join)
         size = f"{rows} {cols} {expected}"
     else:
         expected = rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * cols
@@ -318,6 +335,13 @@ def matrix_market_texts(draw):
     noise = st.sampled_from(["", "  \t", "% note", "  %indented"])
     for pos, line in draw(st.lists(st.tuples(st.integers(0, len(data)), noise), max_size=3)):
         data.insert(pos, line)
+    if len(data) > 1 and draw(st.booleans()):
+        # join two neighbouring lines, or split one at its first space
+        pos = draw(st.integers(0, len(data) - 2))
+        if draw(st.booleans()):
+            data[pos : pos + 2] = [data[pos] + draw(sep) + data[pos + 1]]
+        else:
+            data[pos : pos + 1] = data[pos].split(" ", 1)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [f"%%MatrixMarket matrix {fmt} real {symmetry}", size, *data]
     return newline.join(lines) + newline
@@ -326,7 +350,7 @@ def matrix_market_texts(draw):
 class TestBulkReader:
     @pytest.fixture
     def big_entries(self):
-        # 6000 entries: data lines 3..6002 span two 4096-line slices
+        # 6000 entries: data lines 3..6002
         rng = np.random.default_rng(7)
         i = rng.integers(1, 101, 6000).tolist()
         j = rng.integers(1, 101, 6000).tolist()
@@ -334,7 +358,7 @@ class TestBulkReader:
         return [f"{a} {b} {x!r}" for a, b, x in zip(i, j, v)]
 
     def test_large_file_matches_reference(self, tmp_path, big_entries):
-        # random coordinates repeat, so later duplicates must win across slices
+        # random coordinates repeat, so later duplicates must win
         text = coordinate_text(big_entries)
         path = write_text(tmp_path / "big.mtx", text)
         assert_same_outcome(read_matrix_market(path), reference_read_data(text))
@@ -345,6 +369,9 @@ class TestBulkReader:
             ("3 4 0.5x", 5, "expected a number, got '0.5x'"),
             ("3 101 0.5", 3, "column index 101 outside 1..100"),
             ("3 4", None, "entry needs 'row col value', got 2 tokens"),
+            ("3 4 0.5 %c", None, "entry needs 'row col value', got 4 tokens"),
+            ("3 4 0.5\x00", 5, "expected a number, got '0.5\\x00'"),
+            ("3\x00 4 0.5", 1, "expected an integer, got '3\\x00'"),
         ],
     )
     def test_error_past_first_slice(self, tmp_path, big_entries, bad, column, message):
@@ -435,6 +462,85 @@ class TestBulkReader:
     def test_matches_line_by_line_reference(self, tmp_path_factory, text):
         path = write_text(tmp_path_factory.getbasetemp() / "ref.mtx", text)
         assert_same_outcome(outcome(read_matrix_market, path), outcome(reference_read_data, text))
+
+
+def read_text(tmp_path, text):
+    return read_matrix_market(write_text(tmp_path / "t.mtx", text))
+
+
+def scan_must_not_run(*args):
+    raise AssertionError("the line scan ran on a section the C reader should take")
+
+
+class TestTextReaderPaths:
+    """numpy's C text reader takes well-formed sections; the line scan
+    takes the rest with the same results."""
+
+    def test_writer_output_takes_the_fast_path(self, tmp_path, corpus, monkeypatch):
+        monkeypatch.setattr(mmio, "_scan_columns", scan_must_not_run)
+        _, p = max(corpus, key=lambda member: member[1].n)
+        for name, array, symmetric in [("A", p.A.array, True), ("B", p.B.array, False),
+                                       ("K", p.k_matrix, True)]:
+            path = tmp_path / f"{name}.mtx"
+            write_matrix_market(path, array, symmetric=symmetric)
+            assert np.array_equal(read_matrix_market(path), array), name
+
+    @pytest.mark.parametrize("sep", ["\x1f", "  ", "\t", " \t \t", "\x1f \t"])
+    def test_separators(self, tmp_path, monkeypatch, sep):
+        monkeypatch.setattr(mmio, "_scan_columns", scan_must_not_run)
+        entries = [sep.join(["1", "2", "0.5"]), sep + sep.join(["2", "1", "-1.5"]) + sep]
+        np.testing.assert_array_equal(read_text(tmp_path, coordinate_text(entries, 2, 2)),
+                                      [[0.0, 0.5], [-1.5, 0.0]])
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c"])
+    @pytest.mark.parametrize("fmt", ["coordinate", "array"])
+    def test_line_breaking_characters(self, tmp_path, char, fmt):
+        # str.splitlines() ends a line at each of these, as the reference does
+        if fmt == "coordinate":
+            text = coordinate_text([f"1 1{char}2.0", "2 2 3.0"], 2, 2)
+        else:
+            text = f"%%MatrixMarket matrix array real general\n2 1\n1.0{char}2.0\n"
+        path = write_text(tmp_path / "b.mtx", text)
+        assert_same_outcome(outcome(read_matrix_market, path), outcome(reference_read_data, text))
+
+    @pytest.mark.parametrize(
+        "raw, message, column",
+        [
+            # the reader decodes a non-ASCII byte as U+FFFD
+            (b"1 1 2.\xff", "expected a number, got '2.\ufffd'", 5),
+            (b"1 \xe92 2.0", "expected an integer, got '\ufffd2'", 3),
+        ],
+    )
+    def test_non_ascii_bytes(self, tmp_path, raw, message, column):
+        path = tmp_path / "n.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n2 2 1\n" + raw + b"\n")
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert (str(info.value), info.value.column) == (f"{message} (line 3, column {column})",
+                                                        column)
+
+    @pytest.mark.parametrize("interior", ["", "% interior comment\n"])
+    def test_negative_nan_keeps_its_sign_bit(self, tmp_path, interior):
+        # without the comment the C reader parses -nan, with it the line scan
+        text = coordinate_text(["1 1 -nan", interior + "2 2 nan"], 2, 2)
+        out = read_text(tmp_path, text)
+        want = np.array([float("-nan"), float("nan")]).view(np.uint64)
+        assert np.array_equal(out[[0, 1], [0, 1]].view(np.uint64), want)
+
+    @pytest.mark.parametrize("token", ["1.0", "1e0"])
+    def test_index_parsed_through_a_warning_is_rejected(self, tmp_path, monkeypatch, token):
+        # numpy 1.x loadtxt reads 1.0 as the int64 1 and only warns; simulate it
+        loadtxt = np.loadtxt
+
+        def lenient(data, **kwargs):
+            warnings.warn("parsing an integer via a float is deprecated", DeprecationWarning)
+            return loadtxt([line.replace(token, "1") for line in data], **kwargs)
+
+        monkeypatch.setattr(mmio.np, "loadtxt", lenient)
+        with pytest.raises(ParseError) as info:
+            read_text(tmp_path, coordinate_text([f"{token} 1 0.5"], 2, 2))
+        assert (info.value.line, info.value.column) == (3, 1)
+        assert f"expected an integer, got {token!r}" in str(info.value)
 
 
 class TestWriterReference:
