@@ -46,7 +46,6 @@ from .errors import (
     RankDeficientError,
     RankTooLowError,
     SaddleBoundsError,
-    SingularAugmentedError,
     SingularKError,
     SizeCapError,
     StructureError,

@@ -269,11 +269,16 @@ class SaddleProblem:
     @cached_property
     def split_quantities(self):
         """(mu_{n-m}, angles, degenerate) of the spectral split; see
-        ``_general_split_quantities``, which checks the rank first."""
+        ``_general_split_quantities``, which checks the rank first.
+
+        In the lowest-rank case the split basis holds exactly the columns
+        of ``range_a``, so the split angles are ``range_angles``."""
         k = self.n - self.m
         raw = self.eig_a.values
         mu_nm = float(self.a_values[k - 1])
         degenerate = abs(float(raw[k - 1]) - float(raw[k])) <= self.rel_tol * abs(float(raw[0]))
+        if self.is_lowest_rank:
+            return mu_nm, self.range_angles, degenerate
         basis = SubspaceBasis(self.n, k, self.eig_a.vectors[:, :k], "range", self.rel_tol)
         return mu_nm, principal_angles(basis, self.row_space_b), degenerate
 

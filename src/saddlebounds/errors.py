@@ -38,7 +38,9 @@ class SingularKError(ProblemValidationError):
 
 
 class AugmentedBlockSingularError(SaddleBoundsError):
-    """A + B^T W B is not positive definite, so W fails to regularize A."""
+    """The weight W fails to regularize A: A + B^T W B is not positive
+    definite, or the augmented saddle matrix is numerically singular, so
+    the inverse identity is undefined for W."""
 
 
 class RankAssumptionError(SaddleBoundsError):
@@ -63,11 +65,6 @@ class InfeasibleDimensionsError(SaddleBoundsError):
 
 class GenerationFailedError(SaddleBoundsError):
     """A seeded generator exhausted its retry budget or failed a post check."""
-
-
-class SingularAugmentedError(SaddleBoundsError):
-    """The augmented saddle matrix is numerically singular; the inverse
-    identity is undefined for this weight."""
 
 
 class SizeCapError(SaddleBoundsError):

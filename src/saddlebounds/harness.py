@@ -17,9 +17,9 @@ from .bounds import (
     saddle_matrix,
 )
 from .errors import (
+    AugmentedBlockSingularError,
     ParameterOutOfRangeError,
     RankAssumptionError,
-    SingularAugmentedError,
     SizeCapError,
 )
 from .linalg import _frozen
@@ -29,6 +29,11 @@ DEFAULT_CERT_SLACK = 1e-8
 DEFAULT_COND_CAP = 1e12
 
 SWEEP_CSV_HEADER = "gamma,inv_gamma,mu_min_A_gamma,predicted_bound,actual_min_pos_eig"
+_SWEEP_CSV_ROW = ",".join(["%.17g"] * 5) + "\n"
+
+# bytes of one stacked eigvalsh operand in gamma_sweep; an n-by-n block
+# larger than this is still solved on its own
+SWEEP_STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,21 +91,13 @@ class SweepResult:
     actual_mu_min_plus: float
 
     def to_csv(self):
-        lines = [SWEEP_CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    f"{v:.17g}"
-                    for v in (
-                        r.gamma,
-                        r.inv_gamma,
-                        r.mu_min_a_gamma,
-                        r.predicted_bound,
-                        r.actual_mu_min_plus,
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        flat = tuple(
+            v
+            for r in self.rows
+            for v in (r.gamma, r.inv_gamma, r.mu_min_a_gamma, r.predicted_bound,
+                      r.actual_mu_min_plus)
+        )
+        return SWEEP_CSV_HEADER + "\n" + _SWEEP_CSV_ROW * len(self.rows) % flat
 
 
 def oracle(problem, size_cap=DEFAULT_SIZE_CAP):
@@ -188,7 +185,7 @@ def inverse_identity_residual(problem, weight):
     m = problem.m
     kw_vals = problem.augmented_saddle_abs_eigs(weight)
     if float(kw_vals.max()) == 0.0 or float(kw_vals.min()) <= problem.rel_tol * float(kw_vals.max()):
-        raise SingularAugmentedError(
+        raise AugmentedBlockSingularError(
             f"augmented saddle matrix is numerically singular: min |eig| = "
             f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
         )
@@ -230,6 +227,10 @@ def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
 
     Rows are computed in grid order, so the result is deterministic for
     a fixed grid. The oracle value is computed once and repeated per row.
+    The augmented blocks A + gamma B^T B are eigensolved in stacks of at
+    most SWEEP_STACK_BYTES (at least one block per call); each block in a
+    stack has the same bits as when it is formed on its own, so the rows
+    do too.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -242,9 +243,14 @@ def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
     bt_b = problem.bt_b
     a = problem.A.array
 
+    per_call = max(1, SWEEP_STACK_BYTES // bt_b.nbytes)
+    mu_mins = []
+    for start in range(0, g.size, per_call):
+        stack = np.multiply.outer(g[start:start + per_call], bt_b)
+        stack += a  # a + gamma * bt_b: IEEE addition commutes
+        mu_mins.extend(np.linalg.eigvalsh(stack)[:, 0].tolist())
     rows = []
-    for gamma in g:
-        mu_min = float(np.linalg.eigvalsh(a + gamma * bt_b)[0])
+    for gamma, mu_min in zip(g, mu_mins):
         inv = 1.0 / gamma
         rows.append(SweepRow(float(gamma), inv, mu_min, min(inv, mu_min), actual))
     diffs = np.array([r.inv_gamma - r.mu_min_a_gamma for r in rows])

@@ -8,7 +8,7 @@ section) is scanned line by line: the scan returns the same columns,
 or raises a ParseError with the line and column of the first bad token.
 Values are written with 17 significant digits so float64 entries
 round-trip exactly, and entries are emitted in a fixed column-major
-order so output bytes are stable.
+order so output bytes are stable; one ``%`` format call writes them all.
 """
 
 import re
@@ -224,12 +224,13 @@ def format_matrix_market(array, symmetric=False, comment=None):
     if symmetric:
         nonzero = np.triu(nonzero)  # lower triangle of arr
     j, i = np.nonzero(nonzero)  # column-major order
-    values = arr[i, j].tolist()
-    out.append(f"{rows} {cols} {len(values)}")
-    out.extend(
-        f"{r} {c} {v:.17g}" for r, c, v in zip((i + 1).tolist(), (j + 1).tolist(), values)
-    )
-    return "\n".join(out) + "\n"
+    count = i.size
+    out.append(f"{rows} {cols} {count}")
+    entries = [None] * (3 * count)  # r1, c1, v1, r2, ... for one % call
+    entries[0::3] = (i + 1).tolist()
+    entries[1::3] = (j + 1).tolist()
+    entries[2::3] = arr[i, j].tolist()
+    return "\n".join(out) + "\n" + "%d %d %.17g\n" * count % tuple(entries)
 
 
 def write_matrix_market(path, array, symmetric=False, comment=None):

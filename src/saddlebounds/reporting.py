@@ -4,11 +4,16 @@ Reports are written as a JSON envelope (problem metadata, configuration,
 bound reports with their certifications, optional sweep rows) plus CSV
 files for tabular consumers. All output is byte-stable for fixed inputs:
 no timestamps, sorted keys, fixed float formatting.
+
+The envelope text is what ``json.dumps(envelope, sort_keys=True,
+indent=2)`` gives, byte for byte, but it comes from a direct recursive
+writer: json's C encoder is never used once ``indent`` is set, and its
+pure-Python path is slower than writing the text out here.
 """
 
-import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -23,6 +28,18 @@ from .linalg import default_rank_tol
 from .mmio import read_matrix_market
 
 BOUNDS_CSV_HEADER = "name,value,assumptions_met,status,slack,warnings"
+
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# JSON text of the exact scalar types an envelope is made of, up to the
+# float specials; no other text from these equals a key of _FLOAT_SPECIALS
+_SCALAR_TEXT = {
+    str: _encode_str,
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
 
 
 @dataclass(frozen=True)
@@ -130,6 +147,8 @@ def read_problem(fileset, config=RunConfig()):
 
 
 def _jsonable(value):
+    if type(value) in _SCALAR_TEXT:
+        return value
     # bool first: it is an int subclass and must stay a JSON boolean
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
@@ -236,8 +255,95 @@ def report_envelope(problem, config, reports, certifications=None, sweep=None,
     return _jsonable(envelope)
 
 
+def _float_text(value):
+    text = float.__repr__(value)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(value, out, indent):
+    """Append the JSON text of ``value`` to ``out``. ``indent`` is a
+    newline plus the indentation of the line ``value`` starts on.
+
+    The container loops write items of an exact scalar type inline. Any
+    other item recurses and meets the checks below, in the order json's
+    encoder runs them, so subclasses come out as json writes them."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        out.append("[")
+        first = len(out)
+        for item in value:
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(sep)
+                _write_json(item, out, inner)
+            else:
+                text = text(item)
+                out.append(sep + _FLOAT_SPECIALS.get(text, text))
+        out[first] = out[first][1:]  # no comma before the first item
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        out.append("{")
+        first = len(out)
+        for key, item in sorted(value.items()):
+            head = sep + _encode_str(key if type(key) is str else _key_text(key)) + ": "
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(head)
+                _write_json(item, out, inner)
+            else:
+                text = text(item)
+                out.append(head + _FLOAT_SPECIALS.get(text, text))
+        out[first] = out[first][1:]
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def envelope_to_json(envelope):
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    """The envelope as ``json.dumps(envelope, sort_keys=True, indent=2)``
+    plus a newline, byte for byte; what json.dumps rejects raises the
+    same TypeError."""
+    out = []
+    _write_json(envelope, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def bounds_to_csv(reports, certifications=None):

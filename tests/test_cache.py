@@ -97,8 +97,11 @@ class TestFactorizationCounts:
         gamma = optimal_gamma(p) if p.is_lowest_rank else general_rank_optimal_gamma(p)
         applicable_bounds(p, gamma=gamma)
         cli.run_verification(p, GAMMAS, emit=lambda line: None)
-        # range(A) and ker(A) angles, and the split angles
-        assert len(calls) == (3 if p.is_lowest_rank else 1)
+        # lowest rank: range(A) and ker(A) angles, the split angles being
+        # range(A)'s; general rank: the split angles only
+        assert len(calls) == (2 if p.is_lowest_rank else 1)
+        if p.is_lowest_rank:
+            assert p.split_quantities[1] is p.range_angles
 
 
 class TestCachedValues:
@@ -132,6 +135,16 @@ class TestCachedValues:
                     c[0] = 1.0
         assert p.augmented_eigs(ScalarWeight(1.0)) is p.augmented_eigs(ScalarWeight(1.0))
         assert p.range_angles is p.range_angles
+
+    def test_split_angles_are_range_angles_when_lowest_rank(self, lowest_rank_corpus):
+        for label, p in lowest_rank_corpus:
+            k = p.n - p.m
+            split = p.eig_a.vectors[:, :k]
+            assert np.array_equal(split, p.range_a.columns), label
+            fresh = principal_angles(SubspaceBasis(p.n, k, split, "range", p.rel_tol),
+                                     p.row_space_b)
+            assert np.array_equal(p.split_quantities[1].cosines, fresh.cosines), label
+            assert np.array_equal(p.split_quantities[1].angles, fresh.angles), label
 
     def test_repeated_verification_emits_identical_lines(self, arrays):
         a, b = arrays

@@ -14,13 +14,16 @@ from saddlebounds.bounds import (
     rusten_winther,
 )
 from saddlebounds.errors import (
+    AugmentedBlockSingularError,
     ParameterOutOfRangeError,
     RankAssumptionError,
-    SingularAugmentedError,
     SizeCapError,
 )
 from saddlebounds.harness import (
     SWEEP_CSV_HEADER,
+    SWEEP_STACK_BYTES,
+    SweepResult,
+    SweepRow,
     augmented_condition,
     certify,
     containment_violations,
@@ -35,6 +38,25 @@ from saddlebounds.problems import gen_random_lowest_rank, gen_remark, gen_toy
 
 def toy(b1=0.6, b2=0.8):
     return gen_toy(b1, b2)
+
+
+def reference_sweep_csv(sweep):
+    """The per-value formatter SweepResult.to_csv must match byte for byte."""
+    lines = [SWEEP_CSV_HEADER]
+    for r in sweep.rows:
+        lines.append(
+            ",".join(
+                f"{v:.17g}"
+                for v in (
+                    r.gamma,
+                    r.inv_gamma,
+                    r.mu_min_a_gamma,
+                    r.predicted_bound,
+                    r.actual_mu_min_plus,
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 class TestOracle:
@@ -128,7 +150,7 @@ class TestInverseIdentity:
         assert np.array_equal(k_inv, np.linalg.solve(p.k_matrix, np.eye(13)))
 
     def test_detects_singular_augmented_matrix(self):
-        with pytest.raises(SingularAugmentedError):
+        with pytest.raises(AugmentedBlockSingularError):
             inverse_identity_residual(toy(), ScalarWeight(1e30))
 
     def test_condition_number_grows_with_gamma(self):
@@ -162,13 +184,33 @@ class TestSweep:
             assert r.predicted_bound == min(r.inv_gamma, r.mu_min_a_gamma)
             assert r.actual_mu_min_plus == s.actual_mu_min_plus
 
-    def test_rows_match_direct_eigensolve(self):
-        p = toy()
-        grid = np.array([0.5, 1.0, 2.0])
-        s = gamma_sweep(p, grid)
-        for r, gamma in zip(s.rows, grid):
-            a_g = p.A.array + gamma * (p.B.array.T @ p.B.array)
-            assert abs(r.mu_min_a_gamma - np.linalg.eigvalsh(a_g)[0]) <= 1e-14
+    def test_rows_match_direct_eigensolve(self, monkeypatch):
+        cases = [
+            (toy(), np.array([0.5, 1.0, 2.0])),
+            # 9 blocks of order 60 per stacked eigensolve, so 5 calls
+            (gen_random_lowest_rank(60, 24, seed=5), log_gamma_grid(1e-3, 1e3, 40)),
+            # one block of order 200 per call, above the stack budget
+            (gen_random_lowest_rank(200, 80, seed=1), log_gamma_grid(1e-2, 1e2, 4)),
+        ]
+        original = np.linalg.eigvalsh
+        operands = []
+
+        def recording(a, *args, **kwargs):
+            operands.append((a.shape, a.nbytes))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        for p, grid in cases:
+            operands.clear()
+            s = gamma_sweep(p, grid)
+            block = p.n * p.n * 8
+            assert len(operands) == -(-len(grid) // max(1, SWEEP_STACK_BYTES // block))
+            for shape, nbytes in operands:
+                assert shape[-2:] == (p.n, p.n)
+                assert nbytes <= max(SWEEP_STACK_BYTES, block)
+            for r, gamma in zip(s.rows, grid):
+                a_g = p.A.array + gamma * (p.B.array.T @ p.B.array)
+                assert r.mu_min_a_gamma == float(original(a_g)[0])
 
     def test_single_point_grid_at_matched_gamma(self):
         p = toy()
@@ -201,6 +243,18 @@ class TestSweep:
             gamma_sweep(p, np.array([]))
         with pytest.raises(ParameterOutOfRangeError):
             gamma_sweep(p, np.ones((2, 2)))
+
+    def test_csv_matches_reference_formatter(self):
+        p = gen_random_lowest_rank(12, 4, seed=2)
+        for grid in (np.array([1.0]), log_gamma_grid(1e-4, 1e4, 25)):
+            s = gamma_sweep(p, grid)
+            assert s.to_csv() == reference_sweep_csv(s)
+        specials = SweepResult(
+            (SweepRow(5e-324, float("inf"), -0.0, float("nan"), 1e300),
+             SweepRow(np.float64(2.5), np.float64(0.4), -1e-300, 0.1, 1 / 3)),
+            None, 1.0,
+        )
+        assert specials.to_csv() == reference_sweep_csv(specials)
 
     def test_csv_round_trips_floats(self):
         s = gamma_sweep(toy(), log_gamma_grid(1e-2, 1e2, 5))

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saddlebounds.bounds import applicable_bounds
-from saddlebounds.errors import ParameterOutOfRangeError, StructureError
+from saddlebounds.bounds import applicable_bounds, general_rank_optimal_gamma, optimal_gamma
+from saddlebounds.errors import ParameterOutOfRangeError, StructureError, ZeroAngleError
 from saddlebounds.harness import certify, gamma_sweep, log_gamma_grid, oracle
 from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import gen_remark, gen_toy
@@ -210,3 +212,88 @@ class TestCsvAndFiles:
         written = write_report(str(tmp_path / "r"), env, reports, certs)
         assert len(written) == 1
         assert written[0].endswith("report.json")
+
+
+def reference_json(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def corpus_envelopes(corpus):
+    """The bound (auto-gamma) and sweep envelopes of every corpus member."""
+    cfg = RunConfig()
+    grid = log_gamma_grid(cfg.gamma_min, cfg.gamma_max, cfg.gamma_points)
+    for label, p in corpus:
+        try:
+            gamma = optimal_gamma(p) if p.is_lowest_rank else general_rank_optimal_gamma(p)
+        except ZeroAngleError:
+            gamma = None
+        reports = applicable_bounds(p, gamma=gamma)
+        orc = oracle(p)
+        certs = [certify(r, orc) for r in reports]
+        source = {"instance": label}
+        yield report_envelope(p, cfg, reports, certs, oracle_result=orc, source=source)
+        yield report_envelope(p, cfg, reports, certs, sweep=gamma_sweep(p, grid),
+                              oracle_result=orc, source=source)
+
+
+# keys with quotes, backslashes, control and non-ASCII characters
+json_keys = st.text(alphabet=st.sampled_from('ab"\\\x00\x1f\n\t\x7f\xe9\u2028\U0001f600'),
+                    max_size=4) | st.text(max_size=4)
+json_floats = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300,
+                       -1e300])
+    | st.floats(allow_nan=True).map(np.float64)
+)
+json_leaves = (
+    st.none() | st.booleans() | st.text(max_size=6) | json_floats
+    | st.integers() | st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**64))
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class LoudInt(int):
+    def __repr__(self):
+        return "loud"
+
+
+class LoudFloat(float):
+    def __repr__(self):
+        return "loud"
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(value=json_values)
+    def test_matches_json_dumps(self, value):
+        assert envelope_to_json(value) == reference_json(value)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], {"a": {}}, {"a": []}, [[]], ("x", 1), {"t": (1.5, None)},
+        {2: "int key", 1.5: "float key", True: "bool", float("nan"): "nan"}, {None: "none"},
+        np.float64(-0.0), {"f": np.float64(1e-310)}, 2**100, True, "\u00e9\x00\"",
+        [LoudInt(7), LoudFloat(0.5), LoudFloat("nan")], {LoudInt(3): 1, LoudFloat(2.5): 2},
+    ])
+    def test_edge_cases_match_json_dumps(self, value):
+        assert envelope_to_json(value) == reference_json(value)
+
+    @pytest.mark.parametrize("value", [
+        np.float32(1.5), {"a": [np.float32(1.5)]}, {1, 2}, object(), np.int64(3),
+        {"a": {(1, 2): 3}}, {1: "a", "b": 2},
+    ])
+    def test_rejects_what_json_dumps_rejects(self, value):
+        with pytest.raises(TypeError):
+            reference_json(value)
+        with pytest.raises(TypeError):
+            envelope_to_json(value)
+
+    def test_every_corpus_envelope_matches_json_dumps(self, corpus):
+        count = 0
+        for env in corpus_envelopes(corpus):
+            assert envelope_to_json(env) == reference_json(env)
+            count += 1
+        assert count == 2 * len(corpus)
