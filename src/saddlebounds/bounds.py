@@ -140,12 +140,14 @@ class SaddleProblem:
     semidefinite (eigenvalues in [-rel_tol * mu_max, 0) are clamped to
     zero, or rejected when ``strict_psd`` is set), B full row rank with
     m < n, and the assembled saddle matrix nonsingular. The eigensolve of
-    A, the SVD of B and the eigenvalues of K are computed once here and
-    reused by every bound.
+    A and the SVD of B are computed once here and reused by every bound.
+    Nonsingularity of K is proved by one Cholesky factorization of order
+    n; only where that proof cannot decide does construction eigensolve K.
 
     Every quantity that several bounds and checks share is computed on
     first use and then kept, read-only, so its factorization runs once
-    per problem: B^T B, K^{-1}, the principal angles of (range(A),
+    per problem: K and its eigenvalues (read by the oracle), B^T B,
+    K^{-1}, the principal angles of (range(A),
     range(B^T)), of (ker(A), ker(B)) and of the split basis; and once
     per scalar gamma: the eigenvalues of A + gamma B^T B and the
     |eigenvalues| of the augmented saddle matrix K_gamma. Per gamma only
@@ -198,10 +200,62 @@ class SaddleProblem:
             )
         self.svd_b = sdec
 
-        k = saddle_matrix(self.A.array, self.B.array)
-        k_vals = _eigvalsh(k, "saddle matrix")
-        self.k_matrix = _frozen(k)
-        self.k_eigs = _frozen(k_vals)  # ascending
+        self._per_gamma = {}  # (kind, gamma) -> read-only value vector
+        if not self._k_certified_nonsingular():
+            self.k_eigs  # the dense check: raises SingularKError when K is singular
+
+    def _k_certified_nonsingular(self):
+        """True when an order-n Cholesky proves that K passes the check in
+        ``k_eigs``; False means undecided, never singular.
+
+        With W = sI every positive eigenvalue of K is at least
+        min{mu_min(A + s B^T B), 1/s}, and every negative one is at most
+        -nu, nu = 2 sigma_min^2 / (mu_max + sqrt(mu_max^2 + 4 sigma_min^2))
+        (the Rusten-Winther upper end of the negative interval). R, the
+        upper end of the positive interval, is at least ||K||_2. So
+        min |eig K| > beta = 4 rel_tol R follows from nu > beta and
+        A + s B^T B - beta I positive definite: with s = mu_max / sigma_max^2,
+        1/s >= sigma_min^2 / mu_max >= nu, so nu > beta gives 1/s > beta.
+
+        The margin of 4: ||A + s B^T B|| <= 2 mu_max, so the Cholesky's
+        backward error, about n eps ||A + s B^T B||, is at most
+        2 rel_tol mu_max <= 2 rel_tol R whenever rel_tol >= n eps (the
+        default; a smaller rel_tol leaves the certificate undecided). A pass
+        then proves mu_min(A + s B^T B) > 2 rel_tol R, hence
+        min |eig K| > 2 rel_tol ||K||. The remaining factor of 2 over the
+        threshold rel_tol ||K|| of ``k_eigs`` absorbs that eigensolve's own
+        rounding, so a pass is never contradicted by the dense check.
+        """
+        s = self.summary
+        mu = s.mu_max
+        if mu == 0.0 or self.rel_tol < default_rank_tol(self.n):
+            return False
+        r = 0.5 * (mu + math.hypot(mu, 2.0 * s.sigma_max))
+        beta = 4.0 * self.rel_tol * r
+        nu = 2.0 * s.sigma_min * s.sigma_min / (mu + math.hypot(mu, 2.0 * s.sigma_min))
+        if not nu > beta:
+            return False
+        shifted = self.bt_b * (mu / (s.sigma_max * s.sigma_max))
+        shifted += self.A.array
+        shifted.flat[:: self.n + 1] -= beta  # the diagonal
+        try:
+            factor = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+        # LAPACK passes NaN and infinity through (B^T B can overflow)
+        return bool(np.isfinite(factor).all())
+
+    @cached_property
+    def k_matrix(self):
+        """The saddle matrix K, read-only."""
+        return _frozen(saddle_matrix(self.A.array, self.B.array))
+
+    @cached_property
+    def k_eigs(self):
+        """Eigenvalues of K, ascending, read-only, from one dense
+        eigensolve of order n + m; raises SingularKError when K is
+        numerically singular."""
+        k_vals = _eigvalsh(self.k_matrix, "saddle matrix")
         kmax = float(np.abs(k_vals).max())
         kmin = float(np.abs(k_vals).min())
         if kmax == 0.0 or kmin <= self.rel_tol * kmax:
@@ -209,7 +263,7 @@ class SaddleProblem:
                 f"saddle matrix is numerically singular: min |eig| = {kmin:.6e} "
                 f"vs rel_tol * ||K|| = {self.rel_tol * kmax:.6e}"
             )
-        self._per_gamma = {}  # (kind, gamma) -> read-only value vector
+        return _frozen(k_vals)
 
     @cached_property
     def summary(self):
@@ -310,10 +364,6 @@ class SaddleProblem:
     @property
     def is_lowest_rank(self):
         return self.summary.rank_a == self.n - self.m
-
-    @property
-    def k_norm(self):
-        return float(np.abs(self.k_eigs).max())
 
 
 def rusten_winther(summary):

@@ -232,7 +232,7 @@ def report_envelope(problem, config, reports, certifications=None, sweep=None,
             "seed": config.seed,
             "size_cap": config.size_cap,
         },
-        "bounds": bounds,
+        "bounds": None,  # filled in below: bound_entry already converted them
         "certification": cert_block,
         "sweep": None,
         "notes": list(notes),
@@ -252,7 +252,9 @@ def report_envelope(problem, config, reports, certifications=None, sweep=None,
                 for r in sweep.rows
             ],
         }
-    return _jsonable(envelope)
+    envelope = _jsonable(envelope)
+    envelope["bounds"] = bounds
+    return envelope
 
 
 def _float_text(value):

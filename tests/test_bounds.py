@@ -46,7 +46,8 @@ from saddlebounds.errors import (
     StructureError,
     ZeroAngleError,
 )
-from saddlebounds.problems import gen_random_lowest_rank, gen_remark, gen_toy
+from saddlebounds.linalg import SymmetricMatrix, default_rank_tol
+from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank, gen_remark, gen_toy
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -108,6 +109,123 @@ class TestProblemValidation:
     def test_lowest_rank_flag(self):
         assert toy().is_lowest_rank
         assert not gen_remark(0.5).is_lowest_rank
+
+
+def dense_k_check(a, b, rel_tol=None):
+    """The dense nonsingularity rule on K: None when K passes, else the
+    SingularKError message."""
+    k = saddle_matrix(SymmetricMatrix.from_array(a).array, b)
+    vals = np.abs(np.linalg.eigvalsh(k))
+    tol = rel_tol if rel_tol is not None else default_rank_tol(a.shape[0])
+    kmax = float(vals.max())
+    kmin = float(vals.min())
+    if kmax == 0.0 or kmin <= tol * kmax:
+        return (
+            f"saddle matrix is numerically singular: min |eig| = {kmin:.6e} "
+            f"vs rel_tol * ||K|| = {tol * kmax:.6e}"
+        )
+    return None
+
+
+def construction_outcome(a, b, rel_tol=None):
+    """(SingularKError message or None, eigensolves of order n + m run)."""
+    order = a.shape[0] + b.shape[0]
+    original = np.linalg.eigvalsh
+    solves = []
+
+    def counting(x, *args, **kwargs):
+        solves.append(np.shape(x)[-2:] == (order, order))
+        return original(x, *args, **kwargs)
+
+    np.linalg.eigvalsh = counting
+    try:
+        SaddleProblem(a, b, rel_tol=rel_tol)
+        message = None
+    except SingularKError as exc:
+        message = str(exc)
+    finally:
+        np.linalg.eigvalsh = original
+    return message, sum(solves)
+
+
+def scale_gap_case(scale):
+    return np.diag([scale, scale, 0.0]), np.ones((1, 3)) / math.sqrt(3.0)
+
+
+def rotated_shared_null_case():
+    q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))
+    return q @ np.diag([1.0, 0.0, 0.0]) @ q.T, np.array([[1.0, 0.0, 0.0]]) @ q.T
+
+
+def tiny_negative_case():
+    return np.eye(3), np.array([[1.0, 0.0, 0.0], [0.0, 1e-8, 0.0]])
+
+
+class TestNonsingularityCertificate:
+    """Construction proves K nonsingular with an order-n Cholesky and
+    falls back to the dense eigensolve of K where the proof cannot
+    decide, so every decision and message is the dense rule's."""
+
+    def test_large_scale_gap_falls_back_and_rejects(self):
+        a, b = scale_gap_case(1e16)
+        expected = dense_k_check(a, b)
+        assert expected is not None
+        assert construction_outcome(a, b) == (expected, 1)
+
+    def test_moderate_scale_gap_is_accepted(self):
+        a, b = scale_gap_case(1e8)
+        assert dense_k_check(a, b) is None
+        assert construction_outcome(a, b)[0] is None
+
+    def test_rotated_shared_null_vector_is_rejected(self):
+        a, b = rotated_shared_null_case()
+        message, solves = construction_outcome(a, b)
+        assert message is not None
+        assert message == dense_k_check(a, b)
+        assert solves == 1
+
+    def test_tiny_negative_eigenvalue_is_rejected(self):
+        # A + s B^T B is definite, but K has an eigenvalue near -sigma_min^2
+        a, b = tiny_negative_case()
+        message, solves = construction_outcome(a, b)
+        assert message is not None
+        assert message == dense_k_check(a, b)
+        assert solves == 1
+
+    def test_overflowing_constraint_gram_falls_back(self):
+        # B^T B overflows, and the Cholesky passes infinity and NaN through
+        a, b = np.diag([1.0, 1.0, 0.0]), 1e160 * np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = dense_k_check(a, b)
+            assert expected is not None
+            assert construction_outcome(a, b) == (expected, 1)
+
+    def test_certified_problem_runs_no_dense_check(self):
+        p = toy()
+        a, b = p.A.array, p.B.array
+        assert construction_outcome(a, b) == (None, 0)
+        # below n eps the rounding argument does not hold: the dense check decides
+        assert construction_outcome(a, b, rel_tol=1e-20) == (None, 1)
+
+    @pytest.mark.parametrize("c", [1e-9, 1e9])
+    def test_decision_unchanged_under_scaling(self, c):
+        cases = [
+            (toy().A.array, toy().B.array),
+            (np.diag([1.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0]])),
+            scale_gap_case(1e16),
+            scale_gap_case(1e8),
+            rotated_shared_null_case(),
+            tiny_negative_case(),
+        ]
+        for p in (gen_random_lowest_rank(12, 5, seed=3), gen_ipm_like(12, 4, 1e-2, seed=1)):
+            cases.append((p.A.array, p.B.array))
+        for a, b in cases:
+            base = construction_outcome(a, b)[0]
+            assert base == dense_k_check(a, b)
+            both = construction_outcome(c * a, c * b)[0]
+            assert both == dense_k_check(c * a, c * b)
+            assert (both is None) == (base is None)
+            assert construction_outcome(a, c * b)[0] == dense_k_check(a, c * b)
 
 
 class TestRustenWinther:

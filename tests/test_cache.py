@@ -18,9 +18,15 @@ from saddlebounds.bounds import (
     saddle_matrix,
     wbound,
 )
-from saddlebounds.harness import augmented_condition, inverse_identity_residual
+from saddlebounds.errors import SizeCapError
+from saddlebounds.harness import augmented_condition, inverse_identity_residual, oracle
 from saddlebounds.linalg import SubspaceBasis, principal_angles
-from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank
+from saddlebounds.problems import (
+    GeneratorSpec,
+    gen_ipm_like,
+    gen_random_lowest_rank,
+    generate_problem,
+)
 
 GAMMAS = (0.1, 1.0, 10.0)
 
@@ -102,6 +108,41 @@ class TestFactorizationCounts:
         assert len(calls) == (2 if p.is_lowest_rank else 1)
         if p.is_lowest_rank:
             assert p.split_quantities[1] is p.range_angles
+
+
+def _k_order_solves(problem, operands):
+    order = problem.n + problem.m
+    return sum(op.shape[-2:] == (order, order) for op in operands)
+
+
+class TestLazySaddleSpectrum:
+    def test_construction_and_generation_run_no_k_eigensolve(self, arrays, eigvalsh_operands):
+        a, b = arrays
+        p = SaddleProblem(a, b)
+        assert _k_order_solves(p, eigvalsh_operands) == 0
+        for family, params in (("random-lowest-rank", {"n": 12, "m": 5}),
+                               ("ipm-like", {"n": 12, "m": 4, "delta": 1e-2})):
+            del eigvalsh_operands[:]
+            g = generate_problem(GeneratorSpec(family, params, 3))
+            assert _k_order_solves(g, eigvalsh_operands) == 0
+
+    def test_first_oracle_solves_k_once(self, arrays, eigvalsh_operands):
+        a, b = arrays
+        p = SaddleProblem(a, b)
+        first = oracle(p)
+        assert _k_order_solves(p, eigvalsh_operands) == 1
+        del eigvalsh_operands[:]
+        second = oracle(p)
+        assert _k_order_solves(p, eigvalsh_operands) == 0
+        assert np.array_equal(first.all_eigs, second.all_eigs)
+        assert np.array_equal(p.k_eigs, np.linalg.eigvalsh(saddle_matrix(a, b)))
+
+    def test_size_cap_refusal_solves_nothing(self, arrays, eigvalsh_operands):
+        a, b = arrays
+        p = SaddleProblem(a, b)
+        with pytest.raises(SizeCapError):
+            oracle(p, size_cap=p.n + p.m - 1)
+        assert _k_order_solves(p, eigvalsh_operands) == 0
 
 
 class TestCachedValues:
