@@ -26,13 +26,11 @@ from .bounds import (
     optimal_gamma,
     rho_from_angles,
     rusten_winther,
-    spectral_split,
     wbound,
 )
 from .errors import (
     AugmentedBlockSingularError,
     ConvergenceError,
-    DegenerateSplitWarning,
     DimensionMismatchError,
     EmptySubspaceError,
     GenerationFailedError,

@@ -17,7 +17,6 @@ The bounds come in three flavors:
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,7 +25,6 @@ import numpy as np
 from .errors import (
     AugmentedBlockSingularError,
     ConvergenceError,
-    DegenerateSplitWarning,
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
@@ -37,7 +35,6 @@ from .errors import (
     ZeroAngleError,
 )
 from .linalg import (
-    DEFAULT_SYM_TOL,
     RectMatrix,
     SubspaceBasis,
     SymmetricMatrix,
@@ -45,6 +42,7 @@ from .linalg import (
     _frozen,
     default_rank_tol,
     kernel_basis_rect,
+    numerical_rank,
     principal_angles,
     svd,
     sym_eig,
@@ -92,8 +90,8 @@ class MatrixWeight:
     matrix: SymmetricMatrix
 
     @classmethod
-    def from_array(cls, w, sym_tol=DEFAULT_SYM_TOL):
-        return cls(SymmetricMatrix.from_array(w, sym_tol))
+    def from_array(cls, w):
+        return cls(SymmetricMatrix.from_array(w))
 
 
 @dataclass(frozen=True)
@@ -136,9 +134,12 @@ def saddle_matrix(a, b):
 class SaddleProblem:
     """Validated pair (A, B) with cached decompositions.
 
-    Construction enforces every structural invariant: A symmetric positive
-    semidefinite (eigenvalues in [-rel_tol * mu_max, 0) are clamped to
-    zero, or rejected when ``strict_psd`` is set), B full row rank with
+    ``rel_tol`` (default n * eps) is the one tolerance of the problem:
+    it sets the numerical rank of A, the full-row-rank test of B, the
+    nonsingularity test of K and the ties at the split boundary.
+    Construction enforces every structural invariant: A symmetric within
+    ``DEFAULT_SYM_TOL`` and positive semidefinite (eigenvalues in
+    [-rel_tol * mu_max, 0) are clamped to zero), B full row rank with
     m < n, and the assembled saddle matrix nonsingular. The eigensolve of
     A and the SVD of B are computed once here and reused by every bound.
     Nonsingularity of K is proved by one Cholesky factorization of order
@@ -155,8 +156,8 @@ class SaddleProblem:
     memory stays flat however many gammas are checked.
     """
 
-    def __init__(self, a, b, rel_tol=None, sym_tol=DEFAULT_SYM_TOL, strict_psd=False):
-        self.A = a if isinstance(a, SymmetricMatrix) else SymmetricMatrix.from_array(a, sym_tol)
+    def __init__(self, a, b, rel_tol=None):
+        self.A = a if isinstance(a, SymmetricMatrix) else SymmetricMatrix.from_array(a)
         self.B = b if isinstance(b, RectMatrix) else RectMatrix.from_array(b)
         n = self.A.order
         m, nb = self.B.array.shape
@@ -181,10 +182,6 @@ class SaddleProblem:
             raise NotPositiveSemidefiniteError(
                 f"leading block has eigenvalue {bottom:.6e} below "
                 f"-rel_tol * mu_max = {-self.rel_tol * max(top, 0.0):.6e}"
-            )
-        if strict_psd and bottom < 0:
-            raise NotPositiveSemidefiniteError(
-                f"strict mode: leading block has negative eigenvalue {bottom:.6e}"
             )
         self.eig_a = dec
         # clamp the roundoff-negative tail so downstream summaries see >= 0
@@ -268,7 +265,7 @@ class SaddleProblem:
     @cached_property
     def summary(self):
         vals = self.a_values
-        rank = int(np.count_nonzero(vals > self.rel_tol * vals[0])) if vals[0] > 0 else 0
+        rank = numerical_rank(vals, self.rel_tol)
         mu_min_plus = float(vals[rank - 1]) if rank > 0 else 0.0
         s = self.svd_b.singular_values
         return SpectralSummary(
@@ -293,7 +290,7 @@ class SaddleProblem:
     @cached_property
     def row_space_b(self):
         # B is validated full row rank, so all m right singular vectors qualify
-        return SubspaceBasis(self.n, self.m, self.svd_b.right_vectors, "range", self.rel_tol)
+        return SubspaceBasis(self.svd_b.right_vectors)
 
     @cached_property
     def kernel_b(self):
@@ -333,7 +330,7 @@ class SaddleProblem:
         degenerate = abs(float(raw[k - 1]) - float(raw[k])) <= self.rel_tol * abs(float(raw[0]))
         if self.is_lowest_rank:
             return mu_nm, self.range_angles, degenerate
-        basis = SubspaceBasis(self.n, k, self.eig_a.vectors[:, :k], "range", self.rel_tol)
+        basis = SubspaceBasis(self.eig_a.vectors[:, :k])
         return mu_nm, principal_angles(basis, self.row_space_b), degenerate
 
     def _per_gamma_values(self, kind, weight, compute):
@@ -366,6 +363,17 @@ class SaddleProblem:
         return self.summary.rank_a == self.n - self.m
 
 
+def _rw_root(x, y):
+    """sqrt(x^2 + 4 y^2). Where the squares overflow, math.hypot gives the
+    finite value, so every finite result keeps the bits of the direct
+    expression."""
+    try:
+        root = math.sqrt(x**2 + 4.0 * y**2)
+    except OverflowError:  # float ** raises where float * returns inf
+        root = math.inf
+    return root if math.isfinite(root) else math.hypot(x, 2.0 * y)
+
+
 def rusten_winther(summary):
     """Classical inclusion intervals for the spectrum of K.
 
@@ -378,10 +386,10 @@ def rusten_winther(summary):
     the report carries a vacuous-positive-lower warning.
     """
     s = summary
-    neg_lo = 0.5 * (s.mu_min - math.sqrt(s.mu_min**2 + 4.0 * s.sigma_max**2))
-    neg_hi = 0.5 * (s.mu_max - math.sqrt(s.mu_max**2 + 4.0 * s.sigma_min**2))
+    neg_lo = 0.5 * (s.mu_min - _rw_root(s.mu_min, s.sigma_max))
+    neg_hi = 0.5 * (s.mu_max - _rw_root(s.mu_max, s.sigma_min))
     pos_lo = s.mu_min
-    pos_hi = 0.5 * (s.mu_max + math.sqrt(s.mu_max**2 + 4.0 * s.sigma_max**2))
+    pos_hi = 0.5 * (s.mu_max + _rw_root(s.mu_max, s.sigma_max))
     warns = ()
     if s.mu_min <= s.rel_tol * s.mu_max:
         warns = ("vacuous-positive-lower",)
@@ -496,29 +504,38 @@ def agamma_lower_bound(problem, gamma):
     return rho * min(s.mu_min_plus, gamma * s.sigma_min**2)
 
 
+def _angle_term(mu, sigma_min, rho):
+    """The angle formula min{mu * rho, sigma_min * sqrt(rho)} and its
+    active term, "mu" or "sigma"."""
+    arg_mu = mu * rho
+    arg_sigma = sigma_min * math.sqrt(rho)
+    return (arg_mu, "mu") if arg_mu <= arg_sigma else (arg_sigma, "sigma")
+
+
+def _optimal_gamma(mu, sigma_min, ang, angle_tol, what):
+    """1 / the angle formula at the minimal angle of ``ang``."""
+    theta_min = float(ang.angles[0])
+    if theta_min <= angle_tol:
+        raise ZeroAngleError(
+            f"minimal {what} angle {theta_min:.6e} is at or below "
+            f"angle_tol = {angle_tol:g}; no finite optimal gamma"
+        )
+    return 1.0 / _angle_term(mu, sigma_min, 1.0 - float(ang.cosines[0]))[0]
+
+
 def optimal_gamma(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """The gamma whose augmented bound matches the best angle bound:
     1/gamma = min{mu_min_plus * (1 - cos t), sigma_min * sqrt(1 - cos t)}."""
     _require_lowest_rank(problem)
-    rho, theta_min = rho_from_angles(problem)
-    if theta_min <= angle_tol:
-        raise ZeroAngleError(
-            f"minimal principal angle {theta_min:.6e} is at or below "
-            f"angle_tol = {angle_tol:g}; no finite optimal gamma"
-        )
     s = problem.summary
-    inv_gamma = min(s.mu_min_plus * rho, s.sigma_min * math.sqrt(rho))
-    return 1.0 / inv_gamma
+    return _optimal_gamma(s.mu_min_plus, s.sigma_min, problem.range_angles, angle_tol,
+                          "principal")
 
 
-def _angle_bound_report(name, mu, sigma_min, rho, theta_min, angle_tol, extra):
-    arg_mu = mu * rho
-    arg_sigma = sigma_min * math.sqrt(rho)
-    if arg_mu <= arg_sigma:
-        value, active = arg_mu, "mu"
-    else:
-        value, active = arg_sigma, "sigma"
-    warns = ("zero-angle",) if theta_min <= angle_tol else ()
+def _angle_bound_report(name, mu, sigma_min, rho, theta_min, angle_tol, extra, warns=()):
+    value, active = _angle_term(mu, sigma_min, rho)
+    if theta_min <= angle_tol:
+        warns = ("zero-angle",) + warns
     details = dict(extra)
     details.update(
         {"rho": rho, "sigma_min": sigma_min, "active": active, "angle_tol": angle_tol}
@@ -563,41 +580,6 @@ def kernel_angle_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     )
 
 
-def spectral_split(a, m, rel_tol=None):
-    """Split a PSD matrix into its best rank-(n - m) part plus the rest.
-
-    Returns (a_max, a_min) where a_max is built from the n - m largest
-    eigenpairs and a_min from the m smallest. Warns with
-    DegenerateSplitWarning when the boundary eigenvalues tie within
-    rel_tol, since the retained subspace is then not unique.
-    """
-    sm = a if isinstance(a, SymmetricMatrix) else SymmetricMatrix.from_array(a)
-    n = sm.order
-    if not 0 < m < n:
-        raise ParameterOutOfRangeError(f"need 0 < m < n = {n}, got m = {m}")
-    if rel_tol is None:
-        rel_tol = default_rank_tol(n)
-    dec = sym_eig(sm)
-    top = float(dec.values[0])
-    if top < 0 or float(dec.values[-1]) < -rel_tol * max(top, 0.0):
-        raise NotPositiveSemidefiniteError(
-            f"spectral split needs a PSD matrix, got min eigenvalue {dec.values[-1]:.6e}"
-        )
-    k = n - m
-    if abs(float(dec.values[k - 1]) - float(dec.values[k])) <= rel_tol * abs(top):
-        warnings.warn(
-            f"split boundary eigenvalues {dec.values[k - 1]:.6e} and "
-            f"{dec.values[k]:.6e} tie within rel_tol = {rel_tol:g}",
-            DegenerateSplitWarning,
-            stacklevel=2,
-        )
-    vmax = dec.vectors[:, :k]
-    vmin = dec.vectors[:, k:]
-    a_max = SymmetricMatrix.from_array((vmax * dec.values[:k]) @ vmax.T)
-    a_min = SymmetricMatrix.from_array((vmin * dec.values[k:]) @ vmin.T)
-    return a_max, a_min
-
-
 def _general_split_quantities(problem):
     """(mu_{n-m}, angles, degenerate) for the split-based bound: the
     (n - m)-th largest eigenvalue of A and the principal angles between
@@ -624,7 +606,7 @@ def general_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     cos_min = float(ang.cosines[0])
     theta_min = float(ang.angles[0])
     s = problem.summary
-    report = _angle_bound_report(
+    return _angle_bound_report(
         "general-rank",
         mu_nm,
         s.sigma_min,
@@ -637,33 +619,15 @@ def general_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
             "rank_a": s.rank_a,
             "rel_tol": s.rel_tol,
         },
+        ("degenerate-split",) if degenerate else (),
     )
-    if degenerate:
-        report = BoundReport(
-            report.name,
-            report.value,
-            report.assumptions_met,
-            report.details,
-            report.warnings + ("degenerate-split",),
-            report.intervals,
-        )
-    return report
 
 
 def general_rank_optimal_gamma(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """Optimal gamma computed from the split quantities; this is the
     fallback when rank(A) > n - m rules out the lowest-rank formula."""
     mu_nm, ang, _ = _general_split_quantities(problem)
-    theta_min = float(ang.angles[0])
-    if theta_min <= angle_tol:
-        raise ZeroAngleError(
-            f"minimal split angle {theta_min:.6e} is at or below "
-            f"angle_tol = {angle_tol:g}; no finite optimal gamma"
-        )
-    rho = 1.0 - float(ang.cosines[0])
-    s = problem.summary
-    inv_gamma = min(mu_nm * rho, s.sigma_min * math.sqrt(rho))
-    return 1.0 / inv_gamma
+    return _optimal_gamma(mu_nm, problem.summary.sigma_min, ang, angle_tol, "split")
 
 
 def agamma_bound(problem, gamma):

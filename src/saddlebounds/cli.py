@@ -24,14 +24,7 @@ from .bounds import (
     rusten_winther,
     wbound,
 )
-from .errors import (
-    ParameterOutOfRangeError,
-    ParseError,
-    SaddleBoundsError,
-    SizeCapError,
-    StructureError,
-    ZeroAngleError,
-)
+from .errors import ParameterOutOfRangeError, SaddleBoundsError, SizeCapError
 from .harness import (
     DEFAULT_CERT_SLACK,
     DEFAULT_COND_CAP,
@@ -76,30 +69,27 @@ _CONTAINMENT_SLACK = 1e-8
 _PTP_TOL = 1e-8
 
 
-def _add_problem_args(parser, allow_k=True):
+def _add_problem_args(parser):
     parser.add_argument("--A", metavar="FILE", help="Matrix Market file for the leading block")
     parser.add_argument("--B", metavar="FILE", help="Matrix Market file for the constraint block")
-    if allow_k:
-        parser.add_argument("--K", metavar="FILE", help="Matrix Market file for the whole matrix")
-        parser.add_argument("--n", type=int, help="leading block order when reading --K")
+    parser.add_argument("--K", metavar="FILE", help="Matrix Market file for the whole matrix")
+    parser.add_argument("--n", type=int, help="leading block order when reading --K")
     parser.add_argument("--relTol", type=float, default=None,
                         help="relative rank tolerance (default: n * machine epsilon)")
 
 
-def _fileset(args, allow_k=True):
-    has_ab = args.A is not None and args.B is not None
-    has_k = allow_k and getattr(args, "K", None) is not None
-    if has_k:
+def _fileset(args):
+    if args.K is not None:
         if args.n is None:
             raise ParameterOutOfRangeError("--K needs --n for the leading block order")
         return ProblemFileSet(path_k=args.K, split_n=args.n)
-    if not has_ab:
+    if args.A is None or args.B is None:
         raise ParameterOutOfRangeError("need --A and --B, or --K with --n")
     return ProblemFileSet(path_a=args.A, path_b=args.B)
 
 
-def _source_meta(args, allow_k=True):
-    if allow_k and getattr(args, "K", None) is not None:
+def _source_meta(args):
+    if args.K is not None:
         return {"K": args.K, "n": args.n}
     return {"A": args.A, "B": args.B}
 
@@ -119,9 +109,7 @@ def build_parser():
     group.add_argument("--gamma", type=float, help="scalar weight for the augmented bound")
     group.add_argument("--auto-gamma", action="store_true",
                        help="use the gamma that equalizes the angle bound")
-    fmt = p_bound.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
+    p_bound.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     p_bound.add_argument("--out", metavar="DIR", help="directory for report files")
     p_bound.set_defaults(func=cmd_bound)
 
@@ -326,13 +314,7 @@ def main(argv=None):
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (ParseError, StructureError, ParameterOutOfRangeError, ZeroAngleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SaddleBoundsError as exc:
+    except (SaddleBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class SaddleBoundsError(Exception):
@@ -89,8 +89,3 @@ class ParseError(SaddleBoundsError):
 
 class StructureError(SaddleBoundsError):
     """Ingested matrices violate the saddle-point block structure."""
-
-
-class DegenerateSplitWarning(UserWarning):
-    """The spectral split boundary falls on a repeated eigenvalue, so the
-    retained subspace is not uniquely determined."""

@@ -42,7 +42,7 @@ class SymmetricMatrix:
     array: np.ndarray
 
     @classmethod
-    def from_array(cls, m, sym_tol=DEFAULT_SYM_TOL):
+    def from_array(cls, m):
         arr = np.asarray(m, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionMismatchError(
@@ -52,10 +52,10 @@ class SymmetricMatrix:
             raise NonFiniteError("matrix contains NaN or Inf entries")
         scale = float(np.abs(arr).max())
         skew = float(np.abs(arr - arr.T).max())
-        if skew > sym_tol * scale:
+        if skew > DEFAULT_SYM_TOL * scale:
             raise StructureError(
                 f"matrix is not symmetric: max |M - M^T| = {skew:.3e} exceeds "
-                f"{sym_tol:g} * max|M| = {sym_tol * scale:.3e}"
+                f"{DEFAULT_SYM_TOL:g} * max|M| = {DEFAULT_SYM_TOL * scale:.3e}"
             )
         return cls(_frozen((arr + arr.T) / 2.0))
 
@@ -113,14 +113,18 @@ class SvdDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Orthonormal basis of a range or kernel, with the rank tolerance that
-    selected it."""
+    """Orthonormal basis of a subspace of R^ambient_dim, one column per
+    basis vector; ``dim`` and ``ambient_dim`` are read from the shape."""
 
-    ambient_dim: int
-    dim: int
     columns: np.ndarray
-    kind: str  # "range" or "kernel"
-    rank_tol: float
+
+    @property
+    def ambient_dim(self):
+        return self.columns.shape[0]
+
+    @property
+    def dim(self):
+        return self.columns.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,17 +198,12 @@ def _abs_order(values):
 
 
 def _basis_from_eig(dec, rel_tol, kind):
-    n = dec.values.shape[0]
+    """Basis of the range (``kind == "range"``) or the kernel of the
+    matrix with eigendecomposition ``dec``."""
     order = _abs_order(dec.values)
-    mags = np.abs(dec.values)[order]
-    rank = numerical_rank(mags, rel_tol)
-    if kind == "range":
-        cols = dec.vectors[:, order[:rank]]
-        dim = rank
-    else:
-        cols = dec.vectors[:, order[rank:]]
-        dim = n - rank
-    return SubspaceBasis(n, dim, _frozen(cols), kind, rel_tol)
+    rank = numerical_rank(np.abs(dec.values)[order], rel_tol)
+    keep = order[:rank] if kind == "range" else order[rank:]
+    return SubspaceBasis(_frozen(dec.vectors[:, keep]))
 
 
 def kernel_basis_rect(m, rel_tol=None):
@@ -217,7 +216,7 @@ def kernel_basis_rect(m, rel_tol=None):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value decomposition failed: {exc}") from exc
     rank = numerical_rank(s, rel_tol)
-    return SubspaceBasis(rm.cols, rm.cols - rank, _frozen(vh[rank:].T), "kernel", rel_tol)
+    return SubspaceBasis(_frozen(vh[rank:].T))
 
 
 def principal_angles(x, y):

@@ -82,6 +82,19 @@ class GeneratorSpec:
         return cls(family, dict(params), seed)
 
 
+def _converted(name, convert, value):
+    """``convert(value)``; a value that does not convert is an input error
+    naming the parameter, not a crash."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterOutOfRangeError(f"parameter {name} = {value!r} is invalid: {exc}") from exc
+
+
+def _float_array(value):
+    return np.asarray(value, dtype=float)
+
+
 def _orthogonal(rng, dim):
     """Seeded Haar-like orthogonal factor: QR of a Gaussian matrix with
     the sign of R's diagonal fixed, so the result is deterministic."""
@@ -99,8 +112,8 @@ def gen_toy(b1, b2, allow_boundary=False):
     values b1 in {0, 1} are admitted only with ``allow_boundary`` (test
     use), and b2 = 0 then fails validation because K is singular.
     """
-    b1 = float(b1)
-    b2 = float(b2)
+    b1 = _converted("b1", float, b1)
+    b2 = _converted("b2", float, b2)
     if not (math.isfinite(b1) and math.isfinite(b2)):
         raise ParameterOutOfRangeError("b1 and b2 must be finite")
     if abs(b1 * b1 + b2 * b2 - 1.0) > _NORM_TOL:
@@ -128,7 +141,7 @@ def gen_remark(alpha):
     of A. The upper end is enforced strictly at 1 - 1e-12 so the split
     boundary stays unambiguous.
     """
-    alpha = float(alpha)
+    alpha = _converted("alpha", float, alpha)
     if not math.isfinite(alpha) or alpha <= 0 or alpha >= 1.0 - _ALPHA_MARGIN:
         raise ParameterOutOfRangeError(
             f"alpha must lie in (0, 1 - {_ALPHA_MARGIN:g}), got {alpha!r}"
@@ -150,13 +163,13 @@ def gen_prescribed_angles(n, m, a_eigs, b_sing_vals, thetas, seed=0):
     and rank(A) = n - m. The measured angles are checked against the
     request before returning.
     """
-    n = int(n)
-    m = int(m)
+    n = _converted("n", int, n)
+    m = _converted("m", int, m)
     if m < 1 or n < 2 * m:
         raise InfeasibleDimensionsError(f"need n >= 2m with m >= 1, got n = {n}, m = {m}")
-    a_eigs = np.asarray(a_eigs, dtype=float)
-    b_sing_vals = np.asarray(b_sing_vals, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
+    a_eigs = _converted("a_eigs", _float_array, a_eigs)
+    b_sing_vals = _converted("b_sing_vals", _float_array, b_sing_vals)
+    thetas = _converted("thetas", _float_array, thetas)
     if a_eigs.shape != (n - m,):
         raise ParameterOutOfRangeError(
             f"a_eigs must have length n - m = {n - m}, got {a_eigs.shape}"
@@ -204,11 +217,11 @@ def gen_ipm_like(n, m, delta, seed=0):
     full-row-rank matrix. delta = 0 gives an exactly lowest-rank
     problem, small positive delta the nearly-rank-deficient shape that
     interior-point iterations approach."""
-    n = int(n)
-    m = int(m)
+    n = _converted("n", int, n)
+    m = _converted("m", int, m)
     if m < 1 or m >= n:
         raise ParameterOutOfRangeError(f"need 1 <= m < n, got n = {n}, m = {m}")
-    delta = float(delta)
+    delta = _converted("delta", float, delta)
     if not math.isfinite(delta) or delta < 0:
         raise ParameterOutOfRangeError(f"delta must be finite and >= 0, got {delta!r}")
     rng = np.random.default_rng(seed)
@@ -227,8 +240,8 @@ def gen_ipm_like(n, m, delta, seed=0):
 def gen_random_lowest_rank(n, m, seed=0):
     """A = X X^T of exact rank n - m with seeded Gaussian X and B; if
     validation fails the seed is incremented, up to 16 attempts."""
-    n = int(n)
-    m = int(m)
+    n = _converted("n", int, n)
+    m = _converted("m", int, m)
     if m < 1 or m >= n:
         raise ParameterOutOfRangeError(f"need 1 <= m < n, got n = {n}, m = {m}")
     last = None

@@ -8,7 +8,6 @@ min{1 - b1, sqrt(1 - b1)} and the matching gamma is its reciprocal.
 
 import math
 import types
-import warnings
 
 import numpy as np
 import pytest
@@ -29,13 +28,11 @@ from saddlebounds.bounds import (
     rho_from_angles,
     rusten_winther,
     saddle_matrix,
-    spectral_split,
     wbound,
     weight_mu_max,
 )
 from saddlebounds.errors import (
     AugmentedBlockSingularError,
-    DegenerateSplitWarning,
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
@@ -75,11 +72,6 @@ class TestProblemValidation:
         p = SaddleProblem(a, np.array([[0.0, 1.0]]))
         assert p.a_values[-1] == 0.0
         assert p.summary.mu_min == 0.0
-
-    def test_strict_psd_rejects_clampable_tail(self):
-        a = np.diag([1.0, -1e-17])
-        with pytest.raises(NotPositiveSemidefiniteError):
-            SaddleProblem(a, np.array([[0.0, 1.0]]), strict_psd=True)
 
     def test_rejects_rank_deficient_constraint(self):
         b = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -403,37 +395,6 @@ class TestAngleBounds:
             assert abs(lr.value - ka.value) <= 1e-8 * max(1.0, lr.value)
 
 
-class TestSpectralSplit:
-    def test_remark_split_is_diagonal(self):
-        a = np.diag([1.0, 0.5, 0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            a_max, a_min = spectral_split(a, 2)
-        np.testing.assert_allclose(a_max.array, np.diag([1.0, 0.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(a_min.array, np.diag([0.0, 0.5, 0.0]), atol=1e-14)
-
-    def test_parts_sum_to_input(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((8, 6))
-        a = x @ x.T
-        a_max, a_min = spectral_split(a, 3)
-        np.testing.assert_allclose(a_max.array + a_min.array, (a + a.T) / 2.0, atol=1e-12)
-
-    def test_tied_boundary_warns(self):
-        with pytest.warns(DegenerateSplitWarning):
-            spectral_split(np.diag([2.0, 1.0, 1.0, 0.0]), 2)
-
-    def test_rejects_bad_m(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            spectral_split(np.eye(3), 0)
-        with pytest.raises(ParameterOutOfRangeError):
-            spectral_split(np.eye(3), 3)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            spectral_split(np.diag([1.0, -1.0]), 1)
-
-
 class TestGeneralRank:
     def test_remark_bound_vanishes_with_warning(self):
         r = general_rank_bound(gen_remark(0.5))
@@ -446,6 +407,28 @@ class TestGeneralRank:
         for seed in range(3):
             p = gen_random_lowest_rank(12, 4, seed)
             assert general_rank_bound(p).value == lowest_rank_bound(p).value
+
+    def test_tied_split_boundary_warns(self):
+        # mu_2 = mu_3 = 1 at the boundary of the rank-(n - m) split
+        b = np.array([[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+        p = SaddleProblem(np.diag([2.0, 1.0, 1.0, 0.0]), b)
+        assert p.split_quantities[2]
+        assert "degenerate-split" in general_rank_bound(p).warnings
+
+    def test_untied_split_boundary_does_not_warn(self):
+        b = np.array([[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+        p = SaddleProblem(np.diag([3.0, 2.0, 1.0, 0.0]), b)
+        assert not p.split_quantities[2]
+        assert "degenerate-split" not in general_rank_bound(p).warnings
+
+    def test_remark_split_is_untied(self):
+        # the split keeps e1 alone, so mu_{n-m} = 1 and the boundary
+        # 1 > alpha is no tie
+        p = gen_remark(0.5)
+        mu_nm, _, degenerate = p.split_quantities
+        assert mu_nm == 1.0
+        assert not degenerate
+        assert general_rank_bound(p).warnings == ("zero-angle",)
 
     def test_rank_too_low_is_detected(self):
         # unreachable through a validated problem (K would be singular),

@@ -151,7 +151,7 @@ class TestCachedValues:
         p = SaddleProblem(a, b)
         cli.run_verification(p, GAMMAS, emit=lambda line: None)
         k = p.n - p.m
-        split_basis = SubspaceBasis(p.n, k, p.eig_a.vectors[:, :k], "range", p.rel_tol)
+        split_basis = SubspaceBasis(p.eig_a.vectors[:, :k])
         expected = [
             (p.bt_b, p.B.array.T @ p.B.array),
             (p.range_angles, principal_angles(p.range_a, p.row_space_b)),
@@ -182,7 +182,7 @@ class TestCachedValues:
             k = p.n - p.m
             split = p.eig_a.vectors[:, :k]
             assert np.array_equal(split, p.range_a.columns), label
-            fresh = principal_angles(SubspaceBasis(p.n, k, split, "range", p.rel_tol),
+            fresh = principal_angles(SubspaceBasis(split),
                                      p.row_space_b)
             assert np.array_equal(p.split_quantities[1].cosines, fresh.cosines), label
             assert np.array_equal(p.split_quantities[1].angles, fresh.angles), label

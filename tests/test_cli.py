@@ -7,7 +7,15 @@ import pytest
 
 from saddlebounds import cli
 from saddlebounds.bounds import saddle_matrix
-from saddlebounds.errors import SizeCapError
+from saddlebounds.errors import (
+    ConvergenceError,
+    ParameterOutOfRangeError,
+    ParseError,
+    RankAssumptionError,
+    SizeCapError,
+    StructureError,
+    ZeroAngleError,
+)
 from saddlebounds.harness import SWEEP_CSV_HEADER
 from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import gen_toy
@@ -65,6 +73,20 @@ class TestGenerate:
                        "--out", str(target)])
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("family, params, name", [
+        ("toy", {"b1": "q", "b2": 0.8}, "b1"),
+        ("remark", {"alpha": [0.5]}, "alpha"),
+        ("angles", {"n": 4, "m": 1, "a_eigs": [1, 2, 3], "b_sing_vals": [1],
+                    "thetas": ["a"]}, "thetas"),
+        ("ipm", {"n": 8, "m": 3, "delta": "a"}, "delta"),
+        ("random", {"n": "x", "m": 2}, "n"),
+    ])
+    def test_mistyped_parameter_is_an_input_error(self, tmp_path, capsys, family, params, name):
+        rc = cli.main(["generate", "--family", family, "--params", json.dumps(params),
+                       "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: parameter {name} = ")
 
     def test_unknown_family_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -165,6 +187,23 @@ class TestBound:
         env = json.loads((rep / "report.json").read_text())
         assert any("fell back" in note for note in env["notes"])
 
+    def test_json_flag_is_gone(self, tmp_path):
+        pa, pb, _ = generate_toy(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["bound", "--A", pa, "--B", pb, "--json"])
+        assert info.value.code == 2
+
+    def test_huge_entries_give_finite_intervals(self, tmp_path, capsys):
+        # squaring 2e160 overflows a double; the intervals stay finite
+        pa, pb = huge_problem(tmp_path)
+        rc = cli.main(["bound", "--A", pa, "--B", pb, "--out", str(tmp_path / "rep")])
+        assert rc == cli.EXIT_OK
+        env = json.loads((tmp_path / "rep" / "report.json").read_text())
+        rw = env["bounds"][0]
+        ends = rw["intervals"]["negative"] + rw["intervals"]["positive"]
+        assert np.isfinite(ends).all()
+        assert env["certification"]["all_sound"]
+
     def test_gamma_flags_are_exclusive(self, tmp_path):
         pa, pb, _ = generate_toy(tmp_path)
         with pytest.raises(SystemExit) as info:
@@ -194,6 +233,14 @@ class TestSweep:
         assert "gamma" in capsys.readouterr().err
 
 
+def huge_problem(tmp_path):
+    pa = tmp_path / "A.mtx"
+    pb = tmp_path / "B.mtx"
+    write_matrix_market(pa, 1e160 * np.diag([2.0, 1.0, 0.0]), symmetric=True)
+    write_matrix_market(pb, 1e160 * np.array([[0.0, 0.3, 1.0]]))
+    return str(pa), str(pb)
+
+
 class TestVerify:
     def test_toy_passes(self, tmp_path, capsys):
         pa, pb, _ = generate_toy(tmp_path)
@@ -218,6 +265,17 @@ class TestVerify:
         rc = cli.main(["verify", "--A", pa, "--B", pb])
         assert rc == cli.EXIT_VIOLATION
         assert "violation: fabricated" in capsys.readouterr().err
+
+    def test_huge_entries_are_an_input_error(self, tmp_path, capsys):
+        # the intervals hold; B^T B overflows in the augmented block, which
+        # is refused as non-finite input instead of ending in a traceback
+        pa, pb = huge_problem(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["verify", "--A", pa, "--B", pb])
+        assert rc == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "interval containment: ok" in captured.out
+        assert captured.err.startswith("error: ")
 
     def test_run_verification_reports_each_check(self, tmp_path):
         p = gen_toy(0.6, 0.8)
@@ -248,6 +306,25 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "gamma_sweep", boom)
         rc = cli.main(["sweep", "--A", pa, "--B", pb, "--out", str(tmp_path / "sw")])
         assert rc == cli.EXIT_SIZE_CAP
+
+    @pytest.mark.parametrize("error, code", [
+        (SizeCapError, cli.EXIT_SIZE_CAP),
+        (ParseError, cli.EXIT_INPUT),
+        (StructureError, cli.EXIT_INPUT),
+        (ParameterOutOfRangeError, cli.EXIT_INPUT),
+        (ZeroAngleError, cli.EXIT_INPUT),
+        (RankAssumptionError, cli.EXIT_INPUT),
+        (ConvergenceError, cli.EXIT_INPUT),
+        (OSError, cli.EXIT_INPUT),
+    ])
+    def test_error_type_maps_to_exit_code(self, monkeypatch, capsys, error, code):
+        def raising(args):
+            raise error("stubbed failure")
+
+        monkeypatch.setattr(cli, "cmd_verify", raising)
+        rc = cli.main(["verify", "--A", "a.mtx", "--B", "b.mtx"])
+        assert rc == code
+        assert capsys.readouterr().err == "error: stubbed failure\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
