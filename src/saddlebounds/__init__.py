@@ -88,4 +88,4 @@ from .problems import (
     gen_toy,
     generate_problem,
 )
-from .reporting import ProblemFileSet, RunConfig, read_problem, report_envelope, write_report
+from .reporting import RunConfig, read_problem, report_envelope, write_report

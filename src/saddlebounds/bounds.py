@@ -43,6 +43,7 @@ from .linalg import (
     default_rank_tol,
     kernel_basis_rect,
     numerical_rank,
+    numerically_singular,
     principal_angles,
     svd,
     sym_eig,
@@ -190,7 +191,7 @@ class SaddleProblem:
         sdec = svd(self.B)
         smax = float(sdec.singular_values[0])
         smin = float(sdec.singular_values[-1])
-        if smax == 0.0 or smin <= self.rel_tol * smax:
+        if numerically_singular(smin, smax, self.rel_tol):
             raise RankDeficientError(
                 f"constraint block is not full row rank: sigma_min = {smin:.6e}, "
                 f"sigma_max = {smax:.6e}, rel_tol = {self.rel_tol:g}"
@@ -255,7 +256,7 @@ class SaddleProblem:
         k_vals = _eigvalsh(self.k_matrix, "saddle matrix")
         kmax = float(np.abs(k_vals).max())
         kmin = float(np.abs(k_vals).min())
-        if kmax == 0.0 or kmin <= self.rel_tol * kmax:
+        if numerically_singular(kmin, kmax, self.rel_tol):
             raise SingularKError(
                 f"saddle matrix is numerically singular: min |eig| = {kmin:.6e} "
                 f"vs rel_tol * ||K|| = {self.rel_tol * kmax:.6e}"
@@ -450,7 +451,7 @@ def wbound(problem, weight):
     vals = problem.augmented_eigs(weight)
     mu_min_aw = float(vals[0])
     mu_max_aw = float(vals[-1])
-    if mu_min_aw <= problem.rel_tol * max(mu_max_aw, 0.0):
+    if numerically_singular(mu_min_aw, mu_max_aw, problem.rel_tol):
         raise AugmentedBlockSingularError(
             f"augmented block is not positive definite: mu_min = {mu_min_aw:.6e} "
             f"vs rel_tol * mu_max = {problem.rel_tol * max(mu_max_aw, 0.0):.6e}"

@@ -41,7 +41,6 @@ from .harness import (
 from .mmio import write_matrix_market
 from .problems import FAMILIES, GeneratorSpec, generate_problem
 from .reporting import (
-    ProblemFileSet,
     RunConfig,
     bounds_to_csv,
     envelope_to_json,
@@ -78,19 +77,19 @@ def _add_problem_args(parser):
                         help="relative rank tolerance (default: n * machine epsilon)")
 
 
-def _fileset(args):
+def _source(args):
+    """The problem's files as report.json's ``source`` records them and
+    ``read_problem`` reads them: --A and --B, or --K with --n, never both."""
     if args.K is not None:
         if args.n is None:
             raise ParameterOutOfRangeError("--K needs --n for the leading block order")
-        return ProblemFileSet(path_k=args.K, split_n=args.n)
+        if args.A is not None or args.B is not None:
+            raise ParameterOutOfRangeError("give --A and --B, or --K with --n, not both")
+        return {"K": args.K, "n": args.n}
     if args.A is None or args.B is None:
         raise ParameterOutOfRangeError("need --A and --B, or --K with --n")
-    return ProblemFileSet(path_a=args.A, path_b=args.B)
-
-
-def _source_meta(args):
-    if args.K is not None:
-        return {"K": args.K, "n": args.n}
+    if args.n is not None:
+        raise ParameterOutOfRangeError("--n applies only with --K")
     return {"A": args.A, "B": args.B}
 
 
@@ -139,14 +138,11 @@ def build_parser():
     return parser
 
 
-def _config(args):
-    return RunConfig(rel_tol=getattr(args, "relTol", None))
-
-
 def cmd_bound(args):
-    cfg = _config(args)
+    cfg = RunConfig(rel_tol=args.relTol)
     fmt = "csv" if args.csv else "json"
-    problem = read_problem(_fileset(args), cfg)
+    source = _source(args)
+    problem = read_problem(source, cfg.rel_tol)
     notes = []
     gamma = args.gamma
     if args.auto_gamma:
@@ -169,7 +165,7 @@ def cmd_bound(args):
         notes.append("certification skipped: problem exceeds the oracle size cap")
     envelope = report_envelope(
         problem, cfg, reports, certifications,
-        oracle_result=oracle_result, source=_source_meta(args), notes=notes,
+        oracle_result=oracle_result, source=source, notes=notes,
     )
     if args.out:
         written = write_report(args.out, envelope, reports, certifications,
@@ -184,10 +180,11 @@ def cmd_bound(args):
 
 
 def cmd_sweep(args):
-    cfg = RunConfig(rel_tol=getattr(args, "relTol", None),
+    cfg = RunConfig(rel_tol=args.relTol,
                     gamma_min=args.gamma_min, gamma_max=args.gamma_max,
                     gamma_points=args.points)
-    problem = read_problem(_fileset(args), cfg)
+    source = _source(args)
+    problem = read_problem(source, cfg.rel_tol)
     grid = log_gamma_grid(cfg.gamma_min, cfg.gamma_max, cfg.gamma_points)
     sweep = gamma_sweep(problem, grid, size_cap=cfg.size_cap)
     reports = applicable_bounds(problem, angle_tol=cfg.angle_tol)
@@ -195,7 +192,7 @@ def cmd_sweep(args):
     certifications = [certify(r, oracle_result, cfg.cert_slack) for r in reports]
     envelope = report_envelope(
         problem, cfg, reports, certifications, sweep=sweep,
-        oracle_result=oracle_result, source=_source_meta(args),
+        oracle_result=oracle_result, source=source,
     )
     written = write_report(args.out, envelope, reports, certifications, sweep=sweep)
     for path in written:
@@ -292,8 +289,8 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
 
 
 def cmd_verify(args):
-    cfg = _config(args)
-    problem = read_problem(_fileset(args), cfg)
+    cfg = RunConfig(rel_tol=args.relTol)
+    problem = read_problem(_source(args), cfg.rel_tol)
     gammas = (args.gamma,) if args.gamma is not None else _VERIFY_GAMMAS
     failures = run_verification(
         problem, gammas, cfg.cert_slack, cfg.angle_tol, cfg.size_cap

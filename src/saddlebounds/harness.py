@@ -24,7 +24,7 @@ from .errors import (
     RankAssumptionError,
     SizeCapError,
 )
-from .linalg import _frozen
+from .linalg import _frozen, numerically_singular
 
 DEFAULT_SIZE_CAP = 2000
 DEFAULT_CERT_SLACK = 1e-8
@@ -187,7 +187,7 @@ def inverse_identity_residual(problem, weight):
     n = problem.n
     m = problem.m
     kw_vals = problem.augmented_saddle_abs_eigs(weight)
-    if float(kw_vals.max()) == 0.0 or float(kw_vals.min()) <= problem.rel_tol * float(kw_vals.max()):
+    if numerically_singular(float(kw_vals.min()), float(kw_vals.max()), problem.rel_tol):
         raise AugmentedBlockSingularError(
             f"augmented saddle matrix is numerically singular: min |eig| = "
             f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
@@ -203,7 +203,7 @@ def inverse_identity_residual(problem, weight):
     residual = float(np.linalg.norm(k_inv - kw_inv - block, "fro")) / scale
 
     aw_vals = problem.augmented_eigs(weight)
-    if float(aw_vals[0]) > problem.rel_tol * max(float(aw_vals[-1]), 0.0):
+    if not numerically_singular(float(aw_vals[0]), float(aw_vals[-1]), problem.rel_tol):
         b = problem.B.array
         s_w = b @ np.linalg.solve(aw.array, b.T)
         trailing = k_inv[n:, n:]

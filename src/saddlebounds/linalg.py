@@ -192,6 +192,17 @@ def numerical_rank(values, rel_tol):
     return int(np.count_nonzero(vals > rel_tol * top))
 
 
+def numerically_singular(smallest, largest, rel_tol):
+    """The rule by which a matrix with these extreme eigenvalues (or
+    singular values) counts as numerically singular: ``smallest`` is at
+    most rel_tol times ``largest`` clamped at zero, and a zero largest
+    value always counts. A NaN operand compares false, so it counts only
+    beside a zero largest value.
+    """
+    top = max(largest, 0.0)
+    return top == 0.0 or smallest <= rel_tol * top
+
+
 def _abs_order(values):
     # stable, so strictly descending positives keep their positions
     return np.argsort(-np.abs(values), kind="stable")

@@ -204,7 +204,7 @@ def _scan_columns(lines, idx, fmt, symmetry, rows, cols, count):
     return [np.array(values, dtype=np.float64)]
 
 
-def format_matrix_market(array, symmetric=False, comment=None):
+def format_matrix_market(array, symmetric=False):
     """Render a dense matrix in coordinate format; symmetric storage
     keeps the lower triangle only."""
     arr = np.asarray(array, dtype=float)
@@ -217,24 +217,21 @@ def format_matrix_market(array, symmetric=False, comment=None):
         if not np.array_equal(arr, arr.T):
             raise StructureError("symmetric output needs exactly symmetric entries")
     kind = "symmetric" if symmetric else "general"
-    out = [f"%%MatrixMarket matrix coordinate real {kind}"]
-    if comment:
-        out.extend(f"% {c}" for c in str(comment).splitlines())
     nonzero = arr.T != 0.0
     if symmetric:
         nonzero = np.triu(nonzero)  # lower triangle of arr
     j, i = np.nonzero(nonzero)  # column-major order
     count = i.size
-    out.append(f"{rows} {cols} {count}")
     entries = [None] * (3 * count)  # r1, c1, v1, r2, ... for one % call
     entries[0::3] = (i + 1).tolist()
     entries[1::3] = (j + 1).tolist()
     entries[2::3] = arr[i, j].tolist()
-    return "\n".join(out) + "\n" + "%d %d %.17g\n" * count % tuple(entries)
+    header = f"%%MatrixMarket matrix coordinate real {kind}\n{rows} {cols} {count}\n"
+    return header + "%d %d %.17g\n" * count % tuple(entries)
 
 
-def write_matrix_market(path, array, symmetric=False, comment=None):
+def write_matrix_market(path, array, symmetric=False):
     """Write a dense matrix to a coordinate-format Matrix Market file."""
-    text = format_matrix_market(array, symmetric=symmetric, comment=comment)
+    text = format_matrix_market(array, symmetric=symmetric)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)

@@ -34,7 +34,6 @@ from .errors import (
     ParameterOutOfRangeError,
     ProblemValidationError,
 )
-from .linalg import principal_angles
 
 FAMILIES = (
     "toy-2x2",
@@ -64,23 +63,6 @@ class GeneratorSpec:
     def to_json_str(self):
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise ParameterOutOfRangeError("generator spec must be a JSON object")
-        family = obj.get("family")
-        if family not in FAMILIES:
-            raise ParameterOutOfRangeError(
-                f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
-            )
-        params = obj.get("parameters", {})
-        if not isinstance(params, dict):
-            raise ParameterOutOfRangeError("parameters must be a JSON object")
-        seed = obj.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ParameterOutOfRangeError(f"seed must be a nonnegative integer, got {seed!r}")
-        return cls(family, dict(params), seed)
-
 
 def _converted(name, convert, value):
     """``convert(value)``; a value that does not convert is an input error
@@ -89,6 +71,14 @@ def _converted(name, convert, value):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterOutOfRangeError(f"parameter {name} = {value!r} is invalid: {exc}") from exc
+
+
+def _integer(value):
+    """int(value), refusing a float that int() would truncate."""
+    out = int(value)
+    if isinstance(value, float) and out != value:
+        raise ValueError("not an integer")
+    return out
 
 
 def _float_array(value):
@@ -105,12 +95,10 @@ def _orthogonal(rng, dim):
     return q * signs
 
 
-def gen_toy(b1, b2, allow_boundary=False):
+def gen_toy(b1, b2):
     """The 3x3 closed-form problem: A = diag(1, 0), B = [b1 b2].
 
-    Requires b1^2 + b2^2 = 1 with both entries positive; the boundary
-    values b1 in {0, 1} are admitted only with ``allow_boundary`` (test
-    use), and b2 = 0 then fails validation because K is singular.
+    Requires b1^2 + b2^2 = 1 with both entries strictly positive.
     """
     b1 = _converted("b1", float, b1)
     b2 = _converted("b2", float, b2)
@@ -120,13 +108,8 @@ def gen_toy(b1, b2, allow_boundary=False):
         raise ParameterOutOfRangeError(
             f"need b1^2 + b2^2 = 1 within {_NORM_TOL:g}, got {b1 * b1 + b2 * b2!r}"
         )
-    if b1 < 0 or b2 < 0:
-        raise ParameterOutOfRangeError("b1 and b2 must be nonnegative")
-    on_boundary = b1 == 0.0 or b2 == 0.0
-    if on_boundary and not allow_boundary:
-        raise ParameterOutOfRangeError(
-            "b1 and b2 must be strictly positive (pass allow_boundary for the edge cases)"
-        )
+    if b1 <= 0 or b2 <= 0:
+        raise ParameterOutOfRangeError("b1 and b2 must be strictly positive")
     a = np.diag([1.0, 0.0])
     b = np.array([[b1, b2]])
     return SaddleProblem(a, b)
@@ -163,8 +146,8 @@ def gen_prescribed_angles(n, m, a_eigs, b_sing_vals, thetas, seed=0):
     and rank(A) = n - m. The measured angles are checked against the
     request before returning.
     """
-    n = _converted("n", int, n)
-    m = _converted("m", int, m)
+    n = _converted("n", _integer, n)
+    m = _converted("m", _integer, m)
     if m < 1 or n < 2 * m:
         raise InfeasibleDimensionsError(f"need n >= 2m with m >= 1, got n = {n}, m = {m}")
     a_eigs = _converted("a_eigs", _float_array, a_eigs)
@@ -200,7 +183,7 @@ def gen_prescribed_angles(n, m, a_eigs, b_sing_vals, thetas, seed=0):
     b = left @ (b_sing_vals[:, None] * e.T)
     problem = SaddleProblem(a, b)
 
-    measured = principal_angles(problem.range_a, problem.row_space_b).angles
+    measured = problem.range_angles.angles
     # measured ascending vs requested ascending
     err = float(np.max(np.abs(np.sort(measured) - thetas)))
     if err > _ANGLE_ROUNDTRIP_TOL:
@@ -217,8 +200,8 @@ def gen_ipm_like(n, m, delta, seed=0):
     full-row-rank matrix. delta = 0 gives an exactly lowest-rank
     problem, small positive delta the nearly-rank-deficient shape that
     interior-point iterations approach."""
-    n = _converted("n", int, n)
-    m = _converted("m", int, m)
+    n = _converted("n", _integer, n)
+    m = _converted("m", _integer, m)
     if m < 1 or m >= n:
         raise ParameterOutOfRangeError(f"need 1 <= m < n, got n = {n}, m = {m}")
     delta = _converted("delta", float, delta)
@@ -240,8 +223,8 @@ def gen_ipm_like(n, m, delta, seed=0):
 def gen_random_lowest_rank(n, m, seed=0):
     """A = X X^T of exact rank n - m with seeded Gaussian X and B; if
     validation fails the seed is incremented, up to 16 attempts."""
-    n = _converted("n", int, n)
-    m = _converted("m", int, m)
+    n = _converted("n", _integer, n)
+    m = _converted("m", _integer, m)
     if m < 1 or m >= n:
         raise ParameterOutOfRangeError(f"need 1 <= m < n, got n = {n}, m = {m}")
     last = None
@@ -259,10 +242,10 @@ def gen_random_lowest_rank(n, m, seed=0):
     ) from last
 
 
-def _params(spec, required, optional=()):
+def _params(spec, required):
     given = set(spec.parameters)
     missing = set(required) - given
-    extra = given - set(required) - set(optional)
+    extra = given - set(required)
     if missing:
         raise ParameterOutOfRangeError(
             f"family {spec.family!r} is missing parameters: {', '.join(sorted(missing))}"
@@ -277,8 +260,8 @@ def _params(spec, required, optional=()):
 def generate_problem(spec):
     """Build the SaddleProblem a GeneratorSpec describes."""
     if spec.family == "toy-2x2":
-        p = _params(spec, ("b1", "b2"), ("allow_boundary",))
-        return gen_toy(p["b1"], p["b2"], bool(p.get("allow_boundary", False)))
+        p = _params(spec, ("b1", "b2"))
+        return gen_toy(p["b1"], p["b2"])
     if spec.family == "remark-3x3":
         p = _params(spec, ("alpha",))
         return gen_remark(p["alpha"])

@@ -14,6 +14,7 @@ pure-Python path is slower than writing the text out here.
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,29 +45,27 @@ _SCALAR_TEXT = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the command-line entry points.
+    """The CLI's run settings.
 
-    ``rel_tol`` of None means each problem uses its own default
-    n * machine epsilon.
+    ``rel_tol`` (None: each problem uses its own default n * machine
+    epsilon) and the sweep's gamma grid come from the command line. The
+    class-level values are fixed; report.json records them all.
     """
 
+    angle_tol: ClassVar[float] = DEFAULT_ANGLE_TOL
+    cert_slack: ClassVar[float] = DEFAULT_CERT_SLACK
+    output_format: ClassVar[str] = "json"
+    seed: ClassVar[int] = 0
+    size_cap: ClassVar[int] = DEFAULT_SIZE_CAP
+
     rel_tol: float = None
-    angle_tol: float = DEFAULT_ANGLE_TOL
-    cert_slack: float = DEFAULT_CERT_SLACK
     gamma_min: float = 1e-4
     gamma_max: float = 1e4
     gamma_points: int = 25
-    output_format: str = "json"
-    seed: int = 0
-    size_cap: int = DEFAULT_SIZE_CAP
 
     def __post_init__(self):
         if self.rel_tol is not None and not self.rel_tol > 0:
             raise ParameterOutOfRangeError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not self.angle_tol > 0:
-            raise ParameterOutOfRangeError(f"angle_tol must be positive, got {self.angle_tol}")
-        if not self.cert_slack > 0:
-            raise ParameterOutOfRangeError(f"cert_slack must be positive, got {self.cert_slack}")
         if not 0 < self.gamma_min < self.gamma_max:
             raise ParameterOutOfRangeError(
                 f"need 0 < gamma_min < gamma_max, got {self.gamma_min}, {self.gamma_max}"
@@ -75,54 +74,31 @@ class RunConfig:
             raise ParameterOutOfRangeError(
                 f"need at least 2 gamma grid points, got {self.gamma_points}"
             )
-        if self.output_format not in ("json", "csv"):
-            raise ParameterOutOfRangeError(
-                f"output format must be json or csv, got {self.output_format!r}"
-            )
-        if self.size_cap < 1:
-            raise ParameterOutOfRangeError(f"size cap must be positive, got {self.size_cap}")
 
 
-@dataclass(frozen=True)
-class ProblemFileSet:
-    """Either separate A and B files, or a whole-K file with the split
-    index n that separates the leading block."""
-
-    path_a: str = None
-    path_b: str = None
-    path_k: str = None
-    split_n: int = None
-
-    def __post_init__(self):
-        ab = self.path_a is not None and self.path_b is not None
-        k = self.path_k is not None
-        if k and (self.path_a is not None or self.path_b is not None):
-            raise ParameterOutOfRangeError("give either A and B files or a K file, not both")
-        if k and self.split_n is None:
-            raise ParameterOutOfRangeError("a K file needs the split index n")
-        if not k and not ab:
-            raise ParameterOutOfRangeError("need both A and B files, or a K file with n")
-
-
-def read_problem(fileset, config=RunConfig()):
+def read_problem(source, rel_tol=None):
     """Load and validate a saddle problem from Matrix Market files.
 
-    For a whole-K file the trailing block must be numerically zero and
-    the off-diagonal blocks exact transposes, both within
-    rel_tol * max|K|. Structural failures raise StructureError naming
-    the violated invariant.
+    ``source`` is the dict report.json records as the problem's source:
+    ``{"A": path, "B": path}`` for separate blocks, or
+    ``{"K": path, "n": order}`` for the whole matrix with the order n of
+    its leading block. For a whole-K file the trailing block must be
+    numerically zero and the off-diagonal blocks exact transposes, both
+    within rel_tol * max|K| (rel_tol of None: (n + m) * machine epsilon).
+    Structural failures raise StructureError naming the violated
+    invariant.
     """
-    if fileset.path_k is not None:
-        k = read_matrix_market(fileset.path_k)
+    if "K" in source:
+        k = read_matrix_market(source["K"])
         order = k.shape[0]
         if k.shape[0] != k.shape[1]:
             raise StructureError(f"K file must be square, got shape {k.shape}")
-        n = int(fileset.split_n)
+        n = int(source["n"])
         if not 0 < n < order:
             raise StructureError(f"split index n = {n} outside 1..{order - 1}")
-        rel_tol = config.rel_tol if config.rel_tol is not None else default_rank_tol(order)
+        k_tol = rel_tol if rel_tol is not None else default_rank_tol(order)
         scale = float(np.abs(k).max())
-        tol = rel_tol * scale
+        tol = k_tol * scale
         trailing = float(np.abs(k[n:, n:]).max()) if order > n else 0.0
         if trailing > tol:
             raise StructureError(
@@ -138,10 +114,10 @@ def read_problem(fileset, config=RunConfig()):
         a = k[:n, :n]
         b = k[n:, :n]
     else:
-        a = read_matrix_market(fileset.path_a)
-        b = read_matrix_market(fileset.path_b)
+        a = read_matrix_market(source["A"])
+        b = read_matrix_market(source["B"])
     try:
-        return SaddleProblem(a, b, rel_tol=config.rel_tol)
+        return SaddleProblem(a, b, rel_tol=rel_tol)
     except ProblemValidationError as exc:
         raise StructureError(f"invalid saddle problem: {exc}") from exc
 

@@ -20,6 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from saddlebounds.bounds import (
+    SaddleProblem,
     ScalarWeight,
     applicable_bounds,
     kernel_angle_bound,
@@ -187,7 +188,7 @@ def test_08_tightness_witnesses():
         assert out.status == "sound"
         assert abs(out.slack) <= 1e-8
 
-        q = gen_toy(0.0, 1.0, allow_boundary=True)
+        q = SaddleProblem(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]))
         rep = wbound(q, ScalarWeight(1.0))
         out = certify(rep, oracle(q))
         assert rep.value == 1.0

@@ -292,7 +292,7 @@ class TestAugmentedAssembly:
 class TestWBound:
     def test_boundary_toy_attains_one(self):
         # b1 = 0, b2 = 1: A_1 = I, so both branches equal exactly 1
-        p = gen_toy(0.0, 1.0, allow_boundary=True)
+        p = SaddleProblem(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]))
         r = wbound(p, ScalarWeight(1.0))
         assert r.value == 1.0
         assert r.details["gamma"] == 1.0

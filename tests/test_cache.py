@@ -6,7 +6,7 @@ weight never reads the per-gamma cache."""
 import numpy as np
 import pytest
 
-from saddlebounds import bounds, cli, harness, linalg
+from saddlebounds import bounds, cli, harness, linalg, problems
 from saddlebounds.bounds import (
     MatrixWeight,
     SaddleProblem,
@@ -14,6 +14,7 @@ from saddlebounds.bounds import (
     applicable_bounds,
     assemble_augmented,
     general_rank_optimal_gamma,
+    lowest_rank_bound,
     optimal_gamma,
     saddle_matrix,
     wbound,
@@ -24,6 +25,7 @@ from saddlebounds.linalg import SubspaceBasis, principal_angles
 from saddlebounds.problems import (
     GeneratorSpec,
     gen_ipm_like,
+    gen_prescribed_angles,
     gen_random_lowest_rank,
     generate_problem,
 )
@@ -108,6 +110,20 @@ class TestFactorizationCounts:
         assert len(calls) == (2 if p.is_lowest_rank else 1)
         if p.is_lowest_rank:
             assert p.split_quantities[1] is p.range_angles
+
+    def test_generated_angles_are_the_cached_range_angles(self, monkeypatch):
+        calls = []
+
+        def counting(x, y):
+            calls.append((x.dim, y.dim))
+            return principal_angles(x, y)
+
+        for mod in (bounds, problems):
+            if hasattr(mod, "principal_angles"):
+                monkeypatch.setattr(mod, "principal_angles", counting)
+        p = gen_prescribed_angles(6, 2, [1.0, 2.0, 3.0, 4.0], [1.0, 2.0], [0.3, 1.0], seed=0)
+        lowest_rank_bound(p)
+        assert calls == [(4, 2)]
 
 
 def _k_order_solves(problem, operands):

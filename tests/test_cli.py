@@ -19,7 +19,7 @@ from saddlebounds.errors import (
 from saddlebounds.harness import SWEEP_CSV_HEADER
 from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import gen_toy
-from saddlebounds.reporting import BOUNDS_CSV_HEADER
+from saddlebounds.reporting import BOUNDS_CSV_HEADER, read_problem
 
 
 def generate_toy(tmp_path):
@@ -87,6 +87,27 @@ class TestGenerate:
                        "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: parameter {name} = ")
+
+    @pytest.mark.parametrize("family, params, name", [
+        ("random", {"n": 12.9, "m": 5}, "n"),
+        ("ipm", {"n": 8, "m": 3.5, "delta": 0.01}, "m"),
+        ("angles", {"n": 4.5, "m": 1, "a_eigs": [1, 2, 3], "b_sing_vals": [1],
+                    "thetas": [0.5]}, "n"),
+    ])
+    def test_non_integral_size_is_an_input_error(self, tmp_path, capsys, family, params, name):
+        out = tmp_path / "x"
+        rc = cli.main(["generate", "--family", family, "--params", json.dumps(params),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: parameter {name} = ")
+        assert not out.exists()
+
+    def test_integral_float_size_is_accepted(self, tmp_path):
+        out = tmp_path / "x"
+        rc = cli.main(["generate", "--family", "random", "--params", '{"n": 12.0, "m": 5.0}',
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert (out / "A.mtx").read_text().split("\n")[1].startswith("12 12 ")
 
     def test_unknown_family_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -209,6 +230,57 @@ class TestBound:
         with pytest.raises(SystemExit) as info:
             cli.main(["bound", "--A", pa, "--B", pb, "--gamma", "1", "--auto-gamma"])
         assert info.value.code == 2
+
+
+def problem_routes(tmp_path):
+    """The toy problem as {"ab": --A/--B arguments, "k": --K/--n arguments}."""
+    pa, pb, _ = generate_toy(tmp_path)
+    p = gen_toy(0.6, 0.8)
+    pk = tmp_path / "K.mtx"
+    write_matrix_market(pk, saddle_matrix(p.A.array, p.B.array), symmetric=True)
+    return {"ab": ["--A", pa, "--B", pb], "k": ["--K", str(pk), "--n", "2"]}
+
+
+COMMAND_ARGS = {"bound": [], "sweep": ["--out", "sw"], "verify": []}
+
+
+class TestProblemRoute:
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    @pytest.mark.parametrize("pick, message", [
+        (lambda r: r["ab"] + r["k"], "not both"),
+        (lambda r: r["ab"][:2] + r["k"], "not both"),
+        (lambda r: r["ab"] + ["--n", "2"], "--n applies only with --K"),
+        (lambda r: ["--n", "2"], "need --A and --B"),
+    ], ids=["ab-and-k", "a-and-k", "ab-and-n", "n-alone"])
+    def test_mixed_or_incomplete_route_exits_2(self, tmp_path, capsys, monkeypatch,
+                                               command, pick, message):
+        routes = problem_routes(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        rc = cli.main([command, *pick(routes), *COMMAND_ARGS[command]])
+        assert rc == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    @pytest.mark.parametrize("route", ["ab", "k"])
+    def test_report_source_is_the_dict_read(self, tmp_path, monkeypatch, command, route):
+        args = problem_routes(tmp_path)[route]
+        read = []
+
+        def recording(source, rel_tol=None):
+            read.append(source)
+            return read_problem(source, rel_tol)
+
+        monkeypatch.setattr(cli, "read_problem", recording)
+        out = tmp_path / "rep"
+        assert cli.main([command, *args, "--out", str(out)]) == cli.EXIT_OK
+        source = json.loads((out / "report.json").read_text())["problem"]["source"]
+        assert read == [source]
+        expected = {"A": args[1], "B": args[3]} if route == "ab" else {"K": args[1], "n": 2}
+        assert source == expected
 
 
 class TestSweep:

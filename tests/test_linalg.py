@@ -19,6 +19,7 @@ from saddlebounds.linalg import (
     default_rank_tol,
     kernel_basis_rect,
     numerical_rank,
+    numerically_singular,
     principal_angles,
     svd,
     sym_eig,
@@ -188,6 +189,41 @@ class TestNumericalRank:
         vals = np.array(sorted((2.0 ** e for e in exps), reverse=True))
         c = 2.0 ** scale_exp
         assert numerical_rank(vals, 1e-6) == numerical_rank(c * vals, 1e-6)
+
+
+NAN = float("nan")
+
+
+class TestNumericallySingular:
+    def test_equality_boundary_is_singular(self):
+        tol = 2.0 ** -20
+        assert numerically_singular(tol, 1.0, tol)
+        assert not numerically_singular(np.nextafter(tol, 1.0), 1.0, tol)
+
+    def test_zero_largest_value_is_singular(self):
+        assert numerically_singular(0.0, 0.0, 1e-8)
+        assert numerically_singular(NAN, 0.0, 1e-8)
+        assert numerically_singular(-2.0, -1.0, 1e-8)  # clamped at zero
+
+    def test_nan_compares_false(self):
+        assert not numerically_singular(NAN, 1.0, 1e-8)
+        assert not numerically_singular(1.0, NAN, 1e-8)
+        assert not numerically_singular(NAN, NAN, 1e-8)
+
+    def test_same_decisions_as_the_written_out_rules(self):
+        # singular values and |eigenvalues| (largest >= 0 or NaN) used
+        # "hi == 0 or lo <= tol * hi"; ascending eigenvalues of an
+        # augmented block used "lo <= tol * max(hi, 0)" and its negation
+        values = [NAN, -np.inf, -1.0, -0.0, 0.0, 2.0 ** -21, 2.0 ** -20, 0.5, 1.0, np.inf]
+        tol = 2.0 ** -20
+        for lo in values:
+            for hi in values:
+                got = numerically_singular(lo, hi, tol)
+                if not hi < 0:
+                    assert got == (hi == 0.0 or lo <= tol * hi)
+                if lo <= hi:
+                    assert got == (lo <= tol * max(hi, 0.0))
+                    assert got == (not lo > tol * max(hi, 0.0))
 
 
 class TestSubspaces:

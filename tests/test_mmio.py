@@ -29,7 +29,7 @@ def write_text(path, text):
 
 def reference_format(array, symmetric=False):
     """The per-entry writer loop, kept as the byte reference for
-    format_matrix_market (validation and comments left out)."""
+    format_matrix_market (validation left out)."""
     arr = np.asarray(array, dtype=float)
     rows, cols = arr.shape
     kind = "symmetric" if symmetric else "general"
@@ -133,14 +133,6 @@ class TestRoundTrip:
         rng = np.random.default_rng(2)
         m = rng.standard_normal((3, 3))
         assert format_matrix_market(m) == format_matrix_market(m.copy())
-
-    def test_comment_lines(self, tmp_path):
-        m = np.array([[1.5]])
-        path = tmp_path / "c.mtx"
-        write_matrix_market(path, m, comment="made by a test\nsecond line")
-        text = path.read_text()
-        assert "% made by a test" in text
-        assert np.array_equal(read_matrix_market(path), m)
 
 
 class TestReader:

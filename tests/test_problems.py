@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from saddlebounds.bounds import SaddleProblem
 from saddlebounds.errors import (
     InfeasibleDimensionsError,
     ParameterOutOfRangeError,
@@ -55,16 +56,18 @@ class TestToy:
         with pytest.raises(ParameterOutOfRangeError):
             gen_toy(float("nan"), 1.0)
 
-    def test_boundary_needs_flag(self):
-        with pytest.raises(ParameterOutOfRangeError):
+    def test_boundary_rows_are_built_directly(self):
+        with pytest.raises(ParameterOutOfRangeError, match="strictly positive"):
             gen_toy(0.0, 1.0)
-        p = gen_toy(0.0, 1.0, allow_boundary=True)
+        with pytest.raises(ParameterOutOfRangeError, match="strictly positive"):
+            gen_toy(1.0, 0.0)
+        p = SaddleProblem(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]))
         assert p.n == 2 and p.m == 1
 
     def test_degenerate_boundary_fails_validation(self):
-        # b2 = 0 makes e2 a null vector of K even with the flag
+        # b = [1 0] makes e2 a null vector of K
         with pytest.raises(SingularKError):
-            gen_toy(1.0, 0.0, allow_boundary=True)
+            SaddleProblem(np.diag([1.0, 0.0]), np.array([[1.0, 0.0]]))
 
 
 class TestRemark:
@@ -204,24 +207,12 @@ class TestGeneratorSpec:
 
     def test_json_round_trip(self):
         spec = SPECS[2]
-        back = GeneratorSpec.from_json(json.loads(spec.to_json_str()))
+        back = GeneratorSpec(**json.loads(spec.to_json_str()))
         assert back == spec
 
     def test_to_json_str_is_stable(self):
         assert SPECS[0].to_json_str() == SPECS[0].to_json_str()
         assert SPECS[0].to_json_str().endswith("\n")
-
-    def test_from_json_rejects_malformed(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            GeneratorSpec.from_json([1, 2])
-        with pytest.raises(ParameterOutOfRangeError):
-            GeneratorSpec.from_json({"family": "no-such-family"})
-        with pytest.raises(ParameterOutOfRangeError):
-            GeneratorSpec.from_json({"family": "toy-2x2", "parameters": 7})
-        with pytest.raises(ParameterOutOfRangeError):
-            GeneratorSpec.from_json({"family": "toy-2x2", "seed": -1})
-        with pytest.raises(ParameterOutOfRangeError):
-            GeneratorSpec.from_json({"family": "toy-2x2", "seed": True})
 
     def test_dispatch_checks_parameter_keys(self):
         with pytest.raises(ParameterOutOfRangeError, match="missing"):

@@ -14,7 +14,6 @@ from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import gen_remark, gen_toy
 from saddlebounds.reporting import (
     BOUNDS_CSV_HEADER,
-    ProblemFileSet,
     RunConfig,
     bounds_to_csv,
     envelope_to_json,
@@ -51,17 +50,23 @@ class TestRunConfig:
         assert cfg.rel_tol is None
         assert cfg.gamma_points == 25
 
+    def test_fixed_values_are_recorded_not_settable(self):
+        recorded = toy_envelope()[0]["config"]
+        for name in ("angle_tol", "cert_slack", "output_format", "seed", "size_cap"):
+            assert recorded[name] == getattr(RunConfig(), name)
+            with pytest.raises(TypeError):
+                RunConfig(**{name: getattr(RunConfig, name)})
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel_tol": 0.0},
-            {"angle_tol": -1.0},
-            {"cert_slack": 0.0},
             {"gamma_min": 2.0, "gamma_max": 1.0},
             {"gamma_min": 0.0},
             {"gamma_points": 1},
-            {"output_format": "yaml"},
-            {"size_cap": 0},
+            # NaN reaches these from the command line (--relTol nan)
+            {"rel_tol": float("nan")},
+            {"gamma_max": float("nan")},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -69,24 +74,10 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
 
-class TestProblemFileSet:
-    def test_requires_exactly_one_route(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            ProblemFileSet()
-        with pytest.raises(ParameterOutOfRangeError):
-            ProblemFileSet(path_a="a")
-        with pytest.raises(ParameterOutOfRangeError):
-            ProblemFileSet(path_k="k")
-        with pytest.raises(ParameterOutOfRangeError):
-            ProblemFileSet(path_a="a", path_b="b", path_k="k", split_n=2)
-        ProblemFileSet(path_a="a", path_b="b")
-        ProblemFileSet(path_k="k", split_n=2)
-
-
 class TestReadProblem:
     def test_separate_files(self, tmp_path):
         p, pa, pb = toy_files(tmp_path)
-        q = read_problem(ProblemFileSet(path_a=pa, path_b=pb))
+        q = read_problem({"A": pa, "B": pb})
         assert (q.n, q.m) == (2, 1)
         assert np.array_equal(q.A.array, p.A.array)
         assert np.array_equal(q.B.array, p.B.array)
@@ -95,7 +86,7 @@ class TestReadProblem:
         p = gen_toy(0.6, 0.8)
         pk = tmp_path / "K.mtx"
         write_matrix_market(pk, p.k_matrix, symmetric=True)
-        q = read_problem(ProblemFileSet(path_k=str(pk), split_n=2))
+        q = read_problem({"K": str(pk), "n": 2})
         assert (q.n, q.m) == (2, 1)
         np.testing.assert_allclose(q.A.array, p.A.array, atol=0)
         np.testing.assert_allclose(q.B.array, p.B.array, atol=0)
@@ -107,7 +98,7 @@ class TestReadProblem:
         pk = tmp_path / "K.mtx"
         write_matrix_market(pk, k, symmetric=True)
         with pytest.raises(StructureError, match="trailing"):
-            read_problem(ProblemFileSet(path_k=str(pk), split_n=2))
+            read_problem({"K": str(pk), "n": 2})
 
     def test_rejects_asymmetric_off_diagonal(self, tmp_path):
         p = gen_toy(0.6, 0.8)
@@ -116,14 +107,14 @@ class TestReadProblem:
         pk = tmp_path / "K.mtx"
         write_matrix_market(pk, k)
         with pytest.raises(StructureError, match="transpose"):
-            read_problem(ProblemFileSet(path_k=str(pk), split_n=2))
+            read_problem({"K": str(pk), "n": 2})
 
     def test_rejects_split_out_of_range(self, tmp_path):
         p = gen_toy(0.6, 0.8)
         pk = tmp_path / "K.mtx"
         write_matrix_market(pk, p.k_matrix, symmetric=True)
         with pytest.raises(StructureError, match="split index"):
-            read_problem(ProblemFileSet(path_k=str(pk), split_n=3))
+            read_problem({"K": str(pk), "n": 3})
 
     def test_wraps_validation_failures(self, tmp_path):
         pa = tmp_path / "A.mtx"
@@ -131,7 +122,7 @@ class TestReadProblem:
         write_matrix_market(pa, np.diag([1.0, 0.0, 0.0]), symmetric=True)
         write_matrix_market(pb, np.array([[1.0, 0.0, 0.0]]))
         with pytest.raises(StructureError, match="invalid saddle problem"):
-            read_problem(ProblemFileSet(path_a=str(pa), path_b=str(pb)))
+            read_problem({"A": str(pa), "B": str(pb)})
 
 
 class TestEnvelope:
