@@ -67,7 +67,6 @@ from .linalg import (
     EigDecomposition,
     PrincipalAngles,
     RectMatrix,
-    SubspaceBasis,
     SvdDecomposition,
     SymmetricMatrix,
     default_rank_tol,

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     AugmentedBlockSingularError,
-    ConvergenceError,
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
@@ -36,13 +35,14 @@ from .errors import (
 )
 from .linalg import (
     RectMatrix,
-    SubspaceBasis,
     SymmetricMatrix,
     _basis_from_eig,
     _frozen,
     default_rank_tol,
     kernel_basis_rect,
+    lapack,
     numerical_rank,
+    numerically_semidefinite,
     numerically_singular,
     principal_angles,
     svd,
@@ -114,13 +114,6 @@ class BoundReport:
     intervals: tuple = None
 
 
-def _eigvalsh(matrix, what):
-    try:
-        return np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolve of the {what} failed: {exc}") from exc
-
-
 def saddle_matrix(a, b):
     """Assemble the dense block matrix [[A, B^T], [B, 0]]."""
     n = a.shape[0]
@@ -179,7 +172,7 @@ class SaddleProblem:
         dec = sym_eig(self.A)
         top = float(dec.values[0])
         bottom = float(dec.values[-1])
-        if top < 0 or bottom < -self.rel_tol * top:
+        if not numerically_semidefinite(bottom, top, self.rel_tol):
             raise NotPositiveSemidefiniteError(
                 f"leading block has eigenvalue {bottom:.6e} below "
                 f"-rel_tol * mu_max = {-self.rel_tol * max(top, 0.0):.6e}"
@@ -253,7 +246,7 @@ class SaddleProblem:
         """Eigenvalues of K, ascending, read-only, from one dense
         eigensolve of order n + m; raises SingularKError when K is
         numerically singular."""
-        k_vals = _eigvalsh(self.k_matrix, "saddle matrix")
+        k_vals = lapack("eigvalsh", "eigensolve of the saddle matrix", self.k_matrix)
         kmax = float(np.abs(k_vals).max())
         kmin = float(np.abs(k_vals).min())
         if numerically_singular(kmin, kmax, self.rel_tol):
@@ -280,6 +273,7 @@ class SaddleProblem:
             rel_tol=self.rel_tol,
         )
 
+    # subspace bases: read-only arrays, one orthonormal column per vector
     @cached_property
     def range_a(self):
         return _basis_from_eig(self.eig_a, self.rel_tol, "range")
@@ -288,10 +282,10 @@ class SaddleProblem:
     def kernel_a(self):
         return _basis_from_eig(self.eig_a, self.rel_tol, "kernel")
 
-    @cached_property
+    @property
     def row_space_b(self):
         # B is validated full row rank, so all m right singular vectors qualify
-        return SubspaceBasis(self.svd_b.right_vectors)
+        return self.svd_b.right_vectors
 
     @cached_property
     def kernel_b(self):
@@ -300,7 +294,8 @@ class SaddleProblem:
     @cached_property
     def k_inverse(self):
         """K^{-1}, read-only, from one solve against the identity."""
-        return _frozen(np.linalg.solve(self.k_matrix, np.eye(self.n + self.m)))
+        return _frozen(lapack("solve", "solve with the saddle matrix",
+                              self.k_matrix, np.eye(self.n + self.m)))
 
     @cached_property
     def bt_b(self):
@@ -331,8 +326,7 @@ class SaddleProblem:
         degenerate = abs(float(raw[k - 1]) - float(raw[k])) <= self.rel_tol * abs(float(raw[0]))
         if self.is_lowest_rank:
             return mu_nm, self.range_angles, degenerate
-        basis = SubspaceBasis(self.eig_a.vectors[:, :k])
-        return mu_nm, principal_angles(basis, self.row_space_b), degenerate
+        return mu_nm, principal_angles(self.eig_a.vectors[:, :k], self.row_space_b), degenerate
 
     def _per_gamma_values(self, kind, weight, compute):
         if not isinstance(weight, ScalarWeight):  # a full weight is never cached
@@ -346,16 +340,17 @@ class SaddleProblem:
         """Eigenvalues of A + B^T W B, ascending; once per scalar gamma."""
         return self._per_gamma_values(
             "augmented", weight,
-            lambda: _eigvalsh(assemble_augmented(self, weight).array, "augmented block"),
+            lambda: lapack("eigvalsh", "eigensolve of the augmented block",
+                           assemble_augmented(self, weight).array),
         )
 
     def augmented_saddle_abs_eigs(self, weight):
         """|eigenvalues| of [[A + B^T W B, B^T], [B, 0]]; once per scalar gamma."""
         return self._per_gamma_values(
             "augmented-saddle", weight,
-            lambda: np.abs(_eigvalsh(
+            lambda: np.abs(lapack(
+                "eigvalsh", "eigensolve of the augmented saddle matrix",
                 saddle_matrix(assemble_augmented(self, weight).array, self.B.array),
-                "augmented saddle matrix",
             )),
         )
 
@@ -392,7 +387,7 @@ def rusten_winther(summary):
     pos_lo = s.mu_min
     pos_hi = 0.5 * (s.mu_max + _rw_root(s.mu_max, s.sigma_max))
     warns = ()
-    if s.mu_min <= s.rel_tol * s.mu_max:
+    if numerically_singular(s.mu_min, s.mu_max, s.rel_tol):
         warns = ("vacuous-positive-lower",)
     return BoundReport(
         name="rusten-winther",
@@ -434,7 +429,7 @@ def weight_mu_max(weight, rel_tol):
         return weight.gamma
     vals = sym_eig(weight.matrix).values
     top = float(vals[0])
-    if top < 0 or float(vals[-1]) < -rel_tol * max(top, 0.0):
+    if not numerically_semidefinite(float(vals[-1]), top, rel_tol):
         raise ParameterOutOfRangeError(
             f"weight must be positive semidefinite, got min eigenvalue {vals[-1]:.6e}"
         )

@@ -64,7 +64,6 @@ _FAMILY_ALIASES = {
 
 _VERIFY_GAMMAS = (0.1, 1.0, 10.0)
 _INVERSE_IDENTITY_TOL = 1e-8
-_CONTAINMENT_SLACK = 1e-8
 _PTP_TOL = 1e-8
 
 
@@ -183,9 +182,10 @@ def cmd_sweep(args):
     cfg = RunConfig(rel_tol=args.relTol,
                     gamma_min=args.gamma_min, gamma_max=args.gamma_max,
                     gamma_points=args.points)
+    # the grid is checked before the problem arguments and files
+    grid = log_gamma_grid(cfg.gamma_min, cfg.gamma_max, cfg.gamma_points)
     source = _source(args)
     problem = read_problem(source, cfg.rel_tol)
-    grid = log_gamma_grid(cfg.gamma_min, cfg.gamma_max, cfg.gamma_points)
     sweep = gamma_sweep(problem, grid, size_cap=cfg.size_cap)
     reports = applicable_bounds(problem, angle_tol=cfg.angle_tol)
     oracle_result = oracle(problem, cfg.size_cap)
@@ -240,7 +240,7 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
     emit(f"inertia counts: {'ok' if oracle_result.inertia_ok else 'FAIL'}")
 
     rw = rusten_winther(problem.summary)
-    outside = containment_violations(rw, oracle_result, _CONTAINMENT_SLACK)
+    outside = containment_violations(rw, oracle_result)
     if outside.size:
         failures.append(f"containment: {outside.size} eigenvalues outside the intervals")
     emit(f"interval containment: {'ok' if not outside.size else 'FAIL'}")

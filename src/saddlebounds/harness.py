@@ -24,7 +24,7 @@ from .errors import (
     RankAssumptionError,
     SizeCapError,
 )
-from .linalg import _frozen, numerically_singular
+from .linalg import _frozen, lapack, numerically_singular
 
 DEFAULT_SIZE_CAP = 2000
 DEFAULT_CERT_SLACK = 1e-8
@@ -36,6 +36,9 @@ _SWEEP_CSV_ROW = ",".join(["%.17g"] * 5) + "\n"
 # bytes of one stacked eigvalsh operand in gamma_sweep; an n-by-n block
 # larger than this is still solved on its own
 SWEEP_STACK_BYTES = 256 * 1024
+# most points log_gamma_grid builds: 400 times the CLI's default of 25,
+# about 1 MB of sweep.csv
+MAX_GAMMA_POINTS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +198,7 @@ def inverse_identity_residual(problem, weight):
     aw = assemble_augmented(problem, weight)
     kw = saddle_matrix(aw.array, problem.B.array)
     k_inv = problem.k_inverse
-    kw_inv = np.linalg.solve(kw, np.eye(n + m))
+    kw_inv = lapack("solve", "solve with the augmented saddle matrix", kw, np.eye(n + m))
     w_dense = _weight_dense(weight, m)
     block = np.zeros((n + m, n + m))
     block[n:, n:] = w_dense
@@ -205,23 +208,27 @@ def inverse_identity_residual(problem, weight):
     aw_vals = problem.augmented_eigs(weight)
     if not numerically_singular(float(aw_vals[0]), float(aw_vals[-1]), problem.rel_tol):
         b = problem.B.array
-        s_w = b @ np.linalg.solve(aw.array, b.T)
+        s_w = b @ lapack("solve", "solve with the augmented block", aw.array, b.T)
+        s_w_inv = lapack("inv", "inverse of the Schur complement", s_w)
         trailing = k_inv[n:, n:]
-        schur_residual = float(
-            np.linalg.norm(trailing - (w_dense - np.linalg.inv(s_w)), "fro")
-        ) / scale
+        schur_residual = float(np.linalg.norm(trailing - (w_dense - s_w_inv), "fro")) / scale
         residual = max(residual, schur_residual)
     return residual
 
 
 def log_gamma_grid(gamma_min, gamma_max, points):
-    """Logarithmically spaced gamma grid, endpoints included."""
+    """Logarithmically spaced gamma grid, endpoints included, of 2 to
+    MAX_GAMMA_POINTS points."""
     if not 0 < gamma_min < gamma_max:
         raise ParameterOutOfRangeError(
             f"need 0 < gamma_min < gamma_max, got {gamma_min}, {gamma_max}"
         )
     if points < 2:
-        raise ParameterOutOfRangeError(f"need at least 2 grid points, got {points}")
+        raise ParameterOutOfRangeError(f"need at least 2 gamma grid points, got {points}")
+    if points > MAX_GAMMA_POINTS:
+        raise ParameterOutOfRangeError(
+            f"need at most {MAX_GAMMA_POINTS} gamma grid points, got {points}"
+        )
     return np.logspace(np.log10(gamma_min), np.log10(gamma_max), points)
 
 
@@ -251,11 +258,12 @@ def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
     for start in range(0, g.size, per_call):
         stack = np.multiply.outer(g[start:start + per_call], bt_b)
         stack += a  # a + gamma * bt_b: IEEE addition commutes
-        mu_mins.extend(np.linalg.eigvalsh(stack)[:, 0].tolist())
+        vals = lapack("eigvalsh", "eigensolve of the augmented blocks", stack)
+        mu_mins.extend(vals[:, 0].tolist())
     rows = []
-    for gamma, mu_min in zip(g, mu_mins):
+    for gamma, mu_min in zip(g.tolist(), mu_mins):
         inv = 1.0 / gamma
-        rows.append(SweepRow(float(gamma), inv, mu_min, min(inv, mu_min), actual))
+        rows.append(SweepRow(gamma, inv, mu_min, min(inv, mu_min), actual))
     diffs = np.array([r.inv_gamma - r.mu_min_a_gamma for r in rows])
     signs = np.sign(diffs)
     crossing = None
@@ -280,10 +288,9 @@ def ptp_spectrum_deviation(problem):
         raise RankAssumptionError(
             "the stacked-basis spectrum check needs rank(A) = n - m"
         )
-    u = problem.range_a.columns
-    v = problem.row_space_b.columns
-    p = np.hstack([u, v])
-    gram_eigs = np.sort(np.linalg.eigvalsh(p.T @ p))
+    p = np.hstack([problem.range_a, problem.row_space_b])
+    gram_eigs = np.sort(lapack("eigvalsh", "eigensolve of the stacked-basis Gram matrix",
+                               p.T @ p))
     cos = problem.range_angles.cosines
     k = cos.shape[0]
     expected = np.sort(

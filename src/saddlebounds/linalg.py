@@ -1,9 +1,11 @@
 """Dense symmetric eigendecompositions, SVD, numerical rank, orthonormal
 subspace bases, and principal angles.
 
-Matrices are validated on entry and their backing arrays are marked
-read-only, so every function in this module is a pure map from immutable
-values to immutable values and results can be shared across threads.
+The decompositions take the validated SymmetricMatrix and RectMatrix
+wrappers, whose backing arrays are read-only. A subspace basis is a
+read-only array with one orthonormal column per basis vector. Every
+function here is a pure map from immutable values to immutable values,
+so results can be shared across threads.
 """
 
 from dataclasses import dataclass
@@ -81,14 +83,6 @@ class RectMatrix:
             raise NonFiniteError("matrix contains NaN or Inf entries")
         return cls(_frozen(arr))
 
-    @property
-    def rows(self):
-        return self.array.shape[0]
-
-    @property
-    def cols(self):
-        return self.array.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class EigDecomposition:
@@ -104,27 +98,11 @@ class EigDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class SvdDecomposition:
-    """Economy-size SVD: singular values descending, factor columns match."""
+    """Economy-size SVD: singular values descending; column i of
+    ``right_vectors`` belongs to ``singular_values[i]``."""
 
     singular_values: np.ndarray
-    left_vectors: np.ndarray
     right_vectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of R^ambient_dim, one column per
-    basis vector; ``dim`` and ``ambient_dim`` are read from the shape."""
-
-    columns: np.ndarray
-
-    @property
-    def ambient_dim(self):
-        return self.columns.shape[0]
-
-    @property
-    def dim(self):
-        return self.columns.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,37 +112,28 @@ class PrincipalAngles:
     cosines: np.ndarray
     angles: np.ndarray
 
-    def __len__(self):
-        return self.cosines.shape[0]
 
-
-def _coerce_symmetric(m):
-    return m if isinstance(m, SymmetricMatrix) else SymmetricMatrix.from_array(m)
-
-
-def _coerce_rect(m):
-    return m if isinstance(m, RectMatrix) else RectMatrix.from_array(m)
+def lapack(routine, what, *args, **kwargs):
+    """``np.linalg.<routine>(*args, **kwargs)``; a LinAlgError is raised
+    as ConvergenceError("<what> failed: ..."). The routine is looked up
+    on each call, so a rebound numpy.linalg function is the one called."""
+    try:
+        return getattr(np.linalg, routine)(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{what} failed: {exc}") from exc
 
 
 def sym_eig(m):
-    """Full eigendecomposition of a symmetric matrix, values descending."""
-    sm = _coerce_symmetric(m)
-    try:
-        values, vectors = np.linalg.eigh(sm.array)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"symmetric eigensolve failed: {exc}") from exc
+    """Full eigendecomposition of a SymmetricMatrix, values descending."""
+    values, vectors = lapack("eigh", "symmetric eigensolve", m.array)
     order = np.argsort(-values, kind="stable")
     return EigDecomposition(_frozen(values[order]), _frozen(vectors[:, order]))
 
 
 def svd(m):
-    """Economy-size singular value decomposition of a rectangular matrix."""
-    rm = _coerce_rect(m)
-    try:
-        u, s, vh = np.linalg.svd(rm.array, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular value decomposition failed: {exc}") from exc
-    return SvdDecomposition(_frozen(s), _frozen(u), _frozen(vh.T))
+    """Economy-size singular value decomposition of a RectMatrix."""
+    _, s, vh = lapack("svd", "singular value decomposition", m.array, full_matrices=False)
+    return SvdDecomposition(_frozen(s), _frozen(vh.T))
 
 
 def numerical_rank(values, rel_tol):
@@ -203,48 +172,52 @@ def numerically_singular(smallest, largest, rel_tol):
     return top == 0.0 or smallest <= rel_tol * top
 
 
+def numerically_semidefinite(smallest, largest, rel_tol):
+    """The rule by which a symmetric matrix with these extreme eigenvalues
+    counts as positive semidefinite: ``largest`` is at least zero and
+    ``smallest`` at least -rel_tol times ``largest``. A NaN operand
+    compares false, so it never counts against semidefiniteness.
+    """
+    return not (largest < 0 or smallest < -rel_tol * largest)
+
+
 def _abs_order(values):
     # stable, so strictly descending positives keep their positions
     return np.argsort(-np.abs(values), kind="stable")
 
 
 def _basis_from_eig(dec, rel_tol, kind):
-    """Basis of the range (``kind == "range"``) or the kernel of the
-    matrix with eigendecomposition ``dec``."""
+    """Read-only basis of the range (``kind == "range"``) or the kernel of
+    the matrix with eigendecomposition ``dec``."""
     order = _abs_order(dec.values)
     rank = numerical_rank(np.abs(dec.values)[order], rel_tol)
     keep = order[:rank] if kind == "range" else order[rank:]
-    return SubspaceBasis(_frozen(dec.vectors[:, keep]))
+    return _frozen(dec.vectors[:, keep])
 
 
-def kernel_basis_rect(m, rel_tol=None):
-    """Orthonormal basis of the null space of a rectangular matrix."""
-    rm = _coerce_rect(m)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(max(rm.rows, rm.cols))
-    try:
-        _, s, vh = np.linalg.svd(rm.array, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular value decomposition failed: {exc}") from exc
+def kernel_basis_rect(m, rel_tol):
+    """Read-only orthonormal basis of the null space of a RectMatrix:
+    the right singular vectors past its numerical rank at rel_tol."""
+    _, s, vh = lapack("svd", "singular value decomposition", m.array, full_matrices=True)
     rank = numerical_rank(s, rel_tol)
-    return SubspaceBasis(_frozen(vh[rank:].T))
+    return _frozen(vh[rank:].T)
 
 
 def principal_angles(x, y):
-    """Principal angles between two subspaces given by orthonormal bases.
+    """Principal angles between two subspaces given by orthonormal bases,
+    arrays with one column per basis vector.
 
     The cosines are the singular values of X^T Y clamped into [0, 1];
-    their count is the smaller of the two subspace dimensions.
+    their count is the smaller of the two subspace dimensions. Bases of
+    different ambient dimensions raise DimensionMismatchError, an empty
+    basis EmptySubspaceError.
     """
-    if x.ambient_dim != y.ambient_dim:
+    if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError(
-            f"subspaces live in different ambient spaces: {x.ambient_dim} vs {y.ambient_dim}"
+            f"subspaces live in different ambient spaces: {x.shape[0]} vs {y.shape[0]}"
         )
-    if x.dim == 0 or y.dim == 0:
+    if x.shape[1] == 0 or y.shape[1] == 0:
         raise EmptySubspaceError("principal angles need both subspaces nonempty")
-    try:
-        s = np.linalg.svd(x.columns.T @ y.columns, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular value decomposition failed: {exc}") from exc
+    s = lapack("svd", "singular value decomposition", x.T @ y, compute_uv=False)
     cos = np.clip(s, 0.0, 1.0)
     return PrincipalAngles(_frozen(cos), _frozen(np.arccos(cos)))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand flows and exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from saddlebounds.errors import (
     StructureError,
     ZeroAngleError,
 )
-from saddlebounds.harness import SWEEP_CSV_HEADER
+from saddlebounds.harness import MAX_GAMMA_POINTS, SWEEP_CSV_HEADER
 from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import gen_toy
 from saddlebounds.reporting import BOUNDS_CSV_HEADER, read_problem
@@ -145,6 +146,19 @@ class TestBound:
         assert rc == cli.EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith(BOUNDS_CSV_HEADER + "\n")
+
+    def test_csv_to_directory_writes_bounds_csv_beside_report(self, tmp_path, capsys):
+        pa, pb, _ = generate_toy(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["bound", "--A", pa, "--B", pb, "--csv"]) == cli.EXIT_OK
+        stdout_csv = capsys.readouterr().out
+        out = tmp_path / "rep"
+        rc = cli.main(["bound", "--A", pa, "--B", pb, "--csv", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert capsys.readouterr().out.split() == [str(out / "report.json"),
+                                                    str(out / "bounds.csv")]
+        assert (out / "bounds.csv").read_text() == stdout_csv
+        assert json.loads((out / "report.json").read_text())["problem"]["n"] == 2
 
     def test_whole_matrix_route(self, tmp_path):
         p = gen_toy(0.6, 0.8)
@@ -303,6 +317,75 @@ class TestSweep:
                        "--gamma-max", "1", "--out", str(tmp_path / "sw")])
         assert rc == cli.EXIT_INPUT
         assert "gamma" in capsys.readouterr().err
+
+    def test_failed_stacked_eigensolve_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        pa, pb, _ = generate_toy(tmp_path)
+        original = np.linalg.eigvalsh
+
+        def failing_on_stacks(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_stacks)
+        capsys.readouterr()
+        rc = cli.main(["sweep", "--A", pa, "--B", pb, "--out", str(tmp_path / "sw")])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: eigensolve of the augmented blocks failed: Eigenvalues did not converge\n"
+        )
+
+
+class TestRunSettings:
+    """Bad run settings exit 2 with one error line, before any file is read."""
+
+    @pytest.mark.parametrize("command, args, err", [
+        ("sweep", ["--points", "1"], "need at least 2 gamma grid points, got 1"),
+        ("sweep", ["--gamma-min", "10", "--gamma-max", "1"],
+         "need 0 < gamma_min < gamma_max, got 10.0, 1.0"),
+        ("sweep", ["--gamma-min", "nan"], "need 0 < gamma_min < gamma_max, got nan, 10000.0"),
+        ("bound", ["--relTol", "-1"], "rel_tol must be positive, got -1.0"),
+        ("sweep", ["--relTol", "-1"], "rel_tol must be positive, got -1.0"),
+        ("verify", ["--relTol", "-1"], "rel_tol must be positive, got -1.0"),
+    ])
+    @pytest.mark.parametrize("route", ["ab", "k"])
+    def test_rejected_with_the_same_message(self, tmp_path, capsys, monkeypatch,
+                                            command, args, err, route):
+        routes = problem_routes(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        rc = cli.main([command, *routes[route], *args, *COMMAND_ARGS[command]])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not (tmp_path / "sw").exists()
+
+    def test_grid_is_checked_before_the_files(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.mtx")
+        rc = cli.main(["sweep", "--A", missing, "--B", missing, "--points", "1",
+                       "--out", str(tmp_path / "sw")])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: need at least 2 gamma grid points, got 1\n"
+
+    def test_too_many_points_are_refused_at_once(self, tmp_path, capsys):
+        pa, pb, _ = generate_toy(tmp_path)
+        capsys.readouterr()
+        start = time.perf_counter()
+        rc = cli.main(["sweep", "--A", pa, "--B", pb, "--points", "100000000",
+                       "--out", str(tmp_path / "big")])
+        assert time.perf_counter() - start < 5.0
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"error: need at most {MAX_GAMMA_POINTS} gamma grid points, got 100000000\n"
+        )
+        assert not (tmp_path / "big").exists()
+
+    def test_largest_grid_is_accepted(self, tmp_path):
+        pa, pb, _ = generate_toy(tmp_path)
+        out = tmp_path / "sw"
+        rc = cli.main(["sweep", "--A", pa, "--B", pb, "--points", str(MAX_GAMMA_POINTS),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert len((out / "sweep.csv").read_text().splitlines()) == MAX_GAMMA_POINTS + 1
 
 
 def huge_problem(tmp_path):

@@ -15,11 +15,13 @@ from saddlebounds.bounds import (
 )
 from saddlebounds.errors import (
     AugmentedBlockSingularError,
+    ConvergenceError,
     ParameterOutOfRangeError,
     RankAssumptionError,
     SizeCapError,
 )
 from saddlebounds.harness import (
+    MAX_GAMMA_POINTS,
     SWEEP_CSV_HEADER,
     SWEEP_STACK_BYTES,
     SweepResult,
@@ -172,6 +174,9 @@ class TestSweep:
             log_gamma_grid(1.0, 1.0, 5)
         with pytest.raises(ParameterOutOfRangeError):
             log_gamma_grid(1e-2, 1e2, 1)
+        assert log_gamma_grid(1e-2, 1e2, MAX_GAMMA_POINTS).shape == (MAX_GAMMA_POINTS,)
+        with pytest.raises(ParameterOutOfRangeError, match="at most 10000 gamma grid points"):
+            log_gamma_grid(1e-2, 1e2, MAX_GAMMA_POINTS + 1)
 
     def test_toy_crossing_and_maximizer(self):
         p = toy()
@@ -274,6 +279,36 @@ class TestSweep:
             ]
 
 
+class TestLapackFailures:
+    """A LinAlgError from any dense routine of the checks is a
+    ConvergenceError naming the failed step."""
+
+    @pytest.mark.parametrize("routine, check, what", [
+        ("solve", lambda p: p.k_inverse, "solve with the saddle matrix"),
+        ("solve", lambda p: inverse_identity_residual(p, ScalarWeight(1.0)),
+         "solve with the augmented saddle matrix"),
+        ("inv", lambda p: inverse_identity_residual(p, ScalarWeight(1.0)),
+         "inverse of the Schur complement"),
+        ("eigvalsh", ptp_spectrum_deviation, "eigensolve of the stacked-basis Gram matrix"),
+        ("eigvalsh", lambda p: gamma_sweep(p, [1.0, 2.0]), "eigensolve of the augmented blocks"),
+    ], ids=["k-inverse", "kw-solve", "schur-inverse", "gram", "sweep"])
+    def test_failure_names_the_step(self, monkeypatch, routine, check, what):
+        p = gen_random_lowest_rank(12, 5, seed=3)
+        # the cached steps before the one under test
+        oracle(p)
+        if what != "solve with the saddle matrix":
+            p.k_inverse
+        p.augmented_eigs(ScalarWeight(1.0))
+        p.augmented_saddle_abs_eigs(ScalarWeight(1.0))
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("stubbed")
+
+        monkeypatch.setattr(np.linalg, routine, failing)
+        with pytest.raises(ConvergenceError, match=f"^{what} failed: stubbed$"):
+            check(p)
+
+
 class TestStackedBasisSpectrum:
     def test_toy_gram_matrix_in_closed_form(self):
         b1 = 0.6
@@ -282,9 +317,8 @@ class TestStackedBasisSpectrum:
         assert dev_spec <= 1e-12
         assert dev_inv <= 1e-12
         # the 2x2 Gram matrix has off-diagonal +/- b1, eigenvalues 1 +/- b1
-        u = p.range_a.columns
-        v = p.row_space_b.columns
-        gram = np.hstack([u, v]).T @ np.hstack([u, v])
+        stacked = np.hstack([p.range_a, p.row_space_b])
+        gram = stacked.T @ stacked
         assert abs(abs(gram[0, 1]) - b1) <= 1e-12
         np.testing.assert_allclose(
             np.linalg.eigvalsh(gram), [1.0 - b1, 1.0 + b1], atol=1e-12

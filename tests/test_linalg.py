@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from saddlebounds.errors import (
+    ConvergenceError,
     DimensionMismatchError,
     EmptySubspaceError,
     NonFiniteError,
@@ -13,12 +14,13 @@ from saddlebounds.errors import (
 )
 from saddlebounds.linalg import (
     RectMatrix,
-    SubspaceBasis,
     SymmetricMatrix,
     _basis_from_eig,
     default_rank_tol,
     kernel_basis_rect,
+    lapack,
     numerical_rank,
+    numerically_semidefinite,
     numerically_singular,
     principal_angles,
     svd,
@@ -28,32 +30,26 @@ from saddlebounds.linalg import (
 
 # Helpers that only the tests use: subspace bases of a bare matrix and the
 # residuals of a decomposition, built from the package's own primitives.
+# A basis is an array with one orthonormal column per basis vector.
 
 
-def range_basis(m, rel_tol=None):
+def range_basis(m):
     """Orthonormal basis of the numerical range of a symmetric matrix."""
-    sm = m if isinstance(m, SymmetricMatrix) else SymmetricMatrix.from_array(m)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(sm.order)
-    return _basis_from_eig(sym_eig(sm), rel_tol, "range")
+    sm = SymmetricMatrix.from_array(m)
+    return _basis_from_eig(sym_eig(sm), default_rank_tol(sm.order), "range")
 
 
-def kernel_basis(m, rel_tol=None):
+def kernel_basis(m):
     """Orthonormal basis of the numerical null space of a symmetric matrix."""
-    sm = m if isinstance(m, SymmetricMatrix) else SymmetricMatrix.from_array(m)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(sm.order)
-    return _basis_from_eig(sym_eig(sm), rel_tol, "kernel")
+    sm = SymmetricMatrix.from_array(m)
+    return _basis_from_eig(sym_eig(sm), default_rank_tol(sm.order), "kernel")
 
 
-def row_space_basis(m, rel_tol=None):
+def row_space_basis(m):
     """Orthonormal basis of the row space (range of the transpose)."""
-    rm = m if isinstance(m, RectMatrix) else RectMatrix.from_array(m)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(max(rm.rows, rm.cols))
-    dec = svd(rm)
-    rank = numerical_rank(dec.singular_values, rel_tol)
-    return SubspaceBasis(dec.right_vectors[:, :rank])
+    dec = svd(RectMatrix.from_array(m))
+    rank = numerical_rank(dec.singular_values, default_rank_tol(max(m.shape)))
+    return dec.right_vectors[:, :rank]
 
 
 def eig_residuals(m, dec):
@@ -68,13 +64,13 @@ def eig_residuals(m, dec):
 
 def svd_residuals(m, dec):
     """Frobenius residuals (reconstruction, left orthogonality, right
-    orthogonality) of an economy SVD."""
+    orthogonality) of an economy SVD. The decomposition keeps no left
+    factor, so U comes from numpy's own SVD of the same matrix."""
     arr = RectMatrix.from_array(m).array
-    recon = np.linalg.norm(
-        arr - (dec.left_vectors * dec.singular_values) @ dec.right_vectors.T, "fro"
-    )
+    u = np.linalg.svd(arr, full_matrices=False)[0]
+    recon = np.linalg.norm(arr - (u * dec.singular_values) @ dec.right_vectors.T, "fro")
     eye = np.eye(dec.singular_values.shape[0])
-    lorth = np.linalg.norm(dec.left_vectors.T @ dec.left_vectors - eye, "fro")
+    lorth = np.linalg.norm(u.T @ u - eye, "fro")
     rorth = np.linalg.norm(dec.right_vectors.T @ dec.right_vectors - eye, "fro")
     return float(recon), float(lorth), float(rorth)
 
@@ -127,19 +123,19 @@ class TestMatrixWrappers:
 
 class TestDecompositions:
     def test_sym_eig_descending(self):
-        dec = sym_eig(_random_symmetric(12, 0))
+        dec = sym_eig(SymmetricMatrix.from_array(_random_symmetric(12, 0)))
         assert np.all(np.diff(dec.values) <= 0)
 
     def test_sym_eig_matches_eigvalsh(self):
         m = _random_symmetric(10, 1)
-        dec = sym_eig(m)
+        dec = sym_eig(SymmetricMatrix.from_array(m))
         np.testing.assert_allclose(
             dec.values, np.linalg.eigvalsh((m + m.T) / 2.0)[::-1], atol=1e-12
         )
 
     def test_eig_residuals_small(self):
         m = _random_symmetric(15, 2)
-        dec = sym_eig(m)
+        dec = sym_eig(SymmetricMatrix.from_array(m))
         recon, orth = eig_residuals(m, dec)
         scale = max(1.0, float(np.linalg.norm(m, "fro")))
         assert recon <= 1e-10 * scale
@@ -148,7 +144,7 @@ class TestDecompositions:
     def test_svd_residuals_small(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((4, 9))
-        dec = svd(m)
+        dec = svd(RectMatrix.from_array(m))
         recon, lorth, rorth = svd_residuals(m, dec)
         scale = max(1.0, float(np.linalg.norm(m, "fro")))
         assert recon <= 1e-10 * scale
@@ -226,6 +222,68 @@ class TestNumericallySingular:
                     assert got == (not lo > tol * max(hi, 0.0))
 
 
+    def test_same_decisions_as_the_interval_warning_rule(self):
+        # rusten_winther wrote "mu_min <= rel_tol * mu_max" for the clamped,
+        # finite, descending eigenvalues of A
+        values = [0.0, 2.0 ** -21, 2.0 ** -20, 0.5, 1.0, 3.0]
+        tol = 2.0 ** -20
+        for lo in values:
+            for hi in values:
+                if lo <= hi:
+                    assert numerically_singular(lo, hi, tol) == (lo <= tol * hi)
+
+
+class TestNumericallySemidefinite:
+    VALUES = [NAN, -np.inf, -1.0, -(2.0 ** -20), -(2.0 ** -21), -0.0, 0.0, 2.0 ** -20,
+              0.5, 1.0, np.inf]
+
+    def test_same_decisions_as_the_written_out_rules(self):
+        # SaddleProblem wrote "top < 0 or bottom < -tol * top" for A, and
+        # weight_mu_max the same with max(top, 0.0) for a full weight
+        tol = 2.0 ** -20
+        for lo in self.VALUES:
+            for hi in self.VALUES:
+                got = numerically_semidefinite(lo, hi, tol)
+                assert got == (not (hi < 0 or lo < -tol * hi))
+                assert got == (not (hi < 0 or lo < -tol * max(hi, 0.0)))
+
+    def test_equality_boundary_is_semidefinite(self):
+        tol = 2.0 ** -20
+        assert numerically_semidefinite(-tol, 1.0, tol)
+        assert not numerically_semidefinite(np.nextafter(-tol, -1.0), 1.0, tol)
+
+    def test_zeros_are_semidefinite(self):
+        assert numerically_semidefinite(0.0, 0.0, 1e-8)
+        assert numerically_semidefinite(-0.0, 0.0, 1e-8)
+        assert not numerically_semidefinite(-1e-300, 0.0, 1e-8)
+
+    def test_negative_top_is_not_semidefinite(self):
+        assert not numerically_semidefinite(-2.0, -1.0, 1e-8)
+        assert not numerically_semidefinite(-1e-300, -1e-300, 1e-8)
+
+
+class TestLapack:
+    def test_returns_the_routine_result(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert np.array_equal(lapack("eigvalsh", "eigensolve", m), np.linalg.eigvalsh(m))
+
+    def test_failure_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="^solve with M failed: Singular matrix$"):
+            lapack("solve", "solve with M", np.zeros((2, 2)), np.eye(2))
+
+    def test_routine_is_looked_up_on_each_call(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        lapack("eigvalsh", "eigensolve", np.eye(3))
+        assert calls == [(3, 3)]
+
+
 class TestSubspaces:
     def test_range_kernel_split_dims(self):
         rng = np.random.default_rng(4)
@@ -233,27 +291,28 @@ class TestSubspaces:
         a = x @ x.T  # exact rank 5
         r = range_basis(a)
         k = kernel_basis(a)
-        assert (r.dim, k.dim) == (5, 4)
-        assert (r.ambient_dim, k.ambient_dim) == (9, 9)
-        np.testing.assert_allclose(a @ k.columns, 0.0, atol=1e-10)
+        assert (r.shape, k.shape) == ((9, 5), (9, 4))
+        assert not r.flags.writeable and not k.flags.writeable
+        np.testing.assert_allclose(a @ k, 0.0, atol=1e-10)
         # the two bases are mutually orthogonal
-        assert np.abs(r.columns.T @ k.columns).max() <= 1e-8
+        assert np.abs(r.T @ k).max() <= 1e-8
 
     def test_kernel_basis_rect_annihilates(self):
         rng = np.random.default_rng(5)
         b = rng.standard_normal((3, 7))
-        nb = kernel_basis_rect(b)
-        assert nb.dim == 4
-        assert np.abs(b @ nb.columns).max() <= 1e-10
-        gram = nb.columns.T @ nb.columns
+        nb = kernel_basis_rect(RectMatrix.from_array(b), default_rank_tol(7))
+        assert nb.shape == (7, 4)
+        assert not nb.flags.writeable
+        assert np.abs(b @ nb).max() <= 1e-10
+        gram = nb.T @ nb
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_row_space_basis_spans_rows(self):
         rng = np.random.default_rng(6)
         b = rng.standard_normal((4, 8))
         rb = row_space_basis(b)
-        assert rb.dim == 4
-        proj = rb.columns @ (rb.columns.T @ b.T)
+        assert rb.shape == (8, 4)
+        proj = rb @ (rb.T @ b.T)
         np.testing.assert_allclose(proj, b.T, atol=1e-10)
 
     def test_default_rank_tol(self):
@@ -267,23 +326,17 @@ class TestPrincipalAngles:
         y = rng.standard_normal(6)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        bx = SubspaceBasis(x[:, None])
-        by = SubspaceBasis(y[:, None])
-        ang = principal_angles(bx, by)
-        assert len(ang) == 1
+        ang = principal_angles(x[:, None], y[:, None])
+        assert ang.cosines.shape == ang.angles.shape == (1,)
         assert abs(float(ang.cosines[0]) - abs(float(x @ y))) <= 1e-12
 
     def test_count_is_smaller_dimension(self):
         q = _orthonormal_columns(8, 5, 8)
-        bx = SubspaceBasis(q[:, :3])
-        by = SubspaceBasis(q[:, 3:5])
-        assert len(principal_angles(bx, by)) == 2
+        assert principal_angles(q[:, :3], q[:, 3:5]).cosines.shape == (2,)
 
     def test_orthogonal_subspaces_give_right_angles(self):
         q = _orthonormal_columns(7, 4, 9)
-        bx = SubspaceBasis(q[:, :2])
-        by = SubspaceBasis(q[:, 2:4])
-        ang = principal_angles(bx, by)
+        ang = principal_angles(q[:, :2], q[:, 2:4])
         assert np.abs(ang.cosines).max() <= 1e-12
         np.testing.assert_allclose(ang.angles, np.pi / 2, atol=1e-10)
 
@@ -293,26 +346,19 @@ class TestPrincipalAngles:
         q = _orthonormal_columns(6, 2, seed)
         # mix the columns by a rotation: same subspace, different basis
         r, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        bx = SubspaceBasis(q)
-        by = SubspaceBasis(q @ r)
-        ang = principal_angles(bx, by)
+        ang = principal_angles(q, q @ r)
         assert np.min(ang.cosines) >= 1.0 - 1e-12
         assert np.max(ang.angles) <= 1e-5
 
     def test_cosines_clipped_to_unit_interval(self):
         q = _orthonormal_columns(5, 2, 10)
-        b = SubspaceBasis(q)
-        cos = principal_angles(b, b).cosines
+        cos = principal_angles(q, q).cosines
         assert np.all(cos <= 1.0) and np.all(cos >= 0.0)
 
     def test_rejects_mismatched_ambient(self):
-        bx = SubspaceBasis(np.eye(5)[:, :1])
-        by = SubspaceBasis(np.eye(6)[:, :1])
         with pytest.raises(DimensionMismatchError):
-            principal_angles(bx, by)
+            principal_angles(np.eye(5)[:, :1], np.eye(6)[:, :1])
 
     def test_rejects_empty_subspace(self):
-        bx = SubspaceBasis(np.zeros((5, 0)))
-        by = SubspaceBasis(np.eye(5)[:, :1])
         with pytest.raises(EmptySubspaceError):
-            principal_angles(bx, by)
+            principal_angles(np.zeros((5, 0)), np.eye(5)[:, :1])

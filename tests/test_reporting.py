@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddlebounds import cli
 from saddlebounds.bounds import applicable_bounds, general_rank_optimal_gamma, optimal_gamma
 from saddlebounds.errors import ParameterOutOfRangeError, StructureError, ZeroAngleError
 from saddlebounds.harness import certify, gamma_sweep, log_gamma_grid, oracle
@@ -70,8 +71,11 @@ class TestRunConfig:
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
+        # RunConfig checks rel_tol, log_gamma_grid the grid: the two checks
+        # the CLI runs before it reads a file
         with pytest.raises(ParameterOutOfRangeError):
-            RunConfig(**kwargs)
+            cfg = RunConfig(**kwargs)
+            log_gamma_grid(cfg.gamma_min, cfg.gamma_max, cfg.gamma_points)
 
 
 class TestReadProblem:
@@ -288,3 +292,48 @@ class TestJsonWriter:
             assert envelope_to_json(env) == reference_json(env)
             count += 1
         assert count == 2 * len(corpus)
+
+
+JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def non_json_values(value, path="$"):
+    """Paths under ``value`` that hold anything but a dict with str keys,
+    a list, or a scalar of an exact JSON type."""
+    if type(value) is dict:
+        bad = [f"{path}: key {key!r}" for key in value if type(key) is not str]
+        for key, item in value.items():
+            bad += non_json_values(item, f"{path}.{key}")
+        return bad
+    if type(value) is list:
+        return [p for i, item in enumerate(value) for p in non_json_values(item, f"{path}[{i}]")]
+    return [] if type(value) in JSON_SCALARS else [f"{path}: {type(value).__name__}"]
+
+
+class TestEnvelopeValues:
+    """Envelopes are written as built, with no conversion pass; what goes
+    in must already be a plain JSON value."""
+
+    def test_walk_flags_numpy_values_and_tuples(self):
+        env = {"a": [1, np.float64(2.0)], "b": (1,), 3: None, "c": {"d": np.int64(1)}}
+        assert non_json_values(env) == [
+            "$: key 3", "$.a[1]: float64", "$.b: tuple", "$.c.d: int64",
+        ]
+
+    def test_every_corpus_envelope_holds_only_json_types(self, corpus):
+        count = 0
+        for env in corpus_envelopes(corpus):
+            assert non_json_values(env) == [], env["problem"]["source"]
+            count += 1
+        assert count == 2 * len(corpus)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bound", ["--auto-gamma"]),
+        ("sweep", ["--points", "9"]),
+    ])
+    def test_cli_report_holds_only_json_types(self, tmp_path, command, extra):
+        _, pa, pb = toy_files(tmp_path)
+        out = tmp_path / "rep"
+        rc = cli.main([command, "--A", pa, "--B", pb, *extra, "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert non_json_values(json.loads((out / "report.json").read_text())) == []
