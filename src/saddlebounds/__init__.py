@@ -32,9 +32,7 @@ from .errors import (
     AugmentedBlockSingularError,
     ConvergenceError,
     DimensionMismatchError,
-    EmptySubspaceError,
     GenerationFailedError,
-    InfeasibleDimensionsError,
     NonFiniteError,
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,

@@ -83,6 +83,18 @@ class ScalarWeight:
                 f"scalar weight needs a finite gamma >= 0, got {self.gamma}"
             )
 
+    def augmentation(self, problem):
+        """B^T W B = gamma B^T B."""
+        return self.gamma * problem.bt_b
+
+    def mu_max(self, rel_tol):
+        """Largest eigenvalue of W: gamma."""
+        return self.gamma
+
+    def dense(self, m):
+        """W as an m-by-m array."""
+        return self.gamma * np.eye(m)
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixWeight:
@@ -93,6 +105,31 @@ class MatrixWeight:
     @classmethod
     def from_array(cls, w):
         return cls(SymmetricMatrix.from_array(w))
+
+    def augmentation(self, problem):
+        """B^T W B; W must be m-by-m."""
+        w = self.matrix.array
+        if w.shape != (problem.m, problem.m):
+            raise DimensionMismatchError(
+                f"weight is {w.shape} but the constraint block has {problem.m} rows"
+            )
+        b = problem.B.array
+        return b.T @ w @ b
+
+    def mu_max(self, rel_tol):
+        """Largest eigenvalue of W, clamped at zero; W must be positive
+        semidefinite at rel_tol."""
+        vals = sym_eig(self.matrix).values
+        top = float(vals[0])
+        if not numerically_semidefinite(float(vals[-1]), top, rel_tol):
+            raise ParameterOutOfRangeError(
+                f"weight must be positive semidefinite, got min eigenvalue {vals[-1]:.6e}"
+            )
+        return max(top, 0.0)
+
+    def dense(self, m):
+        """W as an m-by-m array (``augmentation`` checks the order)."""
+        return self.matrix.array
 
 
 @dataclass(frozen=True)
@@ -151,8 +188,8 @@ class SaddleProblem:
     """
 
     def __init__(self, a, b, rel_tol=None):
-        self.A = a if isinstance(a, SymmetricMatrix) else SymmetricMatrix.from_array(a)
-        self.B = b if isinstance(b, RectMatrix) else RectMatrix.from_array(b)
+        self.A = SymmetricMatrix.from_array(a)
+        self.B = RectMatrix.from_array(b)
         n = self.A.order
         m, nb = self.B.array.shape
         if nb != n:
@@ -407,33 +444,9 @@ def rusten_winther(summary):
 
 def assemble_augmented(problem, weight):
     """A + B^T W B as a SymmetricMatrix (exactly symmetrized)."""
-    b = problem.B.array
-    if isinstance(weight, ScalarWeight):
-        term = weight.gamma * problem.bt_b
-    elif isinstance(weight, MatrixWeight):
-        w = weight.matrix.array
-        if w.shape != (problem.m, problem.m):
-            raise DimensionMismatchError(
-                f"weight is {w.shape} but the constraint block has {problem.m} rows"
-            )
-        term = b.T @ w @ b
-    else:
+    if not isinstance(weight, (ScalarWeight, MatrixWeight)):
         raise ParameterOutOfRangeError(f"unsupported weight type {type(weight).__name__}")
-    return SymmetricMatrix.from_array(problem.A.array + term)
-
-
-def weight_mu_max(weight, rel_tol):
-    """Largest eigenvalue of the weight; validates semidefiniteness for
-    full weights."""
-    if isinstance(weight, ScalarWeight):
-        return weight.gamma
-    vals = sym_eig(weight.matrix).values
-    top = float(vals[0])
-    if not numerically_semidefinite(float(vals[-1]), top, rel_tol):
-        raise ParameterOutOfRangeError(
-            f"weight must be positive semidefinite, got min eigenvalue {vals[-1]:.6e}"
-        )
-    return max(top, 0.0)
+    return SymmetricMatrix.from_array(problem.A.array + weight.augmentation(problem))
 
 
 def wbound(problem, weight):
@@ -451,7 +464,7 @@ def wbound(problem, weight):
             f"augmented block is not positive definite: mu_min = {mu_min_aw:.6e} "
             f"vs rel_tol * mu_max = {problem.rel_tol * max(mu_max_aw, 0.0):.6e}"
         )
-    wmax = weight_mu_max(weight, problem.rel_tol)
+    wmax = weight.mu_max(problem.rel_tol)
     details = {
         "mu_min_augmented": mu_min_aw,
         "mu_max_augmented": mu_max_aw,
@@ -479,14 +492,10 @@ def _require_lowest_rank(problem):
         )
 
 
-def rho_from_angles(problem):
-    """(1 - cos(theta_min), theta_min) for the angle between range(A) and
-    range(B^T). Meaningful as a bound ingredient only in the lowest-rank
-    case; callers enforce that."""
-    ang = problem.range_angles
-    cos_min = float(ang.cosines[0])
-    theta_min = float(ang.angles[0])
-    return 1.0 - cos_min, theta_min
+def rho_from_angles(angles):
+    """(1 - cos(theta_min), theta_min) of a PrincipalAngles, theta_min
+    its smallest angle: the angle data every angle bound reads."""
+    return 1.0 - float(angles.cosines[0]), float(angles.angles[0])
 
 
 def agamma_lower_bound(problem, gamma):
@@ -495,7 +504,7 @@ def agamma_lower_bound(problem, gamma):
     _require_lowest_rank(problem)
     if not math.isfinite(gamma) or gamma <= 0:
         raise ParameterOutOfRangeError(f"gamma must be positive, got {gamma}")
-    rho, _ = rho_from_angles(problem)
+    rho, _ = rho_from_angles(problem.range_angles)
     s = problem.summary
     return rho * min(s.mu_min_plus, gamma * s.sigma_min**2)
 
@@ -510,13 +519,13 @@ def _angle_term(mu, sigma_min, rho):
 
 def _optimal_gamma(mu, sigma_min, ang, angle_tol, what):
     """1 / the angle formula at the minimal angle of ``ang``."""
-    theta_min = float(ang.angles[0])
+    rho, theta_min = rho_from_angles(ang)
     if theta_min <= angle_tol:
         raise ZeroAngleError(
             f"minimal {what} angle {theta_min:.6e} is at or below "
             f"angle_tol = {angle_tol:g}; no finite optimal gamma"
         )
-    return 1.0 / _angle_term(mu, sigma_min, 1.0 - float(ang.cosines[0]))[0]
+    return 1.0 / _angle_term(mu, sigma_min, rho)[0]
 
 
 def optimal_gamma(problem, angle_tol=DEFAULT_ANGLE_TOL):
@@ -544,7 +553,7 @@ def lowest_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     min{mu_min_plus * (1 - cos t), sigma_min * sqrt(1 - cos t)} with t the
     minimal angle between range(A) and range(B^T)."""
     _require_lowest_rank(problem)
-    rho, theta_min = rho_from_angles(problem)
+    rho, theta_min = rho_from_angles(problem.range_angles)
     s = problem.summary
     return _angle_bound_report(
         "lowest-rank",
@@ -561,15 +570,13 @@ def kernel_angle_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """Same bound expressed through the minimal angle between ker(A) and
     ker(B); in the lowest-rank case the two formulations agree."""
     _require_lowest_rank(problem)
-    ang = problem.kernel_angles
-    cos_min = float(ang.cosines[0])
-    psi_min = float(ang.angles[0])
+    rho, psi_min = rho_from_angles(problem.kernel_angles)
     s = problem.summary
     return _angle_bound_report(
         "kernel-angle",
         s.mu_min_plus,
         s.sigma_min,
-        1.0 - cos_min,
+        rho,
         psi_min,
         angle_tol,
         {"psi_min": psi_min, "mu_min_plus": s.mu_min_plus, "rel_tol": s.rel_tol},
@@ -599,14 +606,13 @@ def general_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     (vacuous) lower bound.
     """
     mu_nm, ang, degenerate = _general_split_quantities(problem)
-    cos_min = float(ang.cosines[0])
-    theta_min = float(ang.angles[0])
+    rho, theta_min = rho_from_angles(ang)
     s = problem.summary
     return _angle_bound_report(
         "general-rank",
         mu_nm,
         s.sigma_min,
-        1.0 - cos_min,
+        rho,
         theta_min,
         angle_tol,
         {
@@ -634,7 +640,7 @@ def agamma_bound(problem, gamma):
     tighter than wbound at the same gamma, but it is certified from the
     angle data alone."""
     inner = agamma_lower_bound(problem, gamma)
-    rho, theta_min = rho_from_angles(problem)
+    rho, theta_min = rho_from_angles(problem.range_angles)
     inv = 1.0 / gamma
     if inner <= inv:
         value, active = inner, "augmented-estimate"
@@ -655,6 +661,15 @@ def agamma_bound(problem, gamma):
     )
 
 
+def scalar_weight_bounds(problem, gamma):
+    """The reports of the scalar weight gamma * I: ``wbound``, then
+    ``agamma_bound`` when rank(A) = n - m."""
+    reports = [wbound(problem, ScalarWeight(gamma))]
+    if problem.is_lowest_rank:
+        reports.append(agamma_bound(problem, gamma))
+    return reports
+
+
 def applicable_bounds(problem, gamma=None, weight=None, angle_tol=DEFAULT_ANGLE_TOL):
     """Every bound whose assumptions the problem satisfies, in a fixed
     deterministic order. ``gamma`` adds the scalar-weight reports,
@@ -665,9 +680,7 @@ def applicable_bounds(problem, gamma=None, weight=None, angle_tol=DEFAULT_ANGLE_
         reports.append(kernel_angle_bound(problem, angle_tol))
     reports.append(general_rank_bound(problem, angle_tol))
     if gamma is not None:
-        reports.append(wbound(problem, ScalarWeight(gamma)))
-        if problem.is_lowest_rank:
-            reports.append(agamma_bound(problem, gamma))
+        reports += scalar_weight_bounds(problem, gamma)
     if weight is not None:
         reports.append(wbound(problem, weight))
     return reports

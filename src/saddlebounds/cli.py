@@ -17,12 +17,11 @@ from . import __version__
 from .bounds import (
     DEFAULT_ANGLE_TOL,
     ScalarWeight,
-    agamma_bound,
     applicable_bounds,
     general_rank_optimal_gamma,
     optimal_gamma,
     rusten_winther,
-    wbound,
+    scalar_weight_bounds,
 )
 from .errors import ParameterOutOfRangeError, SaddleBoundsError, SizeCapError
 from .harness import (
@@ -155,24 +154,22 @@ def cmd_bound(args):
             )
             print(f"warning: {notes[-1]}", file=sys.stderr)
     reports = applicable_bounds(problem, gamma=gamma, angle_tol=cfg.angle_tol)
-    certifications = None
-    oracle_result = None
-    if problem.n + problem.m <= cfg.size_cap:
+    try:
         oracle_result = oracle(problem, cfg.size_cap)
-        certifications = [certify(r, oracle_result, cfg.cert_slack) for r in reports]
-    else:
+    except SizeCapError:
+        oracle_result = certifications = None
         notes.append("certification skipped: problem exceeds the oracle size cap")
+    else:
+        certifications = [certify(r, oracle_result, cfg.cert_slack) for r in reports]
     envelope = report_envelope(
         problem, cfg, reports, certifications,
         oracle_result=oracle_result, source=source, notes=notes,
     )
     if args.out:
-        written = write_report(args.out, envelope, reports, certifications,
-                               output_format=fmt)
-        for path in written:
+        for path in write_report(args.out, envelope, output_format=fmt):
             print(path)
     elif fmt == "csv":
-        sys.stdout.write(bounds_to_csv(reports, certifications))
+        sys.stdout.write(bounds_to_csv(envelope))
     else:
         sys.stdout.write(envelope_to_json(envelope))
     return EXIT_OK
@@ -194,8 +191,7 @@ def cmd_sweep(args):
         problem, cfg, reports, certifications, sweep=sweep,
         oracle_result=oracle_result, source=source,
     )
-    written = write_report(args.out, envelope, reports, certifications, sweep=sweep)
-    for path in written:
+    for path in write_report(args.out, envelope, sweep=sweep):
         print(path)
     return EXIT_OK
 
@@ -247,9 +243,7 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
 
     reports = applicable_bounds(problem, angle_tol=angle_tol)
     for gamma in gammas:
-        reports.append(wbound(problem, ScalarWeight(gamma)))
-        if problem.is_lowest_rank:
-            reports.append(agamma_bound(problem, gamma))
+        reports += scalar_weight_bounds(problem, gamma)
     for report in reports:
         outcome = certify(report, oracle_result, cert_slack)
         if outcome.status == "violated":

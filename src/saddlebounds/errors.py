@@ -17,10 +17,6 @@ class DimensionMismatchError(SaddleBoundsError):
     """Operands have incompatible or empty shapes."""
 
 
-class EmptySubspaceError(SaddleBoundsError):
-    """Principal angles require two subspaces of dimension at least one."""
-
-
 class ProblemValidationError(SaddleBoundsError):
     """A saddle problem violates one of its structural invariants."""
 
@@ -57,10 +53,6 @@ class ZeroAngleError(SaddleBoundsError):
 
 class ParameterOutOfRangeError(SaddleBoundsError):
     """A parameter lies outside its documented domain."""
-
-
-class InfeasibleDimensionsError(SaddleBoundsError):
-    """The prescribed-angle construction needs n >= 2m."""
 
 
 class GenerationFailedError(SaddleBoundsError):

@@ -12,18 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    MatrixWeight,
-    ScalarWeight,
-    assemble_augmented,
-    saddle_matrix,
-)
-from .errors import (
-    AugmentedBlockSingularError,
-    ParameterOutOfRangeError,
-    RankAssumptionError,
-    SizeCapError,
-)
+from .bounds import _require_lowest_rank, assemble_augmented, rho_from_angles, saddle_matrix
+from .errors import AugmentedBlockSingularError, ParameterOutOfRangeError, SizeCapError
 from .linalg import _frozen, lapack, numerically_singular
 
 DEFAULT_SIZE_CAP = 2000
@@ -158,14 +148,6 @@ def containment_violations(report, oracle_result, slack=DEFAULT_CERT_SLACK):
     return eigs[~(in_neg | in_pos)]
 
 
-def _weight_dense(weight, m):
-    if isinstance(weight, ScalarWeight):
-        return weight.gamma * np.eye(m)
-    if isinstance(weight, MatrixWeight):
-        return np.asarray(weight.matrix.array)
-    raise ParameterOutOfRangeError(f"unsupported weight type {type(weight).__name__}")
-
-
 def augmented_condition(problem, weight):
     """Spectral condition number of the augmented saddle matrix; +inf
     when it is exactly singular."""
@@ -199,7 +181,7 @@ def inverse_identity_residual(problem, weight):
     kw = saddle_matrix(aw.array, problem.B.array)
     k_inv = problem.k_inverse
     kw_inv = lapack("solve", "solve with the augmented saddle matrix", kw, np.eye(n + m))
-    w_dense = _weight_dense(weight, m)
+    w_dense = weight.dense(m)
     block = np.zeros((n + m, n + m))
     block[n:, n:] = w_dense
     scale = max(1.0, float(np.linalg.norm(k_inv, "fro")))
@@ -218,7 +200,8 @@ def inverse_identity_residual(problem, weight):
 
 def log_gamma_grid(gamma_min, gamma_max, points):
     """Logarithmically spaced gamma grid, endpoints included, of 2 to
-    MAX_GAMMA_POINTS points."""
+    MAX_GAMMA_POINTS points; refused, as ``gamma_sweep`` would refuse it,
+    when a point is not finite."""
     if not 0 < gamma_min < gamma_max:
         raise ParameterOutOfRangeError(
             f"need 0 < gamma_min < gamma_max, got {gamma_min}, {gamma_max}"
@@ -229,7 +212,23 @@ def log_gamma_grid(gamma_min, gamma_max, points):
         raise ParameterOutOfRangeError(
             f"need at most {MAX_GAMMA_POINTS} gamma grid points, got {points}"
         )
-    return np.logspace(np.log10(gamma_min), np.log10(gamma_max), points)
+    # an infinite or overflowing endpoint is refused by the grid check
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.logspace(np.log10(gamma_min), np.log10(gamma_max), points)
+    return _checked_grid(grid)
+
+
+def _checked_grid(grid):
+    """``grid`` as a float array, refused unless it is a nonempty 1-D
+    array of finite, positive, strictly increasing values."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ParameterOutOfRangeError("gamma grid must be a nonempty 1-D array")
+    if not np.isfinite(g).all() or np.any(g <= 0):
+        raise ParameterOutOfRangeError("gamma grid values must be finite and positive")
+    if np.any(np.diff(g) <= 0):
+        raise ParameterOutOfRangeError("gamma grid must be strictly increasing")
+    return g
 
 
 def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
@@ -242,13 +241,7 @@ def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
     stack has the same bits as when it is formed on its own, so the rows
     do too.
     """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ParameterOutOfRangeError("gamma grid must be a nonempty 1-D array")
-    if not np.isfinite(g).all() or np.any(g <= 0):
-        raise ParameterOutOfRangeError("gamma grid values must be finite and positive")
-    if np.any(np.diff(g) <= 0):
-        raise ParameterOutOfRangeError("gamma grid must be strictly increasing")
+    g = _checked_grid(grid)
     actual = oracle(problem, size_cap).mu_min_plus
     bt_b = problem.bt_b
     a = problem.A.array
@@ -284,10 +277,7 @@ def ptp_spectrum_deviation(problem):
     1 - cos(theta_min). Returns (max eigenvalue deviation, deviation of
     the inverse-norm identity).
     """
-    if not problem.is_lowest_rank:
-        raise RankAssumptionError(
-            "the stacked-basis spectrum check needs rank(A) = n - m"
-        )
+    _require_lowest_rank(problem)
     p = np.hstack([problem.range_a, problem.row_space_b])
     gram_eigs = np.sort(lapack("eigvalsh", "eigensolve of the stacked-basis Gram matrix",
                                p.T @ p))
@@ -298,5 +288,5 @@ def ptp_spectrum_deviation(problem):
     )
     dev_spectrum = float(np.max(np.abs(gram_eigs - expected)))
     # sigma_min(P)^2 is the smallest eigenvalue of P^T P
-    dev_inverse = abs(float(gram_eigs[0]) - (1.0 - float(cos[0])))
+    dev_inverse = abs(float(gram_eigs[0]) - rho_from_angles(problem.range_angles)[0])
     return dev_spectrum, dev_inverse

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
-    EmptySubspaceError,
     NonFiniteError,
     ParameterOutOfRangeError,
     StructureError,
@@ -209,15 +208,15 @@ def principal_angles(x, y):
 
     The cosines are the singular values of X^T Y clamped into [0, 1];
     their count is the smaller of the two subspace dimensions. Bases of
-    different ambient dimensions raise DimensionMismatchError, an empty
-    basis EmptySubspaceError.
+    different ambient dimensions, or an empty basis, raise
+    DimensionMismatchError.
     """
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError(
             f"subspaces live in different ambient spaces: {x.shape[0]} vs {y.shape[0]}"
         )
     if x.shape[1] == 0 or y.shape[1] == 0:
-        raise EmptySubspaceError("principal angles need both subspaces nonempty")
+        raise DimensionMismatchError("principal angles need both subspaces nonempty")
     s = lapack("svd", "singular value decomposition", x.T @ y, compute_uv=False)
     cos = np.clip(s, 0.0, 1.0)
     return PrincipalAngles(_frozen(cos), _frozen(np.arccos(cos)))

@@ -23,25 +23,13 @@ Identical specs (family, parameters, seed) yield bit-identical matrices.
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import SaddleProblem
-from .errors import (
-    GenerationFailedError,
-    InfeasibleDimensionsError,
-    ParameterOutOfRangeError,
-    ProblemValidationError,
-)
-
-FAMILIES = (
-    "toy-2x2",
-    "remark-3x3",
-    "prescribed-angles",
-    "ipm-like",
-    "random-lowest-rank",
-)
+from .errors import GenerationFailedError, ParameterOutOfRangeError, ProblemValidationError
 
 _NORM_TOL = 1e-12
 _ALPHA_MARGIN = 1e-12
@@ -78,6 +66,14 @@ def _integer(value):
     out = int(value)
     if isinstance(value, float) and out != value:
         raise ValueError("not an integer")
+    return out
+
+
+def _seed(value):
+    """A numpy seed: an int >= 0; a float is refused, as numpy refuses it."""
+    out = operator.index(value)
+    if out < 0:
+        raise ValueError("a seed must be >= 0")
     return out
 
 
@@ -149,7 +145,7 @@ def gen_prescribed_angles(n, m, a_eigs, b_sing_vals, thetas, seed=0):
     n = _converted("n", _integer, n)
     m = _converted("m", _integer, m)
     if m < 1 or n < 2 * m:
-        raise InfeasibleDimensionsError(f"need n >= 2m with m >= 1, got n = {n}, m = {m}")
+        raise ParameterOutOfRangeError(f"need n >= 2m with m >= 1, got n = {n}, m = {m}")
     a_eigs = _converted("a_eigs", _float_array, a_eigs)
     b_sing_vals = _converted("b_sing_vals", _float_array, b_sing_vals)
     thetas = _converted("thetas", _float_array, thetas)
@@ -171,6 +167,7 @@ def gen_prescribed_angles(n, m, a_eigs, b_sing_vals, thetas, seed=0):
         raise ParameterOutOfRangeError("thetas must lie in (0, pi/2]")
     if np.any(np.diff(thetas) < 0):
         raise ParameterOutOfRangeError("thetas must be sorted ascending")
+    seed = _converted("seed", _seed, seed)
 
     rng = np.random.default_rng(seed)
     q = _orthogonal(rng, n)
@@ -207,6 +204,7 @@ def gen_ipm_like(n, m, delta, seed=0):
     delta = _converted("delta", float, delta)
     if not math.isfinite(delta) or delta < 0:
         raise ParameterOutOfRangeError(f"delta must be finite and >= 0, got {delta!r}")
+    seed = _converted("seed", _seed, seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n - m))
     h = x @ x.T
@@ -227,6 +225,7 @@ def gen_random_lowest_rank(n, m, seed=0):
     m = _converted("m", _integer, m)
     if m < 1 or m >= n:
         raise ParameterOutOfRangeError(f"need 1 <= m < n, got n = {n}, m = {m}")
+    seed = _converted("seed", _seed, seed)
     last = None
     for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng(seed + attempt)
@@ -257,25 +256,27 @@ def _params(spec, required):
     return spec.parameters
 
 
+# family -> (generator, its parameters in call order, whether it takes
+# the spec's seed)
+_GENERATORS = {
+    "toy-2x2": (gen_toy, ("b1", "b2"), False),
+    "remark-3x3": (gen_remark, ("alpha",), False),
+    "prescribed-angles": (
+        gen_prescribed_angles, ("n", "m", "a_eigs", "b_sing_vals", "thetas"), True,
+    ),
+    "ipm-like": (gen_ipm_like, ("n", "m", "delta"), True),
+    "random-lowest-rank": (gen_random_lowest_rank, ("n", "m"), True),
+}
+FAMILIES = tuple(_GENERATORS)
+
+
 def generate_problem(spec):
     """Build the SaddleProblem a GeneratorSpec describes."""
-    if spec.family == "toy-2x2":
-        p = _params(spec, ("b1", "b2"))
-        return gen_toy(p["b1"], p["b2"])
-    if spec.family == "remark-3x3":
-        p = _params(spec, ("alpha",))
-        return gen_remark(p["alpha"])
-    if spec.family == "prescribed-angles":
-        p = _params(spec, ("n", "m", "a_eigs", "b_sing_vals", "thetas"))
-        return gen_prescribed_angles(
-            p["n"], p["m"], p["a_eigs"], p["b_sing_vals"], p["thetas"], spec.seed
+    if spec.family not in _GENERATORS:
+        raise ParameterOutOfRangeError(
+            f"unknown family {spec.family!r}; expected one of {', '.join(FAMILIES)}"
         )
-    if spec.family == "ipm-like":
-        p = _params(spec, ("n", "m", "delta"))
-        return gen_ipm_like(p["n"], p["m"], p["delta"], spec.seed)
-    if spec.family == "random-lowest-rank":
-        p = _params(spec, ("n", "m"))
-        return gen_random_lowest_rank(p["n"], p["m"], spec.seed)
-    raise ParameterOutOfRangeError(
-        f"unknown family {spec.family!r}; expected one of {', '.join(FAMILIES)}"
-    )
+    generator, names, seeded = _GENERATORS[spec.family]
+    p = _params(spec, names)
+    args = [p[name] for name in names] + ([spec.seed] if seeded else [])
+    return generator(*args)

@@ -299,27 +299,27 @@ def envelope_to_json(envelope):
     return "".join(out)
 
 
-def bounds_to_csv(reports, certifications=None):
-    """Bound reports as a small CSV table."""
-    certs = certifications if certifications is not None else [None] * len(reports)
+def bounds_to_csv(envelope):
+    """The envelope's bound entries as a small CSV table."""
     lines = [BOUNDS_CSV_HEADER]
-    for report, cert in zip(reports, certs):
-        status = cert.status if cert is not None else ""
-        slack = f"{cert.slack:.17g}" if cert is not None else ""
-        warnings = ";".join(report.warnings)
+    for entry in envelope["bounds"]:
+        cert = entry.get("certification")
+        status = cert["status"] if cert is not None else ""
+        slack = f"{cert['slack']:.17g}" if cert is not None else ""
+        warnings = ";".join(entry["warnings"])
         lines.append(
-            f"{report.name},{report.value:.17g},{report.assumptions_met},"
+            f"{entry['name']},{entry['value']:.17g},{entry['assumptions_met']},"
             f"{status},{slack},{warnings}"
         )
     return "\n".join(lines) + "\n"
 
 
-def write_report(out_dir, envelope, reports=None, certifications=None, sweep=None,
-                 output_format="json"):
+def write_report(out_dir, envelope, sweep=None, output_format="json"):
     """Write the report files into a directory and return their paths.
 
     Always writes report.json; adds sweep.csv when sweep rows exist and
-    bounds.csv when the CSV format is selected.
+    bounds.csv, the envelope's bounds as CSV, when the CSV format is
+    selected.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -332,9 +332,9 @@ def write_report(out_dir, envelope, reports=None, certifications=None, sweep=Non
         with open(path, "w", encoding="ascii") as fh:
             fh.write(sweep.to_csv())
         written.append(path)
-    if output_format == "csv" and reports is not None:
+    if output_format == "csv":
         path = os.path.join(out_dir, "bounds.csv")
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(bounds_to_csv(reports, certifications))
+            fh.write(bounds_to_csv(envelope))
         written.append(path)
     return written

@@ -28,8 +28,8 @@ from saddlebounds.bounds import (
     rho_from_angles,
     rusten_winther,
     saddle_matrix,
+    scalar_weight_bounds,
     wbound,
-    weight_mu_max,
 )
 from saddlebounds.errors import (
     AugmentedBlockSingularError,
@@ -43,6 +43,7 @@ from saddlebounds.errors import (
     StructureError,
     ZeroAngleError,
 )
+from saddlebounds.harness import certify, oracle
 from saddlebounds.linalg import SymmetricMatrix, default_rank_tol
 from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank, gen_remark, gen_toy
 
@@ -281,12 +282,17 @@ class TestAugmentedAssembly:
             MatrixWeight.from_array(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_weight_mu_max(self):
-        assert weight_mu_max(ScalarWeight(2.5), 1e-12) == 2.5
+        assert ScalarWeight(2.5).mu_max(1e-12) == 2.5
         w = MatrixWeight.from_array(np.diag([2.0, 3.0]))
-        assert weight_mu_max(w, 1e-12) == 3.0
+        assert w.mu_max(1e-12) == 3.0
         bad = MatrixWeight.from_array(np.diag([1.0, -1.0]))
         with pytest.raises(ParameterOutOfRangeError):
-            weight_mu_max(bad, 1e-12)
+            bad.mu_max(1e-12)
+
+    def test_dense_weight(self):
+        assert np.array_equal(ScalarWeight(2.5).dense(3), 2.5 * np.eye(3))
+        w = MatrixWeight.from_array(np.diag([2.0, 3.0]))
+        assert np.array_equal(w.dense(2), np.diag([2.0, 3.0]))
 
 
 class TestWBound:
@@ -321,10 +327,22 @@ class TestWBound:
         assert large.details["active"] == "weight-inverse"
         assert abs(large.value - 1.0 / 50.0) <= 1e-15
 
+    # Known defect: A + gamma B^T B is formed explicitly, and at the
+    # optimal gamma of these valid problems its rounding swamps
+    # mu_min(A_gamma) (oracle mu_min_plus 4.02e-7 and 5.41e-9), so wbound
+    # refuses them. Computing the augmented block in factored form fixes
+    # it; these then pass and must be unmarked.
+    @pytest.mark.xfail(strict=True, raises=AugmentedBlockSingularError)
+    @pytest.mark.parametrize("n, m, seed", [(20, 8, 303), (30, 12, 220)])
+    def test_optimal_gamma_of_a_valid_problem(self, n, m, seed):
+        p = gen_random_lowest_rank(n, m, seed=seed)
+        report = wbound(p, ScalarWeight(optimal_gamma(p)))
+        assert certify(report, oracle(p)).status == "sound"
+
 
 class TestAngleBounds:
     def test_rho_equals_one_minus_b1(self):
-        rho, theta = rho_from_angles(toy(0.8, 0.6))
+        rho, theta = rho_from_angles(toy(0.8, 0.6).range_angles)
         assert abs(rho - 0.2) <= 1e-12
         assert abs(math.cos(theta) - 0.8) <= 1e-12
 
@@ -467,6 +485,11 @@ class TestApplicableBounds:
     def test_order_for_general_rank(self):
         names = [r.name for r in applicable_bounds(gen_remark(0.5))]
         assert names == ["rusten-winther", "general-rank"]
+
+    def test_scalar_weight_reports_follow_the_rank(self):
+        assert [r.name for r in scalar_weight_bounds(toy(), 1.0)] == ["wbound", "agamma"]
+        assert [r.name for r in scalar_weight_bounds(gen_remark(0.5), 1.0)] == ["wbound"]
+        assert applicable_bounds(toy(), gamma=1.0)[-2:] == scalar_weight_bounds(toy(), 1.0)
 
     def test_full_weight_appends_wbound(self):
         reports = applicable_bounds(toy(), weight=MatrixWeight.from_array([[2.0]]))

@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from saddlebounds.errors import (
 from saddlebounds.harness import MAX_GAMMA_POINTS, SWEEP_CSV_HEADER
 from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import gen_toy
-from saddlebounds.reporting import BOUNDS_CSV_HEADER, read_problem
+from saddlebounds.reporting import BOUNDS_CSV_HEADER, RunConfig, read_problem
 
 
 def generate_toy(tmp_path):
@@ -103,6 +104,21 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith(f"error: parameter {name} = ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, params", [
+        ("random", {"n": 12, "m": 5}),
+        ("ipm", {"n": 8, "m": 3, "delta": 0.01}),
+        ("angles", {"n": 4, "m": 1, "a_eigs": [1, 2, 3], "b_sing_vals": [1], "thetas": [0.5]}),
+    ])
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys, family, params):
+        out = tmp_path / "x"
+        rc = cli.main(["generate", "--family", family, "--params", json.dumps(params),
+                       "--seed", "-1", "--out", str(out)])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", "error: parameter seed = -1 is invalid: a seed must be >= 0\n"
+        )
+        assert not out.exists()
+
     def test_integral_float_size_is_accepted(self, tmp_path):
         out = tmp_path / "x"
         rc = cli.main(["generate", "--family", "random", "--params", '{"n": 12.0, "m": 5.0}',
@@ -159,6 +175,19 @@ class TestBound:
                                                     str(out / "bounds.csv")]
         assert (out / "bounds.csv").read_text() == stdout_csv
         assert json.loads((out / "report.json").read_text())["problem"]["n"] == 2
+
+    def test_over_the_size_cap_certification_is_skipped(self, tmp_path, capsys, monkeypatch):
+        pa, pb, _ = generate_toy(tmp_path)
+        monkeypatch.setattr(RunConfig, "size_cap", 2)  # the toy K has order 3
+        capsys.readouterr()
+        assert cli.main(["bound", "--A", pa, "--B", pb, "--gamma", "1"]) == cli.EXIT_OK
+        env = json.loads(capsys.readouterr().out)
+        assert env["certification"] == {"performed": False}
+        assert env["notes"] == ["certification skipped: problem exceeds the oracle size cap"]
+        assert all("certification" not in b for b in env["bounds"])
+        assert cli.main(["bound", "--A", pa, "--B", pb, "--csv"]) == cli.EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(row.split(",")[3:5] == ["", ""] for row in rows)
 
     def test_whole_matrix_route(self, tmp_path):
         p = gen_toy(0.6, 0.8)
@@ -365,6 +394,17 @@ class TestRunSettings:
                        "--out", str(tmp_path / "sw")])
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err == "error: need at least 2 gamma grid points, got 1\n"
+
+    @pytest.mark.parametrize("gamma_max", ["inf", "1.7976931348623157e308"])
+    def test_non_finite_grid_is_checked_before_the_files(self, tmp_path, capsys, gamma_max):
+        # the last point of the second grid overflows to inf
+        missing = str(tmp_path / "missing.mtx")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["sweep", "--A", missing, "--B", missing, "--gamma-max", gamma_max,
+                           "--out", str(tmp_path / "sw")])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: gamma grid values must be finite and positive\n")
 
     def test_too_many_points_are_refused_at_once(self, tmp_path, capsys):
         pa, pb, _ = generate_toy(tmp_path)

@@ -1,5 +1,7 @@
 """Oracle, certification, inverse identity, and the gamma sweep."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,15 @@ class TestSweep:
         with pytest.raises(ParameterOutOfRangeError, match="at most 10000 gamma grid points"):
             log_gamma_grid(1e-2, 1e2, MAX_GAMMA_POINTS + 1)
 
+    @pytest.mark.parametrize("gamma_max", [np.inf, 1.7976931348623157e308])
+    def test_non_finite_grid_is_refused_without_a_warning(self, gamma_max):
+        # the last point of the second grid overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterOutOfRangeError,
+                               match="gamma grid values must be finite and positive"):
+                log_gamma_grid(1e-4, gamma_max, 25)
+
     def test_toy_crossing_and_maximizer(self):
         p = toy()
         s = gamma_sweep(p, log_gamma_grid(1e-4, 1e4, 25))
@@ -330,5 +341,5 @@ class TestStackedBasisSpectrum:
         assert dev_inv <= 1e-8
 
     def test_requires_lowest_rank(self):
-        with pytest.raises(RankAssumptionError):
+        with pytest.raises(RankAssumptionError, match=r"requires rank\(A\) = n - m = 1, "):
             ptp_spectrum_deviation(gen_remark(0.5))

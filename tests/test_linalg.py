@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from saddlebounds.errors import (
     ConvergenceError,
     DimensionMismatchError,
-    EmptySubspaceError,
     NonFiniteError,
     ParameterOutOfRangeError,
     StructureError,
@@ -239,7 +238,7 @@ class TestNumericallySemidefinite:
 
     def test_same_decisions_as_the_written_out_rules(self):
         # SaddleProblem wrote "top < 0 or bottom < -tol * top" for A, and
-        # weight_mu_max the same with max(top, 0.0) for a full weight
+        # MatrixWeight.mu_max the same with max(top, 0.0)
         tol = 2.0 ** -20
         for lo in self.VALUES:
             for hi in self.VALUES:
@@ -360,5 +359,5 @@ class TestPrincipalAngles:
             principal_angles(np.eye(5)[:, :1], np.eye(6)[:, :1])
 
     def test_rejects_empty_subspace(self):
-        with pytest.raises(EmptySubspaceError):
+        with pytest.raises(DimensionMismatchError):
             principal_angles(np.zeros((5, 0)), np.eye(5)[:, :1])

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from saddlebounds.bounds import SaddleProblem
 from saddlebounds.errors import (
-    InfeasibleDimensionsError,
     ParameterOutOfRangeError,
     SingularKError,
 )
@@ -123,7 +122,7 @@ class TestPrescribedAngles:
         assert abs(float(np.min(measured)) - 1e-6) <= 1e-8
 
     def test_needs_twice_the_rows(self):
-        with pytest.raises(InfeasibleDimensionsError):
+        with pytest.raises(ParameterOutOfRangeError):
             gen_prescribed_angles(5, 3, np.ones(2), np.ones(3), np.full(3, 1.0))
 
     def test_rejects_bad_lengths(self):
@@ -183,6 +182,10 @@ class TestRandomLowestRank:
         a1 = gen_random_lowest_rank(8, 2, seed=1).A.array
         assert not np.array_equal(a0, a1)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ParameterOutOfRangeError, match="^parameter seed = -1 is invalid"):
+            gen_random_lowest_rank(5, 2, seed=-1)
+
 
 SPECS = [
     GeneratorSpec("toy-2x2", {"b1": 0.6, "b2": 0.8}),
@@ -204,6 +207,12 @@ class TestGeneratorSpec:
         p2 = generate_problem(spec)
         assert np.array_equal(p1.A.array, p2.A.array)
         assert np.array_equal(p1.B.array, p2.B.array)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 3.0])
+    @pytest.mark.parametrize("spec", SPECS[2:], ids=lambda s: s.family)
+    def test_seed_must_be_a_nonnegative_int(self, spec, seed):
+        with pytest.raises(ParameterOutOfRangeError, match=f"^parameter seed = {seed} is invalid"):
+            generate_problem(GeneratorSpec(spec.family, spec.parameters, seed))
 
     def test_json_round_trip(self):
         spec = SPECS[2]

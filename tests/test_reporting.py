@@ -183,8 +183,8 @@ class TestEnvelope:
 
 class TestCsvAndFiles:
     def test_bounds_csv_shape(self):
-        _, reports, certs, _ = toy_envelope()
-        text = bounds_to_csv(reports, certs)
+        env, reports, _, _ = toy_envelope()
+        text = bounds_to_csv(env)
         lines = text.strip().split("\n")
         assert lines[0] == BOUNDS_CSV_HEADER
         assert len(lines) == len(reports) + 1
@@ -193,18 +193,18 @@ class TestCsvAndFiles:
         assert first[5] == "vacuous-positive-lower"
 
     def test_write_report_files_and_determinism(self, tmp_path):
-        env, reports, certs, sw = toy_envelope(sweep=True)
+        env, _, _, sw = toy_envelope(sweep=True)
         d1 = tmp_path / "r1"
         d2 = tmp_path / "r2"
-        w1 = write_report(str(d1), env, reports, certs, sweep=sw, output_format="csv")
-        w2 = write_report(str(d2), env, reports, certs, sweep=sw, output_format="csv")
+        w1 = write_report(str(d1), env, sweep=sw, output_format="csv")
+        w2 = write_report(str(d2), env, sweep=sw, output_format="csv")
         assert [p.rsplit("/", 1)[1] for p in w1] == ["report.json", "sweep.csv", "bounds.csv"]
         for a, b in zip(w1, w2):
             assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_write_report_json_only(self, tmp_path):
-        env, reports, certs, _ = toy_envelope()
-        written = write_report(str(tmp_path / "r"), env, reports, certs)
+        env, _, _, _ = toy_envelope()
+        written = write_report(str(tmp_path / "r"), env)
         assert len(written) == 1
         assert written[0].endswith("report.json")
 
