@@ -176,13 +176,15 @@ class SaddleProblem:
     Nonsingularity of K is proved by one Cholesky factorization of order
     n; only where that proof cannot decide does construction eigensolve K.
 
+    A and B are kept as copies, so the caller's arrays may change later.
     Every quantity that several bounds and checks share is computed on
     first use and then kept, read-only, so its factorization runs once
-    per problem: K and its eigenvalues (read by the oracle), B^T B,
-    K^{-1}, the principal angles of (range(A),
+    per problem: the eigenvalues of K (read by the oracle), B^T B,
+    K^{-1} (one LAPACK inverse), the principal angles of (range(A),
     range(B^T)), of (ker(A), ker(B)) and of the split basis; and once
     per scalar gamma: the eigenvalues of A + gamma B^T B and the
-    |eigenvalues| of the augmented saddle matrix K_gamma. Per gamma only
+    |eigenvalues| of the augmented saddle matrix K_gamma. K itself is
+    not kept: ``k_matrix`` assembles it on each read. Per gamma only
     value vectors are kept, never A_gamma, K_gamma or their inverses, so
     memory stays flat however many gammas are checked.
     """
@@ -273,9 +275,10 @@ class SaddleProblem:
         # LAPACK passes NaN and infinity through (B^T B can overflow)
         return bool(np.isfinite(factor).all())
 
-    @cached_property
+    @property
     def k_matrix(self):
-        """The saddle matrix K, read-only."""
+        """The saddle matrix K, read-only, assembled anew on each read:
+        only the eigensolve and the inverse of K read it, each once."""
         return _frozen(saddle_matrix(self.A.array, self.B.array))
 
     @cached_property
@@ -330,9 +333,9 @@ class SaddleProblem:
 
     @cached_property
     def k_inverse(self):
-        """K^{-1}, read-only, from one solve against the identity."""
-        return _frozen(lapack("solve", "solve with the saddle matrix",
-                              self.k_matrix, np.eye(self.n + self.m)))
+        """K^{-1}, read-only, from one LAPACK inverse (gesv against the
+        identity, so the bits of a solve with the identity)."""
+        return _frozen(lapack("inv", "inverse of the saddle matrix", self.k_matrix))
 
     @cached_property
     def bt_b(self):

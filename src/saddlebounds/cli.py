@@ -30,6 +30,7 @@ from .harness import (
     DEFAULT_SIZE_CAP,
     augmented_condition,
     certify,
+    check_size_cap,
     containment_violations,
     gamma_sweep,
     inverse_identity_residual,
@@ -45,6 +46,7 @@ from .reporting import (
     envelope_to_json,
     read_problem,
     report_envelope,
+    size_line_order,
     write_report,
 )
 
@@ -89,6 +91,16 @@ def _source(args):
     if args.n is not None:
         raise ParameterOutOfRangeError("--n applies only with --K")
     return {"A": args.A, "B": args.B}
+
+
+def _read_under_cap(source, cfg):
+    """``read_problem`` for the commands that need the oracle: an order
+    above the size cap is refused from the files' size lines, before any
+    data is read."""
+    order = size_line_order(source)
+    if order is not None:
+        check_size_cap(order, cfg.size_cap)
+    return read_problem(source, cfg.rel_tol)
 
 
 def build_parser():
@@ -182,7 +194,7 @@ def cmd_sweep(args):
     # the grid is checked before the problem arguments and files
     grid = log_gamma_grid(cfg.gamma_min, cfg.gamma_max, cfg.gamma_points)
     source = _source(args)
-    problem = read_problem(source, cfg.rel_tol)
+    problem = _read_under_cap(source, cfg)
     sweep = gamma_sweep(problem, grid, size_cap=cfg.size_cap)
     reports = applicable_bounds(problem, angle_tol=cfg.angle_tol)
     oracle_result = oracle(problem, cfg.size_cap)
@@ -284,7 +296,7 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
 
 def cmd_verify(args):
     cfg = RunConfig(rel_tol=args.relTol)
-    problem = read_problem(_source(args), cfg.rel_tol)
+    problem = _read_under_cap(_source(args), cfg)
     gammas = (args.gamma,) if args.gamma is not None else _VERIFY_GAMMAS
     failures = run_verification(
         problem, gammas, cfg.cert_slack, cfg.angle_tol, cfg.size_cap

@@ -95,13 +95,18 @@ class SweepResult:
         return SWEEP_CSV_HEADER + "\n" + _SWEEP_CSV_ROW * len(self.rows) % flat
 
 
+def check_size_cap(order, size_cap=DEFAULT_SIZE_CAP):
+    """Raise SizeCapError when K's order is above the size cap."""
+    if order > size_cap:
+        raise SizeCapError(f"K has order {order}, above the size cap {size_cap}")
+
+
 def oracle(problem, size_cap=DEFAULT_SIZE_CAP):
     """Full spectrum of K from a dense eigensolve, refusing problems
     above the size cap before any work of order n + m. The eigensolve
     runs on the first call and is kept on the problem for later calls."""
     order = problem.n + problem.m
-    if order > size_cap:
-        raise SizeCapError(f"K has order {order}, above the size cap {size_cap}")
+    check_size_cap(order, size_cap)
     vals = problem.k_eigs[::-1]  # descending
     threshold = problem.rel_tol * float(np.abs(vals).max())
     pos = vals > threshold
@@ -178,14 +183,16 @@ def inverse_identity_residual(problem, weight):
             f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
         )
     aw = assemble_augmented(problem, weight)
-    kw = saddle_matrix(aw.array, problem.B.array)
     k_inv = problem.k_inverse
-    kw_inv = lapack("solve", "solve with the augmented saddle matrix", kw, np.eye(n + m))
+    # K^{-1} - K_W^{-1} - blockdiag(0, W), built in the one array inv returns
+    diff = lapack("inv", "inverse of the augmented saddle matrix",
+                  saddle_matrix(aw.array, problem.B.array))
+    np.subtract(k_inv, diff, out=diff)
     w_dense = weight.dense(m)
-    block = np.zeros((n + m, n + m))
-    block[n:, n:] = w_dense
+    diff[n:, n:] -= w_dense
     scale = max(1.0, float(np.linalg.norm(k_inv, "fro")))
-    residual = float(np.linalg.norm(k_inv - kw_inv - block, "fro")) / scale
+    residual = float(np.linalg.norm(diff, "fro")) / scale
+    del diff
 
     aw_vals = problem.augmented_eigs(weight)
     if not numerically_singular(float(aw_vals[0]), float(aw_vals[-1]), problem.rel_tol):

@@ -31,7 +31,10 @@ def default_rank_tol(dim):
 
 
 def _frozen(arr):
-    out = np.array(arr, dtype=float, order="C")
+    """``arr`` made read-only in place: callers pass a fresh array that
+    nothing else writes to. Only an array that is not C-ordered float is
+    copied first, so every kept array has the same layout."""
+    out = np.ascontiguousarray(arr, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -51,14 +54,18 @@ class SymmetricMatrix:
             )
         if not np.isfinite(arr).all():
             raise NonFiniteError("matrix contains NaN or Inf entries")
-        scale = float(np.abs(arr).max())
-        skew = float(np.abs(arr - arr.T).max())
+        # one work array serves |M|, |M - M^T| and the stored (M + M^T) / 2
+        work = np.abs(arr, out=np.empty(arr.shape))
+        scale = float(work.max())
+        skew = float(np.abs(np.subtract(arr, arr.T, out=work), out=work).max())
         if skew > DEFAULT_SYM_TOL * scale:
             raise StructureError(
                 f"matrix is not symmetric: max |M - M^T| = {skew:.3e} exceeds "
                 f"{DEFAULT_SYM_TOL:g} * max|M| = {DEFAULT_SYM_TOL * scale:.3e}"
             )
-        return cls(_frozen((arr + arr.T) / 2.0))
+        np.add(arr, arr.T, out=work)
+        work /= 2.0
+        return cls(_frozen(work))
 
     @property
     def order(self):
@@ -73,7 +80,7 @@ class RectMatrix:
 
     @classmethod
     def from_array(cls, m):
-        arr = np.asarray(m, dtype=float)
+        arr = np.array(m, dtype=float, order="C")  # a copy: the caller keeps m
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise DimensionMismatchError(
                 f"expected a nonempty 2-D matrix, got shape {arr.shape}"

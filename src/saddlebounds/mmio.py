@@ -1,6 +1,8 @@
 """Matrix Market reader and writer for dense real matrices.
 
 Handles coordinate and array formats with general or symmetric storage.
+The banner and size line are parsed by one function, which also serves
+``read_matrix_market_shape``: a file's shape with no data read.
 The reader hands the data section to numpy's C text reader. Whatever
 that reader declines (a malformed section, or syntax only Python's
 int() and float() accept, such as 1_0, interior % comments or an empty
@@ -13,6 +15,7 @@ order so output bytes are stable; one ``%`` format call writes them all.
 
 import re
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -47,14 +50,14 @@ def _parse_float(text, lineno, column):
         raise ParseError(f"expected a number, got {text!r}", lineno, column) from None
 
 
-def read_matrix_market(path):
-    """Read a Matrix Market file into a dense float array."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+def _read_header(lines):
+    """Parse the banner and the size line from the iterator ``lines``,
+    consuming no line after the size line. Returns (format, symmetry,
+    rows, cols, entry count, 0-based index of the size line)."""
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty file", 1)
-
-    header = _tokens(lines[0])
+    header = _tokens(first)
     if not header or header[0][0].lower() != _BANNER:
         raise ParseError("missing %%MatrixMarket banner", 1, 1)
     if len(header) != 5:
@@ -77,11 +80,13 @@ def read_matrix_market(path):
 
     # skip comments, locate the size line
     idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
+    line = next(lines, None)
+    while line is not None and line.lstrip().startswith("%"):
         idx += 1
-    if idx >= len(lines) or not lines[idx].strip():
+        line = next(lines, None)
+    if line is None or not line.strip():
         raise ParseError("missing size line", idx + 1)
-    size_toks = _tokens(lines[idx])
+    size_toks = _tokens(line)
     want = 3 if fmt == "coordinate" else 2
     if len(size_toks) != want:
         raise ParseError(
@@ -94,16 +99,36 @@ def read_matrix_market(path):
         raise ParseError(f"matrix dimensions must be positive, got {rows} x {cols}", idx + 1)
     if symmetry == "symmetric" and rows != cols:
         raise ParseError(f"symmetric matrix must be square, got {rows} x {cols}", idx + 1)
+    if fmt == "coordinate":
+        count = _parse_int(size_toks[2][0], idx + 1, size_toks[2][1])
+    elif symmetry == "symmetric":
+        count = rows * (rows + 1) // 2
+    else:
+        count = rows * cols
+    return fmt, symmetry, rows, cols, count, idx
+
+
+def read_matrix_market_shape(path):
+    """(rows, cols) of a Matrix Market file from its banner and size
+    line, read and checked as ``read_matrix_market`` reads them; no line
+    after the size line is read."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        # the lines str.splitlines gives on the whole text
+        _, _, rows, cols, _, _ = _read_header(chain.from_iterable(map(str.splitlines, fh)))
+    return rows, cols
+
+
+def read_matrix_market(path):
+    """Read a Matrix Market file into a dense float array."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        lines = fh.read().splitlines()
+    fmt, symmetry, rows, cols, count, idx = _read_header(iter(lines))
     try:
         out = np.zeros((rows, cols))
     except (MemoryError, ValueError):
         raise ParseError(f"a {rows} x {cols} matrix does not fit in memory", idx + 1) from None
 
     symmetric = symmetry == "symmetric"
-    if fmt == "coordinate":
-        count = _parse_int(size_toks[2][0], idx + 1, size_toks[2][1])
-    else:
-        count = rows * (rows + 1) // 2 if symmetric else rows * cols
     columns = _load_columns(lines[idx + 1 :], fmt, rows, cols, count)
     if columns is None:
         columns = _scan_columns(lines, idx, fmt, symmetry, rows, cols, count)

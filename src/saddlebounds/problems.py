@@ -53,9 +53,12 @@ class GeneratorSpec:
 
 
 def _converted(name, convert, value):
-    """``convert(value)``; a value that does not convert is an input error
+    """``convert(value)``; a value that does not convert, or that holds
+    text (int(), float() and numpy would parse "12"), is an input error
     naming the parameter, not a crash."""
     try:
+        if np.asarray(value).dtype.kind in "US":
+            raise TypeError("numbers must not be given as strings")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterOutOfRangeError(f"parameter {name} = {value!r} is invalid: {exc}") from exc

@@ -22,11 +22,12 @@ from .bounds import DEFAULT_ANGLE_TOL, SaddleProblem
 from .errors import (
     ParameterOutOfRangeError,
     ProblemValidationError,
+    SaddleBoundsError,
     StructureError,
 )
 from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP
 from .linalg import default_rank_tol
-from .mmio import read_matrix_market
+from .mmio import read_matrix_market, read_matrix_market_shape
 
 BOUNDS_CSV_HEADER = "name,value,assumptions_met,status,slack,warnings"
 
@@ -113,6 +114,23 @@ def read_problem(source, rel_tol=None):
         return SaddleProblem(a, b, rel_tol=rel_tol)
     except ProblemValidationError as exc:
         raise StructureError(f"invalid saddle problem: {exc}") from exc
+
+
+def size_line_order(source):
+    """The order n + m of K as the banner and size lines of the files in
+    ``source`` give it, with no data read; None when those lines cannot
+    be read or describe no saddle problem (``read_problem`` then reports
+    why)."""
+    try:
+        if "K" in source:
+            rows, cols = read_matrix_market_shape(source["K"])
+            m = rows - source["n"]
+            return rows if rows == cols and 0 < m < source["n"] else None
+        n, a_cols = read_matrix_market_shape(source["A"])
+        m, b_cols = read_matrix_market_shape(source["B"])
+    except (SaddleBoundsError, OSError):
+        return None
+    return n + m if n == a_cols == b_cols and m < n else None
 
 
 def bound_entry(report, certification=None):

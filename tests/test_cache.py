@@ -193,6 +193,29 @@ class TestCachedValues:
         assert p.augmented_eigs(ScalarWeight(1.0)) is p.augmented_eigs(ScalarWeight(1.0))
         assert p.range_angles is p.range_angles
 
+    def test_caller_arrays_may_change_afterwards(self, arrays):
+        # writable C-ordered float arrays, which np.asarray would pass through
+        a, b = (np.array(x) for x in arrays)
+        p = SaddleProblem(a, b)
+        cli.run_verification(p, GAMMAS, emit=lambda line: None)
+
+        def kept():
+            values = [p.A.array, p.B.array, p.k_matrix, p.k_eigs, p.k_inverse, p.bt_b,
+                      p.a_values, p.range_a, p.kernel_a, p.kernel_b,
+                      p.range_angles.cosines, p.kernel_angles.cosines]
+            for g in GAMMAS:
+                values += [p.augmented_eigs(ScalarWeight(g)),
+                           p.augmented_saddle_abs_eigs(ScalarWeight(g))]
+            return [np.array(v) for v in values]
+
+        before = kept()
+        assert not np.shares_memory(p.A.array, a)
+        assert not np.shares_memory(p.B.array, b)
+        a[:] = 7.0
+        b[:] = -3.0
+        for old, new in zip(before, kept()):
+            assert np.array_equal(old, new)
+
     def test_split_angles_are_range_angles_when_lowest_rank(self, lowest_rank_corpus):
         for label, p in lowest_rank_corpus:
             k = p.n - p.m

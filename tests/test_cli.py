@@ -83,6 +83,11 @@ class TestGenerate:
                     "thetas": ["a"]}, "thetas"),
         ("ipm", {"n": 8, "m": 3, "delta": "a"}, "delta"),
         ("random", {"n": "x", "m": 2}, "n"),
+        # numbers given as strings, which int(), float() and numpy would parse
+        ("random", {"n": "12", "m": 5}, "n"),
+        ("ipm", {"n": 8, "m": 3, "delta": "0.01"}, "delta"),
+        ("angles", {"n": 4, "m": 1, "a_eigs": [1, 2, 3], "b_sing_vals": [1],
+                    "thetas": ["0.5"]}, "thetas"),
     ])
     def test_mistyped_parameter_is_an_input_error(self, tmp_path, capsys, family, params, name):
         rc = cli.main(["generate", "--family", family, "--params", json.dumps(params),
@@ -489,6 +494,55 @@ class TestVerify:
         failures = cli.run_verification(p, (1e14,), emit=lines.append)
         assert failures == []
         assert any("skipped (condition" in line for line in lines)
+
+
+def over_cap_files(tmp_path):
+    """A 1500-by-1500 A and a 600-by-1500 B (K of order 2100, above the
+    default cap of 2000) whose data sections are cut short, and the same
+    K as one file: only the size lines are whole."""
+    pa = tmp_path / "A.mtx"
+    pb = tmp_path / "B.mtx"
+    pk = tmp_path / "K.mtx"
+    pa.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                  "1500 1500 1125750\n1 1 1.0\n2 1 0.")
+    pb.write_text("%%MatrixMarket matrix coordinate real general\n"
+                  "600 1500 900000\n1 1 0.5\n1 2")
+    pk.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                  "2100 2100 2025750\n1 1 1.0\n2 1")
+    return {"A/B": ["--A", str(pa), "--B", str(pb)], "K": ["--K", str(pk), "--n", "1500"]}
+
+
+class TestSizeLines:
+    """sweep and verify need the oracle, so an order above the size cap is
+    refused from the size lines before any data is read."""
+
+    @pytest.mark.parametrize("route", ["A/B", "K"])
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_over_cap_is_refused_before_the_data(self, tmp_path, capsys, command, route):
+        argv = [command] + over_cap_files(tmp_path)[route]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "sw")]
+        start = time.perf_counter()
+        rc = cli.main(argv)
+        assert time.perf_counter() - start < 5.0
+        assert rc == cli.EXIT_SIZE_CAP
+        assert capsys.readouterr().err == "error: K has order 2100, above the size cap 2000\n"
+        assert not (tmp_path / "sw").exists()
+
+    def test_bound_still_reads_the_data(self, tmp_path, capsys):
+        # bound reports bounds above the cap, so the cut data is a parse error
+        rc = cli.main(["bound"] + over_cap_files(tmp_path)["A/B"])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_size_lines_of_no_saddle_problem_are_left_to_the_read(self, tmp_path, capsys):
+        # B has 1400 columns where A has order 1500: the read reports the data
+        files = over_cap_files(tmp_path)
+        (tmp_path / "B.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
+                                        "600 1400 1\n1 1 0.5\n1 2")
+        rc = cli.main(["verify"] + files["A/B"])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 """Oracle, certification, inverse identity, and the gamma sweep."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,9 +12,11 @@ from saddlebounds.bounds import (
     SaddleProblem,
     ScalarWeight,
     agamma_bound,
+    assemble_augmented,
     lowest_rank_bound,
     optimal_gamma,
     rusten_winther,
+    saddle_matrix,
 )
 from saddlebounds.errors import (
     AugmentedBlockSingularError,
@@ -37,7 +40,8 @@ from saddlebounds.harness import (
     oracle,
     ptp_spectrum_deviation,
 )
-from saddlebounds.problems import gen_random_lowest_rank, gen_remark, gen_toy
+from saddlebounds.linalg import numerically_singular
+from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank, gen_remark, gen_toy
 
 
 def toy(b1=0.6, b2=0.8):
@@ -130,7 +134,56 @@ class TestCertify:
         assert not k.flags.writeable
 
 
+def solved_identity_residual(p, weight):
+    """The inverse-identity residual written as the identity reads, each
+    inverse from a solve against the identity:
+    ||K^{-1} - K_W^{-1} - blockdiag(0, W)||_F / max(1, ||K^{-1}||_F), and
+    the larger Schur-form residual where A_W is nonsingular."""
+    n, m = p.n, p.m
+    eye = np.eye(n + m)
+    k_inv = np.linalg.solve(p.k_matrix, eye)
+    aw = assemble_augmented(p, weight).array
+    kw_inv = np.linalg.solve(saddle_matrix(aw, p.B.array), eye)
+    block = np.zeros((n + m, n + m))
+    block[n:, n:] = weight.dense(m)
+    scale = max(1.0, float(np.linalg.norm(k_inv, "fro")))
+    residual = float(np.linalg.norm(k_inv - kw_inv - block, "fro")) / scale
+    aw_vals = np.linalg.eigvalsh(aw)
+    if not numerically_singular(float(aw_vals[0]), float(aw_vals[-1]), p.rel_tol):
+        b = p.B.array
+        s_w_inv = np.linalg.inv(b @ np.linalg.solve(aw, b.T))
+        trailing = k_inv[n:, n:] - (weight.dense(m) - s_w_inv)
+        residual = max(residual, float(np.linalg.norm(trailing, "fro")) / scale)
+    return residual
+
+
 class TestInverseIdentity:
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("make", [
+        toy,
+        lambda: gen_random_lowest_rank(12, 5, seed=3),
+        lambda: gen_ipm_like(12, 4, 1e-2, seed=1),
+    ], ids=["toy", "random", "ipm-like"])
+    def test_residual_has_the_bits_of_the_solved_expression(self, make, gamma):
+        p = make()
+        weight = ScalarWeight(gamma)
+        assert inverse_identity_residual(p, weight) == solved_identity_residual(p, weight)
+
+    def test_residual_holds_at_most_three_order_n_plus_m_squares(self):
+        p = gen_random_lowest_rank(80, 32, seed=1)
+        weight = ScalarWeight(1.0)
+        # the kept values the residual reads
+        p.k_inverse
+        p.augmented_eigs(weight)
+        p.augmented_saddle_abs_eigs(weight)
+        tracemalloc.start()
+        try:
+            inverse_identity_residual(p, weight)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (p.n + p.m) ** 2 * 8
+
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
     def test_toy_residual_tiny(self, gamma):
         assert inverse_identity_residual(toy(), ScalarWeight(gamma)) <= 1e-10
@@ -294,25 +347,31 @@ class TestLapackFailures:
     """A LinAlgError from any dense routine of the checks is a
     ConvergenceError naming the failed step."""
 
-    @pytest.mark.parametrize("routine, check, what", [
-        ("solve", lambda p: p.k_inverse, "solve with the saddle matrix"),
-        ("solve", lambda p: inverse_identity_residual(p, ScalarWeight(1.0)),
-         "solve with the augmented saddle matrix"),
-        ("inv", lambda p: inverse_identity_residual(p, ScalarWeight(1.0)),
+    @pytest.mark.parametrize("routine, m_by_m_only, check, what", [
+        ("inv", False, lambda p: p.k_inverse, "inverse of the saddle matrix"),
+        ("inv", False, lambda p: inverse_identity_residual(p, ScalarWeight(1.0)),
+         "inverse of the augmented saddle matrix"),
+        # K_W is inverted first, so only the m-by-m operand may fail
+        ("inv", True, lambda p: inverse_identity_residual(p, ScalarWeight(1.0)),
          "inverse of the Schur complement"),
-        ("eigvalsh", ptp_spectrum_deviation, "eigensolve of the stacked-basis Gram matrix"),
-        ("eigvalsh", lambda p: gamma_sweep(p, [1.0, 2.0]), "eigensolve of the augmented blocks"),
+        ("eigvalsh", False, ptp_spectrum_deviation,
+         "eigensolve of the stacked-basis Gram matrix"),
+        ("eigvalsh", False, lambda p: gamma_sweep(p, [1.0, 2.0]),
+         "eigensolve of the augmented blocks"),
     ], ids=["k-inverse", "kw-solve", "schur-inverse", "gram", "sweep"])
-    def test_failure_names_the_step(self, monkeypatch, routine, check, what):
+    def test_failure_names_the_step(self, monkeypatch, routine, m_by_m_only, check, what):
         p = gen_random_lowest_rank(12, 5, seed=3)
         # the cached steps before the one under test
         oracle(p)
-        if what != "solve with the saddle matrix":
+        if what != "inverse of the saddle matrix":
             p.k_inverse
         p.augmented_eigs(ScalarWeight(1.0))
         p.augmented_saddle_abs_eigs(ScalarWeight(1.0))
+        original = getattr(np.linalg, routine)
 
-        def failing(*args, **kwargs):
+        def failing(a, *args, **kwargs):
+            if m_by_m_only and a.shape != (p.m, p.m):
+                return original(a, *args, **kwargs)
             raise np.linalg.LinAlgError("stubbed")
 
         monkeypatch.setattr(np.linalg, routine, failing)

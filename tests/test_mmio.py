@@ -16,6 +16,7 @@ from saddlebounds.mmio import (
     _tokens,
     format_matrix_market,
     read_matrix_market,
+    read_matrix_market_shape,
     write_matrix_market,
 )
 
@@ -256,6 +257,48 @@ class TestParseErrors:
     def test_zero_dimension(self, tmp_path):
         self.check(tmp_path, "%%MatrixMarket matrix coordinate real general\n0 2 0\n",
                    line=2, fragment="positive")
+
+
+class TestShape:
+    """read_matrix_market_shape reads the banner and size line as the
+    full reader does, and nothing after them."""
+
+    @pytest.mark.parametrize("text, shape", [
+        ("%%MatrixMarket matrix coordinate real symmetric\n% c\n3 3 1\n1 1 1.0\n", (3, 3)),
+        ("%%MatrixMarket matrix array real general\n2 4\n" + "1.0\n" * 8, (2, 4)),
+        # line breaks other than \n split lines for both readers
+        ("%%MatrixMarket matrix coordinate real general\r\n% c\x0c2 3 0\r\n", (2, 3)),
+    ])
+    def test_agrees_with_the_full_read(self, tmp_path, text, shape):
+        path = write_text(tmp_path / "m.mtx", text)
+        assert read_matrix_market_shape(path) == read_matrix_market(path).shape == shape
+
+    def test_reads_no_data(self, tmp_path):
+        path = write_text(tmp_path / "m.mtx",
+                          "%%MatrixMarket matrix coordinate real general\n"
+                          "1500 600 900000\n1 1 1.0\n1 2 not-a-num")
+        assert read_matrix_market_shape(path) == (1500, 600)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "1 1 1\n1 1 2.0\n",
+        "%%MatrixMarket matrix coordinate\n",
+        "%%MatrixMarket matrix coordinate complex general\n1 1 0\n",
+        "%%MatrixMarket matrix coordinate real general\n% only comments\n",
+        "%%MatrixMarket matrix coordinate real general\n\n1 1 0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2\n",
+        "%%MatrixMarket matrix coordinate real general\n2 x 0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n",
+        "%%MatrixMarket matrix coordinate real general\n0 2 0\n",
+    ])
+    def test_header_errors_are_the_full_reads(self, tmp_path, text):
+        path = write_text(tmp_path / "bad.mtx", text)
+        with pytest.raises(ParseError) as full:
+            read_matrix_market(path)
+        with pytest.raises(ParseError) as shape:
+            read_matrix_market_shape(path)
+        assert (str(shape.value), shape.value.line, shape.value.column) == (
+            str(full.value), full.value.line, full.value.column)
 
 
 class TestWriter:
