@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundReport,
-    MatrixWeight,
     SaddleProblem,
-    ScalarWeight,
     SpectralSummary,
     agamma_bound,
     agamma_lower_bound,

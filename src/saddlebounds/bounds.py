@@ -5,9 +5,11 @@ The bounds come in three flavors:
 
 * classical inclusion intervals from the extreme eigenvalues of A and the
   extreme singular values of B ("rusten-winther");
-* the augmented-block bound min{mu_min(A + B^T W B), 1/mu_max(W)} for a
-  positive semidefinite weight W, with the scalar case W = gamma * I as
-  the workhorse;
+* the augmented-block bound min{mu_min(A + gamma B^T B), 1/gamma} of the
+  scalar weight W = gamma * I. The argument holds for any positive
+  semidefinite W, giving min{mu_min(A + B^T W B), 1/mu_max(W)}; the
+  library computes the scalar case, the one every command uses, and the
+  tests check the general-W identity against a reference of their own;
 * principal-angle bounds that need no augmented eigensolve at all. In the
   lowest-rank case rank(A) = n - m the positive eigenvalues of K are at
   least min{mu_min_plus(A) * (1 - cos t), sigma_min(B) * sqrt(1 - cos t)}
@@ -38,6 +40,7 @@ from .linalg import (
     SymmetricMatrix,
     _basis_from_eig,
     _frozen,
+    checked_rel_tol,
     default_rank_tol,
     kernel_basis_rect,
     lapack,
@@ -69,67 +72,6 @@ class SpectralSummary:
     rank_a: int
     nullity_a: int
     rel_tol: float
-
-
-@dataclass(frozen=True)
-class ScalarWeight:
-    """The weight gamma * I.  gamma = 0 is the trivial (zero) weight."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma) or self.gamma < 0:
-            raise ParameterOutOfRangeError(
-                f"scalar weight needs a finite gamma >= 0, got {self.gamma}"
-            )
-
-    def augmentation(self, problem):
-        """B^T W B = gamma B^T B."""
-        return self.gamma * problem.bt_b
-
-    def mu_max(self, rel_tol):
-        """Largest eigenvalue of W: gamma."""
-        return self.gamma
-
-    def dense(self, m):
-        """W as an m-by-m array."""
-        return self.gamma * np.eye(m)
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixWeight:
-    """A full positive semidefinite weight matrix W."""
-
-    matrix: SymmetricMatrix
-
-    @classmethod
-    def from_array(cls, w):
-        return cls(SymmetricMatrix.from_array(w))
-
-    def augmentation(self, problem):
-        """B^T W B; W must be m-by-m."""
-        w = self.matrix.array
-        if w.shape != (problem.m, problem.m):
-            raise DimensionMismatchError(
-                f"weight is {w.shape} but the constraint block has {problem.m} rows"
-            )
-        b = problem.B.array
-        return b.T @ w @ b
-
-    def mu_max(self, rel_tol):
-        """Largest eigenvalue of W, clamped at zero; W must be positive
-        semidefinite at rel_tol."""
-        vals = sym_eig(self.matrix).values
-        top = float(vals[0])
-        if not numerically_semidefinite(float(vals[-1]), top, rel_tol):
-            raise ParameterOutOfRangeError(
-                f"weight must be positive semidefinite, got min eigenvalue {vals[-1]:.6e}"
-            )
-        return max(top, 0.0)
-
-    def dense(self, m):
-        """W as an m-by-m array (``augmentation`` checks the order)."""
-        return self.matrix.array
 
 
 @dataclass(frozen=True)
@@ -182,8 +124,10 @@ class SaddleProblem:
     per problem: the eigenvalues of K (read by the oracle), B^T B,
     K^{-1} (one LAPACK inverse), the principal angles of (range(A),
     range(B^T)), of (ker(A), ker(B)) and of the split basis; and once
-    per scalar gamma: the eigenvalues of A + gamma B^T B and the
-    |eigenvalues| of the augmented saddle matrix K_gamma. K itself is
+    per gamma: the eigenvalues of A + gamma B^T B and the
+    |eigenvalues| of the augmented saddle matrix K_gamma. The weight is
+    always the scalar gamma * I, checked finite and >= 0 before any
+    work; the general-W identity is checked by the tests. K itself is
     not kept: ``k_matrix`` assembles it on each read. Per gamma only
     value vectors are kept, never A_gamma, K_gamma or their inverses, so
     memory stays flat however many gammas are checked.
@@ -204,9 +148,7 @@ class SaddleProblem:
             )
         self.n = n
         self.m = m
-        self.rel_tol = float(rel_tol) if rel_tol is not None else default_rank_tol(n)
-        if not self.rel_tol > 0:
-            raise ParameterOutOfRangeError(f"rel_tol must be positive, got {rel_tol}")
+        self.rel_tol = checked_rel_tol(rel_tol) if rel_tol is not None else default_rank_tol(n)
 
         dec = sym_eig(self.A)
         top = float(dec.values[0])
@@ -368,29 +310,33 @@ class SaddleProblem:
             return mu_nm, self.range_angles, degenerate
         return mu_nm, principal_angles(self.eig_a.vectors[:, :k], self.row_space_b), degenerate
 
-    def _per_gamma_values(self, kind, weight, compute):
-        if not isinstance(weight, ScalarWeight):  # a full weight is never cached
-            return _frozen(compute())
-        key = (kind, weight.gamma)
+    def _per_gamma_values(self, kind, gamma, compute):
+        """The values ``compute`` gives at ``gamma``, computed once per
+        (kind, gamma); the one check of gamma, before any work."""
+        if not math.isfinite(gamma) or gamma < 0:
+            raise ParameterOutOfRangeError(
+                f"scalar weight needs a finite gamma >= 0, got {gamma}"
+            )
+        key = (kind, gamma)
         if key not in self._per_gamma:
             self._per_gamma[key] = _frozen(compute())
         return self._per_gamma[key]
 
-    def augmented_eigs(self, weight):
-        """Eigenvalues of A + B^T W B, ascending; once per scalar gamma."""
+    def augmented_eigs(self, gamma):
+        """Eigenvalues of A + gamma B^T B, ascending; once per gamma."""
         return self._per_gamma_values(
-            "augmented", weight,
+            "augmented", gamma,
             lambda: lapack("eigvalsh", "eigensolve of the augmented block",
-                           assemble_augmented(self, weight).array),
+                           assemble_augmented(self, gamma).array),
         )
 
-    def augmented_saddle_abs_eigs(self, weight):
-        """|eigenvalues| of [[A + B^T W B, B^T], [B, 0]]; once per scalar gamma."""
+    def augmented_saddle_abs_eigs(self, gamma):
+        """|eigenvalues| of [[A + gamma B^T B, B^T], [B, 0]]; once per gamma."""
         return self._per_gamma_values(
-            "augmented-saddle", weight,
+            "augmented-saddle", gamma,
             lambda: np.abs(lapack(
                 "eigvalsh", "eigensolve of the augmented saddle matrix",
-                saddle_matrix(assemble_augmented(self, weight).array, self.B.array),
+                saddle_matrix(assemble_augmented(self, gamma).array, self.B.array),
             )),
         )
 
@@ -445,21 +391,20 @@ def rusten_winther(summary):
     )
 
 
-def assemble_augmented(problem, weight):
-    """A + B^T W B as a SymmetricMatrix (exactly symmetrized)."""
-    if not isinstance(weight, (ScalarWeight, MatrixWeight)):
-        raise ParameterOutOfRangeError(f"unsupported weight type {type(weight).__name__}")
-    return SymmetricMatrix.from_array(problem.A.array + weight.augmentation(problem))
+def assemble_augmented(problem, gamma):
+    """A + gamma B^T B as a SymmetricMatrix (exactly symmetrized)."""
+    return SymmetricMatrix.from_array(problem.A.array + gamma * problem.bt_b)
 
 
-def wbound(problem, weight):
-    """Augmented-block lower bound min{mu_min(A_W), 1/mu_max(W)}.
+def wbound(problem, gamma):
+    """Augmented-block lower bound min{mu_min(A_gamma), 1/gamma} of the
+    scalar weight gamma * I.
 
-    A zero weight contributes no 1/mu_max term (the convention is
-    +infinity), leaving mu_min(A) alone; that case needs A itself to be
-    positive definite.
+    gamma = 0 contributes no 1/gamma term (the convention is +infinity),
+    leaving mu_min(A) alone; that case needs A itself to be positive
+    definite.
     """
-    vals = problem.augmented_eigs(weight)
+    vals = problem.augmented_eigs(gamma)
     mu_min_aw = float(vals[0])
     mu_max_aw = float(vals[-1])
     if numerically_singular(mu_min_aw, mu_max_aw, problem.rel_tol):
@@ -467,20 +412,18 @@ def wbound(problem, weight):
             f"augmented block is not positive definite: mu_min = {mu_min_aw:.6e} "
             f"vs rel_tol * mu_max = {problem.rel_tol * max(mu_max_aw, 0.0):.6e}"
         )
-    wmax = weight.mu_max(problem.rel_tol)
     details = {
         "mu_min_augmented": mu_min_aw,
         "mu_max_augmented": mu_max_aw,
-        "weight_mu_max": wmax,
+        "weight_mu_max": gamma,
         "rel_tol": problem.rel_tol,
+        "gamma": gamma,
     }
-    if isinstance(weight, ScalarWeight):
-        details["gamma"] = weight.gamma
-    if wmax == 0.0:
+    if gamma == 0.0:
         value = mu_min_aw
         details["active"] = "leading-block"
     else:
-        inv = 1.0 / wmax
+        inv = 1.0 / gamma
         value = min(mu_min_aw, inv)
         details["active"] = "leading-block" if mu_min_aw <= inv else "weight-inverse"
     return BoundReport("wbound", value, True, details)
@@ -667,16 +610,15 @@ def agamma_bound(problem, gamma):
 def scalar_weight_bounds(problem, gamma):
     """The reports of the scalar weight gamma * I: ``wbound``, then
     ``agamma_bound`` when rank(A) = n - m."""
-    reports = [wbound(problem, ScalarWeight(gamma))]
+    reports = [wbound(problem, gamma)]
     if problem.is_lowest_rank:
         reports.append(agamma_bound(problem, gamma))
     return reports
 
 
-def applicable_bounds(problem, gamma=None, weight=None, angle_tol=DEFAULT_ANGLE_TOL):
+def applicable_bounds(problem, gamma=None, angle_tol=DEFAULT_ANGLE_TOL):
     """Every bound whose assumptions the problem satisfies, in a fixed
-    deterministic order. ``gamma`` adds the scalar-weight reports,
-    ``weight`` an additional full-weight report."""
+    deterministic order. ``gamma`` adds the scalar-weight reports."""
     reports = [rusten_winther(problem.summary)]
     if problem.is_lowest_rank:
         reports.append(lowest_rank_bound(problem, angle_tol))
@@ -684,6 +626,4 @@ def applicable_bounds(problem, gamma=None, weight=None, angle_tol=DEFAULT_ANGLE_
     reports.append(general_rank_bound(problem, angle_tol))
     if gamma is not None:
         reports += scalar_weight_bounds(problem, gamma)
-    if weight is not None:
-        reports.append(wbound(problem, weight))
     return reports

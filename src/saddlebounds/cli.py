@@ -16,7 +16,6 @@ import sys
 from . import __version__
 from .bounds import (
     DEFAULT_ANGLE_TOL,
-    ScalarWeight,
     applicable_bounds,
     general_rank_optimal_gamma,
     optimal_gamma,
@@ -269,12 +268,11 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
         emit(f"soundness {tag}: {outcome.status} (slack {outcome.slack:.3e})")
 
     for gamma in gammas:
-        weight = ScalarWeight(gamma)
-        cond = augmented_condition(problem, weight)
+        cond = augmented_condition(problem, gamma)
         if cond > DEFAULT_COND_CAP:
             emit(f"inverse identity gamma={gamma:g}: skipped (condition {cond:.3e})")
             continue
-        residual = inverse_identity_residual(problem, weight)
+        residual = inverse_identity_residual(problem, gamma)
         ok = residual <= _INVERSE_IDENTITY_TOL
         if not ok:
             failures.append(

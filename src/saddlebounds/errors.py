@@ -34,9 +34,9 @@ class SingularKError(ProblemValidationError):
 
 
 class AugmentedBlockSingularError(SaddleBoundsError):
-    """The weight W fails to regularize A: A + B^T W B is not positive
-    definite, or the augmented saddle matrix is numerically singular, so
-    the inverse identity is undefined for W."""
+    """The scalar weight gamma * I fails to regularize A: A + gamma B^T B
+    is not positive definite, or the augmented saddle matrix is
+    numerically singular, so the inverse identity is undefined at gamma."""
 
 
 class RankAssumptionError(SaddleBoundsError):

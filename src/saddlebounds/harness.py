@@ -153,10 +153,10 @@ def containment_violations(report, oracle_result, slack=DEFAULT_CERT_SLACK):
     return eigs[~(in_neg | in_pos)]
 
 
-def augmented_condition(problem, weight):
-    """Spectral condition number of the augmented saddle matrix; +inf
-    when it is exactly singular."""
-    vals = problem.augmented_saddle_abs_eigs(weight)
+def augmented_condition(problem, gamma):
+    """Spectral condition number of the augmented saddle matrix K_gamma;
+    +inf when it is exactly singular."""
+    vals = problem.augmented_saddle_abs_eigs(gamma)
     lo = float(vals.min())
     hi = float(vals.max())
     if lo == 0.0:
@@ -164,37 +164,37 @@ def augmented_condition(problem, weight):
     return hi / lo
 
 
-def inverse_identity_residual(problem, weight):
-    """Residual of the augmented-inverse identity, normalized by
-    max(1, ||K^{-1}||_F).
+def inverse_identity_residual(problem, gamma):
+    """Residual of the augmented-inverse identity at W = gamma * I,
+    normalized by max(1, ||K^{-1}||_F).
 
     The identity says K^{-1} equals the inverse of the augmented saddle
-    matrix plus blockdiag(0, W). When the augmented leading block A_W is
-    numerically nonsingular the Schur-form consequence is checked too:
+    matrix K_W plus blockdiag(0, W). When the augmented leading block A_W
+    is numerically nonsingular the Schur-form consequence is checked too:
     the trailing block of K^{-1} must equal W - (B A_W^{-1} B^T)^{-1}.
     The returned value is the larger of the residuals checked.
     """
     n = problem.n
     m = problem.m
-    kw_vals = problem.augmented_saddle_abs_eigs(weight)
+    kw_vals = problem.augmented_saddle_abs_eigs(gamma)
     if numerically_singular(float(kw_vals.min()), float(kw_vals.max()), problem.rel_tol):
         raise AugmentedBlockSingularError(
             f"augmented saddle matrix is numerically singular: min |eig| = "
             f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
         )
-    aw = assemble_augmented(problem, weight)
+    aw = assemble_augmented(problem, gamma)
     k_inv = problem.k_inverse
     # K^{-1} - K_W^{-1} - blockdiag(0, W), built in the one array inv returns
     diff = lapack("inv", "inverse of the augmented saddle matrix",
                   saddle_matrix(aw.array, problem.B.array))
     np.subtract(k_inv, diff, out=diff)
-    w_dense = weight.dense(m)
+    w_dense = gamma * np.eye(m)
     diff[n:, n:] -= w_dense
     scale = max(1.0, float(np.linalg.norm(k_inv, "fro")))
     residual = float(np.linalg.norm(diff, "fro")) / scale
     del diff
 
-    aw_vals = problem.augmented_eigs(weight)
+    aw_vals = problem.augmented_eigs(gamma)
     if not numerically_singular(float(aw_vals[0]), float(aw_vals[-1]), problem.rel_tol):
         b = problem.B.array
         s_w = b @ lapack("solve", "solve with the augmented block", aw.array, b.T)

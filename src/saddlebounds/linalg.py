@@ -8,6 +8,7 @@ function here is a pure map from immutable values to immutable values,
 so results can be shared across threads.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,17 @@ DEFAULT_SYM_TOL = 1e-12
 def default_rank_tol(dim):
     """Relative tolerance separating numerically nonzero values: dim * eps."""
     return dim * EPS
+
+
+def checked_rel_tol(rel_tol):
+    """``rel_tol`` as a float, refused unless it is positive and finite:
+    the one rule for a relative tolerance given by a caller."""
+    tol = float(rel_tol)
+    if not tol > 0:
+        raise ParameterOutOfRangeError(f"rel_tol must be positive, got {rel_tol}")
+    if tol == math.inf:
+        raise ParameterOutOfRangeError(f"rel_tol must be finite, got {rel_tol}")
+    return tol
 
 
 def _frozen(arr):
@@ -133,7 +145,8 @@ def sym_eig(m):
     """Full eigendecomposition of a SymmetricMatrix, values descending."""
     values, vectors = lapack("eigh", "symmetric eigensolve", m.array)
     order = np.argsort(-values, kind="stable")
-    return EigDecomposition(_frozen(values[order]), _frozen(vectors[:, order]))
+    # take writes a C-ordered array, which _frozen keeps without a copy
+    return EigDecomposition(_frozen(values[order]), _frozen(vectors.take(order, axis=1)))
 
 
 def svd(m):
@@ -151,8 +164,7 @@ def numerical_rank(values, rel_tol):
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
         raise DimensionMismatchError("numerical_rank expects a 1-D value array")
-    if not rel_tol > 0:
-        raise ParameterOutOfRangeError(f"rel_tol must be positive, got {rel_tol}")
+    checked_rel_tol(rel_tol)
     if vals.size == 0:
         return 0
     if not np.isfinite(vals).all():

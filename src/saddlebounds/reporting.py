@@ -20,13 +20,12 @@ import numpy as np
 
 from .bounds import DEFAULT_ANGLE_TOL, SaddleProblem
 from .errors import (
-    ParameterOutOfRangeError,
     ProblemValidationError,
     SaddleBoundsError,
     StructureError,
 )
 from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP
-from .linalg import default_rank_tol
+from .linalg import checked_rel_tol, default_rank_tol
 from .mmio import read_matrix_market, read_matrix_market_shape
 
 BOUNDS_CSV_HEADER = "name,value,assumptions_met,status,slack,warnings"
@@ -66,8 +65,8 @@ class RunConfig:
     gamma_points: int = 25
 
     def __post_init__(self):
-        if self.rel_tol is not None and not self.rel_tol > 0:
-            raise ParameterOutOfRangeError(f"rel_tol must be positive, got {self.rel_tol}")
+        if self.rel_tol is not None:
+            checked_rel_tol(self.rel_tol)
 
 
 def read_problem(source, rel_tol=None):

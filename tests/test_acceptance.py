@@ -21,7 +21,6 @@ import numpy as np
 
 from saddlebounds.bounds import (
     SaddleProblem,
-    ScalarWeight,
     applicable_bounds,
     kernel_angle_bound,
     lowest_rank_bound,
@@ -143,11 +142,10 @@ def test_06_inverse_identity(corpus):
         for label, p in corpus:
             for gamma in (0.1, 1.0, 10.0):
                 total += 1
-                weight = ScalarWeight(gamma)
-                if augmented_condition(p, weight) > DEFAULT_COND_CAP:
+                if augmented_condition(p, gamma) > DEFAULT_COND_CAP:
                     skipped += 1
                     continue
-                res = inverse_identity_residual(p, weight)
+                res = inverse_identity_residual(p, gamma)
                 assert res <= 1e-8, (label, gamma, res)
         assert total - skipped >= 0.9 * total, (skipped, total)
 
@@ -189,7 +187,7 @@ def test_08_tightness_witnesses():
         assert abs(out.slack) <= 1e-8
 
         q = SaddleProblem(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]))
-        rep = wbound(q, ScalarWeight(1.0))
+        rep = wbound(q, 1.0)
         out = certify(rep, oracle(q))
         assert rep.value == 1.0
         assert out.status == "sound"

@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from saddlebounds.bounds import (
-    MatrixWeight,
     SaddleProblem,
-    ScalarWeight,
     agamma_bound,
     agamma_lower_bound,
     applicable_bounds,
@@ -40,12 +38,17 @@ from saddlebounds.errors import (
     RankDeficientError,
     RankTooLowError,
     SingularKError,
-    StructureError,
     ZeroAngleError,
 )
-from saddlebounds.harness import certify, oracle
+from saddlebounds.harness import (
+    augmented_condition,
+    certify,
+    inverse_identity_residual,
+    oracle,
+)
 from saddlebounds.linalg import SymmetricMatrix, default_rank_tol
 from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank, gen_remark, gen_toy
+from test_harness import general_weight_bound, weighted_block
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -89,6 +92,12 @@ class TestProblemValidation:
     def test_rejects_nonpositive_rel_tol(self):
         with pytest.raises(ParameterOutOfRangeError):
             SaddleProblem(np.eye(2), np.array([[1.0, 0.0]]), rel_tol=0.0)
+
+    def test_rejects_infinite_rel_tol(self, monkeypatch):
+        # refused as a tolerance before any decomposition, not blamed on B
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        with pytest.raises(ParameterOutOfRangeError, match="^rel_tol must be finite, got inf$"):
+            SaddleProblem(np.eye(2), np.array([[1.0, 0.0]]), rel_tol=float("inf"))
 
     def test_summary_of_toy(self):
         s = toy().summary
@@ -248,81 +257,76 @@ class TestRustenWinther:
 class TestAugmentedAssembly:
     def test_scalar_weight_term(self):
         p = toy()
-        aw = assemble_augmented(p, ScalarWeight(2.0))
+        aw = assemble_augmented(p, 2.0)
         b = p.B.array
         np.testing.assert_allclose(aw.array, p.A.array + 2.0 * b.T @ b, atol=1e-15)
 
     def test_zero_weight_is_identity_on_a(self):
         p = toy()
-        aw = assemble_augmented(p, ScalarWeight(0.0))
+        aw = assemble_augmented(p, 0.0)
         assert np.array_equal(aw.array, p.A.array)
 
     def test_matrix_weight_term(self):
+        # the general-W block A + B^T W B at W = [[3]] is the scalar block
         p = toy()
-        aw = assemble_augmented(p, MatrixWeight.from_array([[3.0]]))
-        b = p.B.array
-        np.testing.assert_allclose(aw.array, p.A.array + 3.0 * b.T @ b, atol=1e-15)
+        np.testing.assert_allclose(weighted_block(p, np.array([[3.0]])),
+                                   assemble_augmented(p, 3.0).array, atol=1e-15)
 
-    def test_matrix_weight_shape_checked(self):
-        with pytest.raises(DimensionMismatchError):
-            assemble_augmented(toy(), MatrixWeight.from_array(np.eye(2)))
-
-    def test_unknown_weight_type(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            assemble_augmented(toy(), 1.0)
-
-    def test_scalar_weight_validates(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            ScalarWeight(-1.0)
-        with pytest.raises(ParameterOutOfRangeError):
-            ScalarWeight(float("nan"))
-
-    def test_matrix_weight_must_be_symmetric(self):
-        with pytest.raises(StructureError):
-            MatrixWeight.from_array(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    def test_scalar_weight_validates(self, monkeypatch):
+        # every per-gamma entry point refuses gamma in the one check, with
+        # one message, before any dense work
+        p = toy()
+        for routine in ("eigvalsh", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, routine, None)
+        checks = (wbound, augmented_condition, inverse_identity_residual,
+                  SaddleProblem.augmented_eigs, SaddleProblem.augmented_saddle_abs_eigs,
+                  lambda q, g: applicable_bounds(q, gamma=g))
+        for gamma, text in ((-1.0, "-1.0"), (float("nan"), "nan"), (float("inf"), "inf")):
+            for check in checks:
+                with pytest.raises(ParameterOutOfRangeError,
+                                   match=f"^scalar weight needs a finite gamma >= 0, got {text}$"):
+                    check(p, gamma)
 
     def test_weight_mu_max(self):
-        assert ScalarWeight(2.5).mu_max(1e-12) == 2.5
-        w = MatrixWeight.from_array(np.diag([2.0, 3.0]))
-        assert w.mu_max(1e-12) == 3.0
-        bad = MatrixWeight.from_array(np.diag([1.0, -1.0]))
-        with pytest.raises(ParameterOutOfRangeError):
-            bad.mu_max(1e-12)
+        details = wbound(toy(), 2.5).details
+        assert details["weight_mu_max"] == details["gamma"] == 2.5
 
     def test_dense_weight(self):
-        assert np.array_equal(ScalarWeight(2.5).dense(3), 2.5 * np.eye(3))
-        w = MatrixWeight.from_array(np.diag([2.0, 3.0]))
-        assert np.array_equal(w.dense(2), np.diag([2.0, 3.0]))
+        # gamma * I written out as a dense weight gives the scalar block and
+        # bound up to rounding
+        p = gen_random_lowest_rank(10, 3, 0)
+        w = 2.5 * np.eye(3)
+        np.testing.assert_allclose(weighted_block(p, w), assemble_augmented(p, 2.5).array,
+                                   rtol=0, atol=1e-13)
+        assert abs(general_weight_bound(p, w) - wbound(p, 2.5).value) <= 1e-13
 
 
 class TestWBound:
     def test_boundary_toy_attains_one(self):
         # b1 = 0, b2 = 1: A_1 = I, so both branches equal exactly 1
         p = SaddleProblem(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]))
-        r = wbound(p, ScalarWeight(1.0))
+        r = wbound(p, 1.0)
         assert r.value == 1.0
         assert r.details["gamma"] == 1.0
         np.testing.assert_allclose(np.sort(p.k_eigs), [-1.0, 1.0, 1.0], atol=1e-12)
 
     def test_zero_weight_needs_definite_a(self):
         p = SaddleProblem(np.eye(2), np.array([[1.0, 0.0]]))
-        r = wbound(p, ScalarWeight(0.0))
+        r = wbound(p, 0.0)
         assert r.value == 1.0
         assert r.details["active"] == "leading-block"
         with pytest.raises(AugmentedBlockSingularError):
-            wbound(toy(), ScalarWeight(0.0))
+            wbound(toy(), 0.0)
 
     def test_matrix_weight_matches_scalar(self):
         p = toy()
-        rs = wbound(p, ScalarWeight(0.7))
-        rm = wbound(p, MatrixWeight.from_array([[0.7]]))
-        assert abs(rs.value - rm.value) <= 1e-14
-        assert "gamma" not in rm.details
+        rs = wbound(p, 0.7)
+        assert abs(rs.value - general_weight_bound(p, np.array([[0.7]]))) <= 1e-14
 
     def test_active_branch_switches_with_gamma(self):
         p = toy()
-        small = wbound(p, ScalarWeight(0.05))
-        large = wbound(p, ScalarWeight(50.0))
+        small = wbound(p, 0.05)
+        large = wbound(p, 50.0)
         assert small.details["active"] == "leading-block"
         assert large.details["active"] == "weight-inverse"
         assert abs(large.value - 1.0 / 50.0) <= 1e-15
@@ -336,7 +340,7 @@ class TestWBound:
     @pytest.mark.parametrize("n, m, seed", [(20, 8, 303), (30, 12, 220)])
     def test_optimal_gamma_of_a_valid_problem(self, n, m, seed):
         p = gen_random_lowest_rank(n, m, seed=seed)
-        report = wbound(p, ScalarWeight(optimal_gamma(p)))
+        report = wbound(p, optimal_gamma(p))
         assert certify(report, oracle(p)).status == "sound"
 
 
@@ -363,7 +367,7 @@ class TestAngleBounds:
         c = 1.0 / math.sqrt(2.0)
         p = gen_toy(c, c)
         est = agamma_lower_bound(p, 1.0)
-        aw = assemble_augmented(p, ScalarWeight(1.0))
+        aw = assemble_augmented(p, 1.0)
         mu_min = float(np.linalg.eigvalsh(aw.array)[0])
         assert abs(est - (1.0 - c)) <= 1e-12
         assert abs(est - mu_min) <= 1e-12
@@ -372,7 +376,7 @@ class TestAngleBounds:
         for p in (toy(), toy(0.8, 0.6), gen_random_lowest_rank(12, 4, 1)):
             for gamma in np.logspace(-3, 3, 13):
                 est = agamma_lower_bound(p, float(gamma))
-                aw = assemble_augmented(p, ScalarWeight(float(gamma)))
+                aw = assemble_augmented(p, float(gamma))
                 mu_min = float(np.linalg.eigvalsh(aw.array)[0])
                 assert est <= mu_min + 1e-10
 
@@ -492,9 +496,14 @@ class TestApplicableBounds:
         assert applicable_bounds(toy(), gamma=1.0)[-2:] == scalar_weight_bounds(toy(), 1.0)
 
     def test_full_weight_appends_wbound(self):
-        reports = applicable_bounds(toy(), weight=MatrixWeight.from_array([[2.0]]))
-        assert reports[-1].name == "wbound"
-        assert "gamma" not in reports[-1].details
+        # the weight is gamma: a full weight is no longer accepted, and the
+        # wbound that gamma appends is the full-weight bound at W = gamma * I
+        with pytest.raises(TypeError):
+            applicable_bounds(toy(), weight=np.array([[2.0]]))
+        report = applicable_bounds(toy(), gamma=2.0)[-2]
+        assert report.name == "wbound"
+        assert report.details["gamma"] == 2.0
+        assert abs(report.value - general_weight_bound(toy(), np.array([[2.0]]))) <= 1e-14
 
     def test_every_report_claims_assumptions(self):
         for r in applicable_bounds(toy(), gamma=0.5):

@@ -1,16 +1,13 @@
 """Derived-quantity caches on SaddleProblem: each eigensolve and each set
-of principal angles runs once per problem (or once per gamma), the cached
-values are read-only and bit-identical to a fresh computation, and a full
-weight never reads the per-gamma cache."""
+of principal angles runs once per problem (or once per gamma), and the
+cached values are read-only and bit-identical to a fresh computation."""
 
 import numpy as np
 import pytest
 
 from saddlebounds import bounds, cli, harness, linalg, problems
 from saddlebounds.bounds import (
-    MatrixWeight,
     SaddleProblem,
-    ScalarWeight,
     applicable_bounds,
     assemble_augmented,
     general_rank_optimal_gamma,
@@ -66,7 +63,7 @@ def _classify(problem, operands):
     counts = {"K": 0, "A_W": 0, "K_W": 0, "other": 0}
     blocks = []
     for g in GAMMAS:
-        aw = assemble_augmented(problem, ScalarWeight(g)).array
+        aw = assemble_augmented(problem, g).array
         blocks.append(("A_W", aw))
         blocks.append(("K_W", saddle_matrix(aw, problem.B.array)))
     for op in operands:
@@ -175,11 +172,10 @@ class TestCachedValues:
             (p.split_quantities[1], principal_angles(split_basis, p.row_space_b)),
         ]
         for g in GAMMAS:
-            w = ScalarWeight(g)
-            aw = assemble_augmented(p, w).array
+            aw = assemble_augmented(p, g).array
             kw = saddle_matrix(aw, p.B.array)
-            expected.append((p.augmented_eigs(w), np.linalg.eigvalsh(aw)))
-            expected.append((p.augmented_saddle_abs_eigs(w), np.abs(np.linalg.eigvalsh(kw))))
+            expected.append((p.augmented_eigs(g), np.linalg.eigvalsh(aw)))
+            expected.append((p.augmented_saddle_abs_eigs(g), np.abs(np.linalg.eigvalsh(kw))))
         for cached, fresh in expected:
             if isinstance(cached, linalg.PrincipalAngles):
                 pairs = [(cached.cosines, fresh.cosines), (cached.angles, fresh.angles)]
@@ -190,7 +186,7 @@ class TestCachedValues:
                 assert np.array_equal(c, f)
                 with pytest.raises(ValueError):
                     c[0] = 1.0
-        assert p.augmented_eigs(ScalarWeight(1.0)) is p.augmented_eigs(ScalarWeight(1.0))
+        assert p.augmented_eigs(1.0) is p.augmented_eigs(1.0)
         assert p.range_angles is p.range_angles
 
     def test_caller_arrays_may_change_afterwards(self, arrays):
@@ -204,8 +200,7 @@ class TestCachedValues:
                       p.a_values, p.range_a, p.kernel_a, p.kernel_b,
                       p.range_angles.cosines, p.kernel_angles.cosines]
             for g in GAMMAS:
-                values += [p.augmented_eigs(ScalarWeight(g)),
-                           p.augmented_saddle_abs_eigs(ScalarWeight(g))]
+                values += [p.augmented_eigs(g), p.augmented_saddle_abs_eigs(g)]
             return [np.array(v) for v in values]
 
         before = kept()
@@ -236,28 +231,24 @@ class TestCachedValues:
         assert len(first) > 3 * len(GAMMAS)
 
 
-class TestMatrixWeightBypassesCache:
-    def test_full_weight_is_solved_every_time(self, eigvalsh_operands):
+class TestOneSolvePerGamma:
+    def test_each_block_is_solved_once_per_gamma(self, eigvalsh_operands):
+        # wbound, the condition number and the inverse identity share one
+        # eigensolve of A_gamma and one of K_gamma per gamma, however often
+        # they run
         a, b = lowest_rank_arrays()
         p = SaddleProblem(a, b)
-        m = p.m
-        wbound(p, ScalarWeight(2.0))
-        augmented_condition(p, ScalarWeight(2.0))
         del eigvalsh_operands[:]
-        # the same operator as the cached gamma = 2, and a different one
-        for w in (MatrixWeight.from_array(2.0 * np.eye(m)),
-                  MatrixWeight.from_array(np.diag(np.linspace(0.5, 3.0, m)))):
-            before = len(eigvalsh_operands)
-            first = wbound(p, w)
-            second = wbound(p, w)
-            augmented_condition(p, w)
-            assert len(eigvalsh_operands) - before == 3
-            fresh = np.linalg.eigvalsh(assemble_augmented(p, w).array)
-            assert first.details["mu_min_augmented"] == float(fresh[0])
-            assert second.details == first.details
-        # the scalar weight is still served from the cache
-        before = len(eigvalsh_operands)
-        wbound(p, ScalarWeight(2.0))
-        augmented_condition(p, ScalarWeight(2.0))
-        inverse_identity_residual(p, ScalarWeight(2.0))
-        assert len(eigvalsh_operands) == before
+        for gamma in (2.0, 3.0, 2.0, 3.0):
+            first = wbound(p, gamma)
+            augmented_condition(p, gamma)
+            inverse_identity_residual(p, gamma)
+            assert wbound(p, gamma).details == first.details
+        blocks = []
+        for gamma in (2.0, 3.0):
+            aw = assemble_augmented(p, gamma).array
+            blocks += [aw, saddle_matrix(aw, p.B.array)]
+        assert len(eigvalsh_operands) == len(blocks)
+        for block in blocks:
+            assert sum(op.shape == block.shape and np.array_equal(op, block)
+                       for op in eigvalsh_operands) == 1

@@ -381,6 +381,9 @@ class TestRunSettings:
         ("bound", ["--relTol", "-1"], "rel_tol must be positive, got -1.0"),
         ("sweep", ["--relTol", "-1"], "rel_tol must be positive, got -1.0"),
         ("verify", ["--relTol", "-1"], "rel_tol must be positive, got -1.0"),
+        ("bound", ["--relTol", "inf"], "rel_tol must be finite, got inf"),
+        ("sweep", ["--relTol", "inf"], "rel_tol must be finite, got inf"),
+        ("verify", ["--relTol", "inf"], "rel_tol must be finite, got inf"),
     ])
     @pytest.mark.parametrize("route", ["ab", "k"])
     def test_rejected_with_the_same_message(self, tmp_path, capsys, monkeypatch,
@@ -399,6 +402,15 @@ class TestRunSettings:
                        "--out", str(tmp_path / "sw")])
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err == "error: need at least 2 gamma grid points, got 1\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_rel_tol_is_checked_before_the_files(self, tmp_path, capsys, monkeypatch, command):
+        missing = str(tmp_path / "missing.mtx")
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main([command, "--A", missing, "--B", missing, "--relTol", "inf",
+                       *COMMAND_ARGS[command]])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: rel_tol must be finite, got inf\n")
 
     @pytest.mark.parametrize("gamma_max", ["inf", "1.7976931348623157e308"])
     def test_non_finite_grid_is_checked_before_the_files(self, tmp_path, capsys, gamma_max):

@@ -8,9 +8,7 @@ import pytest
 
 from saddlebounds.bounds import (
     BoundReport,
-    MatrixWeight,
     SaddleProblem,
-    ScalarWeight,
     agamma_bound,
     assemble_augmented,
     lowest_rank_bound,
@@ -134,27 +132,57 @@ class TestCertify:
         assert not k.flags.writeable
 
 
-def solved_identity_residual(p, weight):
-    """The inverse-identity residual written as the identity reads, each
-    inverse from a solve against the identity:
+# The general-W reference. The augmentation argument holds for any
+# positive semidefinite m-by-m weight W; the library computes only
+# W = gamma * I, so these form A + B^T W B themselves.
+
+
+def weighted_block(p, w):
+    """A + B^T W B for a dense m-by-m weight W."""
+    b = p.B.array
+    return p.A.array + b.T @ w @ b
+
+
+def general_weight_bound(p, w):
+    """min{mu_min(A + B^T W B), 1/mu_max(W)}, a lower bound on the
+    positive eigenvalues of K for every positive semidefinite W (a zero
+    W contributes no 1/mu_max term)."""
+    mu_min = float(np.linalg.eigvalsh(weighted_block(p, w))[0])
+    w_max = float(np.linalg.eigvalsh(w)[-1])
+    return mu_min if w_max == 0.0 else min(mu_min, 1.0 / w_max)
+
+
+def solved_identity_residual(p, w, aw=None):
+    """The inverse-identity residual at the dense weight W, written as the
+    identity reads, each inverse from a solve against the identity:
     ||K^{-1} - K_W^{-1} - blockdiag(0, W)||_F / max(1, ||K^{-1}||_F), and
-    the larger Schur-form residual where A_W is nonsingular."""
+    the larger Schur-form residual where A_W is nonsingular. ``aw`` is
+    A_W when given, else ``weighted_block(p, w)``."""
     n, m = p.n, p.m
     eye = np.eye(n + m)
     k_inv = np.linalg.solve(p.k_matrix, eye)
-    aw = assemble_augmented(p, weight).array
+    if aw is None:
+        aw = weighted_block(p, w)
     kw_inv = np.linalg.solve(saddle_matrix(aw, p.B.array), eye)
     block = np.zeros((n + m, n + m))
-    block[n:, n:] = weight.dense(m)
+    block[n:, n:] = w
     scale = max(1.0, float(np.linalg.norm(k_inv, "fro")))
     residual = float(np.linalg.norm(k_inv - kw_inv - block, "fro")) / scale
     aw_vals = np.linalg.eigvalsh(aw)
     if not numerically_singular(float(aw_vals[0]), float(aw_vals[-1]), p.rel_tol):
         b = p.B.array
         s_w_inv = np.linalg.inv(b @ np.linalg.solve(aw, b.T))
-        trailing = k_inv[n:, n:] - (weight.dense(m) - s_w_inv)
+        trailing = k_inv[n:, n:] - (w - s_w_inv)
         residual = max(residual, float(np.linalg.norm(trailing, "fro")) / scale)
     return residual
+
+
+def random_psd_weight(m, scale, seed):
+    """Q diag(lambda) Q^T with Q a random orthogonal matrix and lambda
+    uniform in [scale / 2, 2 scale]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return (q * rng.uniform(0.5 * scale, 2.0 * scale, m)) @ q.T
 
 
 class TestInverseIdentity:
@@ -165,20 +193,21 @@ class TestInverseIdentity:
         lambda: gen_ipm_like(12, 4, 1e-2, seed=1),
     ], ids=["toy", "random", "ipm-like"])
     def test_residual_has_the_bits_of_the_solved_expression(self, make, gamma):
+        # the reference at W = gamma * I, on the library's own A_gamma
         p = make()
-        weight = ScalarWeight(gamma)
-        assert inverse_identity_residual(p, weight) == solved_identity_residual(p, weight)
+        expected = solved_identity_residual(p, gamma * np.eye(p.m),
+                                            assemble_augmented(p, gamma).array)
+        assert inverse_identity_residual(p, gamma) == expected
 
     def test_residual_holds_at_most_three_order_n_plus_m_squares(self):
         p = gen_random_lowest_rank(80, 32, seed=1)
-        weight = ScalarWeight(1.0)
         # the kept values the residual reads
         p.k_inverse
-        p.augmented_eigs(weight)
-        p.augmented_saddle_abs_eigs(weight)
+        p.augmented_eigs(1.0)
+        p.augmented_saddle_abs_eigs(1.0)
         tracemalloc.start()
         try:
-            inverse_identity_residual(p, weight)
+            inverse_identity_residual(p, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -186,18 +215,31 @@ class TestInverseIdentity:
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
     def test_toy_residual_tiny(self, gamma):
-        assert inverse_identity_residual(toy(), ScalarWeight(gamma)) <= 1e-10
+        assert inverse_identity_residual(toy(), gamma) <= 1e-10
 
     def test_full_weight_residual(self):
         p = gen_random_lowest_rank(10, 3, seed=0)
         rng = np.random.default_rng(13)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        w = MatrixWeight.from_array((q * np.array([0.5, 1.0, 2.0])) @ q.T)
-        assert inverse_identity_residual(p, w) <= 1e-8
+        w = (q * np.array([0.5, 1.0, 2.0])) @ q.T
+        assert solved_identity_residual(p, w) <= 1e-8
+
+    def test_general_weight_bound_and_identity_on_the_corpus(self, corpus):
+        # a random positive definite W with 1/mu_max(W) >= mu_min_plus(K) / 2:
+        # min{mu_min(A + B^T W B), 1/mu_max(W)} is a sound, nonvacuous bound,
+        # and the inverse identity holds at W
+        for i, (label, p) in enumerate(corpus[::20]):
+            truth = oracle(p)
+            w = random_psd_weight(p.m, 1.0 / truth.mu_min_plus, seed=i)
+            value = general_weight_bound(p, w)
+            assert value > 0.0, label
+            outcome = certify(BoundReport("general-weight", value, True), truth)
+            assert outcome.status == "sound", label
+            assert solved_identity_residual(p, w) <= 1e-8, label
 
     def test_zero_weight_on_definite_block(self):
         p = SaddleProblem(np.eye(3), np.array([[1.0, 0.0, 0.0]]))
-        assert inverse_identity_residual(p, ScalarWeight(0.0)) <= 1e-12
+        assert inverse_identity_residual(p, 0.0) <= 1e-12
 
     def test_k_inverse_is_solved_once_and_read_only(self):
         p = gen_random_lowest_rank(10, 3, seed=4)
@@ -208,12 +250,12 @@ class TestInverseIdentity:
 
     def test_detects_singular_augmented_matrix(self):
         with pytest.raises(AugmentedBlockSingularError):
-            inverse_identity_residual(toy(), ScalarWeight(1e30))
+            inverse_identity_residual(toy(), 1e30)
 
     def test_condition_number_grows_with_gamma(self):
         p = toy()
-        mild = augmented_condition(p, ScalarWeight(1.0))
-        harsh = augmented_condition(p, ScalarWeight(1e14))
+        mild = augmented_condition(p, 1.0)
+        harsh = augmented_condition(p, 1e14)
         assert mild < 1e3
         assert harsh > 1e12
 
@@ -349,10 +391,10 @@ class TestLapackFailures:
 
     @pytest.mark.parametrize("routine, m_by_m_only, check, what", [
         ("inv", False, lambda p: p.k_inverse, "inverse of the saddle matrix"),
-        ("inv", False, lambda p: inverse_identity_residual(p, ScalarWeight(1.0)),
+        ("inv", False, lambda p: inverse_identity_residual(p, 1.0),
          "inverse of the augmented saddle matrix"),
         # K_W is inverted first, so only the m-by-m operand may fail
-        ("inv", True, lambda p: inverse_identity_residual(p, ScalarWeight(1.0)),
+        ("inv", True, lambda p: inverse_identity_residual(p, 1.0),
          "inverse of the Schur complement"),
         ("eigvalsh", False, ptp_spectrum_deviation,
          "eigensolve of the stacked-basis Gram matrix"),
@@ -365,8 +407,8 @@ class TestLapackFailures:
         oracle(p)
         if what != "inverse of the saddle matrix":
             p.k_inverse
-        p.augmented_eigs(ScalarWeight(1.0))
-        p.augmented_saddle_abs_eigs(ScalarWeight(1.0))
+        p.augmented_eigs(1.0)
+        p.augmented_saddle_abs_eigs(1.0)
         original = getattr(np.linalg, routine)
 
         def failing(a, *args, **kwargs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from saddlebounds import linalg
 from saddlebounds.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -15,6 +16,7 @@ from saddlebounds.linalg import (
     RectMatrix,
     SymmetricMatrix,
     _basis_from_eig,
+    checked_rel_tol,
     default_rank_tol,
     kernel_basis_rect,
     lapack,
@@ -132,6 +134,23 @@ class TestDecompositions:
             dec.values, np.linalg.eigvalsh((m + m.T) / 2.0)[::-1], atol=1e-12
         )
 
+    def test_sym_eig_vectors_are_c_ordered(self, monkeypatch):
+        # the reordered eigenvectors come out C-ordered, so keeping them
+        # read-only copies nothing, with the bits of the fancy-indexed columns
+        kept = []
+
+        def recording(arr):
+            kept.append(arr.flags.c_contiguous)
+            return frozen(arr)
+
+        sm = SymmetricMatrix.from_array(_random_symmetric(40, 4))
+        frozen = linalg._frozen
+        monkeypatch.setattr(linalg, "_frozen", recording)
+        dec = sym_eig(sm)
+        assert kept == [True, True]
+        values, vectors = np.linalg.eigh(sm.array)
+        assert np.array_equal(dec.vectors, vectors[:, np.argsort(-values, kind="stable")])
+
     def test_eig_residuals_small(self):
         m = _random_symmetric(15, 2)
         dec = sym_eig(SymmetricMatrix.from_array(m))
@@ -174,6 +193,18 @@ class TestNumericalRank:
             numerical_rank(np.ones((2, 2)), 1e-8)
         with pytest.raises(NonFiniteError):
             numerical_rank(np.array([np.nan]), 1e-8)
+
+    def test_one_rel_tol_rule(self):
+        # positive and finite; NaN fails the first test
+        assert checked_rel_tol(1e-8) == 1e-8
+        for bad, message in ((0.0, "rel_tol must be positive, got 0.0"),
+                             (-1.0, "rel_tol must be positive, got -1.0"),
+                             (float("nan"), "rel_tol must be positive, got nan"),
+                             (float("inf"), "rel_tol must be finite, got inf")):
+            with pytest.raises(ParameterOutOfRangeError, match=f"^{message}$"):
+                checked_rel_tol(bad)
+            with pytest.raises(ParameterOutOfRangeError, match=f"^{message}$"):
+                numerical_rank(np.array([1.0]), bad)
 
     @given(
         exps=st.lists(st.integers(-30, 30), min_size=1, max_size=8),
@@ -237,8 +268,8 @@ class TestNumericallySemidefinite:
               0.5, 1.0, np.inf]
 
     def test_same_decisions_as_the_written_out_rules(self):
-        # SaddleProblem wrote "top < 0 or bottom < -tol * top" for A, and
-        # MatrixWeight.mu_max the same with max(top, 0.0)
+        # SaddleProblem wrote "top < 0 or bottom < -tol * top" for A;
+        # clamping top at zero decides the same
         tol = 2.0 ** -20
         for lo in self.VALUES:
             for hi in self.VALUES:

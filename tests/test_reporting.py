@@ -68,6 +68,7 @@ class TestRunConfig:
             # NaN reaches these from the command line (--relTol nan)
             {"rel_tol": float("nan")},
             {"gamma_max": float("nan")},
+            {"rel_tol": float("inf")},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
