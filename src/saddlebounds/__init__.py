@@ -16,7 +16,6 @@ from .bounds import (
     agamma_bound,
     agamma_lower_bound,
     applicable_bounds,
-    assemble_augmented,
     general_rank_bound,
     general_rank_optimal_gamma,
     kernel_angle_bound,

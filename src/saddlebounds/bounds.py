@@ -126,8 +126,8 @@ class SaddleProblem:
     range(B^T)), of (ker(A), ker(B)) and of the split basis; and once
     per gamma: the eigenvalues of A + gamma B^T B and the
     |eigenvalues| of the augmented saddle matrix K_gamma. The weight is
-    always the scalar gamma * I, checked finite and >= 0 before any
-    work; the general-W identity is checked by the tests. K itself is
+    always the scalar gamma * I, checked by ``augmented_blocks`` before
+    any work; the general-W identity is checked by the tests. K itself is
     not kept: ``k_matrix`` assembles it on each read. Per gamma only
     value vectors are kept, never A_gamma, K_gamma or their inverses, so
     memory stays flat however many gammas are checked.
@@ -200,21 +200,22 @@ class SaddleProblem:
         """
         s = self.summary
         mu = s.mu_max
-        if mu == 0.0 or self.rel_tol < default_rank_tol(self.n):
+        smax2 = s.sigma_max * s.sigma_max  # inf where B^T B would overflow
+        if mu == 0.0 or not math.isfinite(smax2) or self.rel_tol < default_rank_tol(self.n):
             return False
         r = 0.5 * (mu + math.hypot(mu, 2.0 * s.sigma_max))
         beta = 4.0 * self.rel_tol * r
         nu = 2.0 * s.sigma_min * s.sigma_min / (mu + math.hypot(mu, 2.0 * s.sigma_min))
         if not nu > beta:
             return False
-        shifted = self.bt_b * (mu / (s.sigma_max * s.sigma_max))
+        shifted = self.bt_b * (mu / smax2)
         shifted += self.A.array
         shifted.flat[:: self.n + 1] -= beta  # the diagonal
         try:
             factor = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             return False
-        # LAPACK passes NaN and infinity through (B^T B can overflow)
+        # LAPACK passes NaN and infinity through
         return bool(np.isfinite(factor).all())
 
     @property
@@ -281,7 +282,7 @@ class SaddleProblem:
 
     @cached_property
     def bt_b(self):
-        """B^T B, read-only; shared by the augmented blocks and the sweep."""
+        """B^T B, read-only and exactly symmetric, so the augmented blocks are."""
         b = self.B.array
         return _frozen(b.T @ b)
 
@@ -310,13 +311,26 @@ class SaddleProblem:
             return mu_nm, self.range_angles, degenerate
         return mu_nm, principal_angles(self.eig_a.vectors[:, :k], self.row_space_b), degenerate
 
+    def augmented_blocks(self, gammas):
+        """A + gamma B^T B, stacked when ``gammas`` is an array: the one place
+        it is formed and the one check of gamma, before any work. Each gamma
+        must be finite and >= 0, and so must mu_max(A) + gamma sigma_max(B)^2
+        + sigma_max(B), a bound on every |eigenvalue| of A_gamma and K_gamma
+        (in Python floats, so the check never overflows in numpy)."""
+        s = self.summary
+        for gamma in np.ravel(gammas).tolist():
+            if not math.isfinite(gamma) or gamma < 0:
+                raise ParameterOutOfRangeError(
+                    f"scalar weight needs a finite gamma >= 0, got {gamma}")
+            if not math.isfinite(s.mu_max + gamma * (s.sigma_max * s.sigma_max) + s.sigma_max):
+                raise ParameterOutOfRangeError(f"gamma = {gamma} overflows the augmented block")
+        blocks = np.multiply.outer(gammas, self.bt_b)
+        blocks += self.A.array  # a + gamma * bt_b: IEEE addition commutes
+        return blocks
+
     def _per_gamma_values(self, kind, gamma, compute):
         """The values ``compute`` gives at ``gamma``, computed once per
-        (kind, gamma); the one check of gamma, before any work."""
-        if not math.isfinite(gamma) or gamma < 0:
-            raise ParameterOutOfRangeError(
-                f"scalar weight needs a finite gamma >= 0, got {gamma}"
-            )
+        (kind, gamma)."""
         key = (kind, gamma)
         if key not in self._per_gamma:
             self._per_gamma[key] = _frozen(compute())
@@ -327,7 +341,7 @@ class SaddleProblem:
         return self._per_gamma_values(
             "augmented", gamma,
             lambda: lapack("eigvalsh", "eigensolve of the augmented block",
-                           assemble_augmented(self, gamma).array),
+                           self.augmented_blocks(gamma)),
         )
 
     def augmented_saddle_abs_eigs(self, gamma):
@@ -336,7 +350,7 @@ class SaddleProblem:
             "augmented-saddle", gamma,
             lambda: np.abs(lapack(
                 "eigvalsh", "eigensolve of the augmented saddle matrix",
-                saddle_matrix(assemble_augmented(self, gamma).array, self.B.array),
+                saddle_matrix(self.augmented_blocks(gamma), self.B.array),
             )),
         )
 
@@ -345,14 +359,20 @@ class SaddleProblem:
         return self.summary.rank_a == self.n - self.m
 
 
+def _square(x):
+    """x**2, or inf where float ** raises OverflowError (float * returns
+    inf, but x * x differs from x**2 in the last bit for some x)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _rw_root(x, y):
     """sqrt(x^2 + 4 y^2). Where the squares overflow, math.hypot gives the
     finite value, so every finite result keeps the bits of the direct
     expression."""
-    try:
-        root = math.sqrt(x**2 + 4.0 * y**2)
-    except OverflowError:  # float ** raises where float * returns inf
-        root = math.inf
+    root = math.sqrt(_square(x) + 4.0 * _square(y))
     return root if math.isfinite(root) else math.hypot(x, 2.0 * y)
 
 
@@ -389,11 +409,6 @@ def rusten_winther(summary):
         warnings=warns,
         intervals=((neg_lo, neg_hi), (pos_lo, pos_hi)),
     )
-
-
-def assemble_augmented(problem, gamma):
-    """A + gamma B^T B as a SymmetricMatrix (exactly symmetrized)."""
-    return SymmetricMatrix.from_array(problem.A.array + gamma * problem.bt_b)
 
 
 def wbound(problem, gamma):
@@ -452,7 +467,7 @@ def agamma_lower_bound(problem, gamma):
         raise ParameterOutOfRangeError(f"gamma must be positive, got {gamma}")
     rho, _ = rho_from_angles(problem.range_angles)
     s = problem.summary
-    return rho * min(s.mu_min_plus, gamma * s.sigma_min**2)
+    return rho * min(s.mu_min_plus, gamma * _square(s.sigma_min))
 
 
 def _angle_term(mu, sigma_min, rho):
@@ -618,12 +633,11 @@ def scalar_weight_bounds(problem, gamma):
 
 def applicable_bounds(problem, gamma=None, angle_tol=DEFAULT_ANGLE_TOL):
     """Every bound whose assumptions the problem satisfies, in a fixed
-    deterministic order. ``gamma`` adds the scalar-weight reports."""
+    deterministic order. ``gamma`` adds the scalar-weight reports, computed first."""
+    weighted = scalar_weight_bounds(problem, gamma) if gamma is not None else []
     reports = [rusten_winther(problem.summary)]
     if problem.is_lowest_rank:
         reports.append(lowest_rank_bound(problem, angle_tol))
         reports.append(kernel_angle_bound(problem, angle_tol))
     reports.append(general_rank_bound(problem, angle_tol))
-    if gamma is not None:
-        reports += scalar_weight_bounds(problem, gamma)
-    return reports
+    return reports + weighted

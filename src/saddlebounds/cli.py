@@ -19,7 +19,6 @@ from .bounds import (
     applicable_bounds,
     general_rank_optimal_gamma,
     optimal_gamma,
-    rusten_winther,
     scalar_weight_bounds,
 )
 from .errors import ParameterOutOfRangeError, SaddleBoundsError, SizeCapError
@@ -235,8 +234,13 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
     """Invariant suite shared by the verify subcommand and tests.
 
     Returns a list of failure descriptions; empty means everything held.
+    A refused gamma emits nothing: every report is built before the oracle.
     """
     failures = []
+    check_size_cap(problem.n + problem.m, size_cap)
+    reports = applicable_bounds(problem, angle_tol=angle_tol)
+    for gamma in gammas:
+        reports += scalar_weight_bounds(problem, gamma)
     oracle_result = oracle(problem, size_cap)
 
     if not oracle_result.inertia_ok:
@@ -246,15 +250,11 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
         )
     emit(f"inertia counts: {'ok' if oracle_result.inertia_ok else 'FAIL'}")
 
-    rw = rusten_winther(problem.summary)
-    outside = containment_violations(rw, oracle_result)
+    outside = containment_violations(reports[0], oracle_result, cert_slack)  # rusten-winther
     if outside.size:
         failures.append(f"containment: {outside.size} eigenvalues outside the intervals")
     emit(f"interval containment: {'ok' if not outside.size else 'FAIL'}")
 
-    reports = applicable_bounds(problem, angle_tol=angle_tol)
-    for gamma in gammas:
-        reports += scalar_weight_bounds(problem, gamma)
     for report in reports:
         outcome = certify(report, oracle_result, cert_slack)
         if outcome.status == "violated":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _require_lowest_rank, assemble_augmented, rho_from_angles, saddle_matrix
+from .bounds import _require_lowest_rank, rho_from_angles, saddle_matrix
 from .errors import AugmentedBlockSingularError, ParameterOutOfRangeError, SizeCapError
 from .linalg import _frozen, lapack, numerically_singular
 
@@ -182,11 +182,11 @@ def inverse_identity_residual(problem, gamma):
             f"augmented saddle matrix is numerically singular: min |eig| = "
             f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
         )
-    aw = assemble_augmented(problem, gamma)
+    aw = problem.augmented_blocks(gamma)
     k_inv = problem.k_inverse
     # K^{-1} - K_W^{-1} - blockdiag(0, W), built in the one array inv returns
     diff = lapack("inv", "inverse of the augmented saddle matrix",
-                  saddle_matrix(aw.array, problem.B.array))
+                  saddle_matrix(aw, problem.B.array))
     np.subtract(k_inv, diff, out=diff)
     w_dense = gamma * np.eye(m)
     diff[n:, n:] -= w_dense
@@ -197,7 +197,7 @@ def inverse_identity_residual(problem, gamma):
     aw_vals = problem.augmented_eigs(gamma)
     if not numerically_singular(float(aw_vals[0]), float(aw_vals[-1]), problem.rel_tol):
         b = problem.B.array
-        s_w = b @ lapack("solve", "solve with the augmented block", aw.array, b.T)
+        s_w = b @ lapack("solve", "solve with the augmented block", aw, b.T)
         s_w_inv = lapack("inv", "inverse of the Schur complement", s_w)
         trailing = k_inv[n:, n:]
         schur_residual = float(np.linalg.norm(trailing - (w_dense - s_w_inv), "fro")) / scale
@@ -249,19 +249,17 @@ def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
     do too.
     """
     g = _checked_grid(grid)
-    actual = oracle(problem, size_cap).mu_min_plus
-    bt_b = problem.bt_b
-    a = problem.A.array
-
-    per_call = max(1, SWEEP_STACK_BYTES // bt_b.nbytes)
-    mu_mins = []
-    for start in range(0, g.size, per_call):
-        stack = np.multiply.outer(g[start:start + per_call], bt_b)
-        stack += a  # a + gamma * bt_b: IEEE addition commutes
+    check_size_cap(problem.n + problem.m, size_cap)
+    per_call = max(1, SWEEP_STACK_BYTES // problem.bt_b.nbytes)
+    mu_mins = np.empty(g.size)
+    # largest gammas first: an overflowing grid is refused before any eigensolve
+    for start in reversed(range(0, g.size, per_call)):
+        stack = problem.augmented_blocks(g[start:start + per_call])
         vals = lapack("eigvalsh", "eigensolve of the augmented blocks", stack)
-        mu_mins.extend(vals[:, 0].tolist())
+        mu_mins[start:start + per_call] = vals[:, 0]
+    actual = oracle(problem, size_cap).mu_min_plus
     rows = []
-    for gamma, mu_min in zip(g.tolist(), mu_mins):
+    for gamma, mu_min in zip(g.tolist(), mu_mins.tolist()):
         inv = 1.0 / gamma
         rows.append(SweepRow(gamma, inv, mu_min, min(inv, mu_min), actual))
     diffs = np.array([r.inv_gamma - r.mu_min_a_gamma for r in rows])

@@ -7,7 +7,9 @@ min{1 - b1, sqrt(1 - b1)} and the matching gamma is its reciprocal.
 """
 
 import math
+import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from saddlebounds.bounds import (
     agamma_bound,
     agamma_lower_bound,
     applicable_bounds,
-    assemble_augmented,
     general_rank_bound,
     general_rank_optimal_gamma,
     kernel_angle_bound,
@@ -47,8 +48,15 @@ from saddlebounds.harness import (
     oracle,
 )
 from saddlebounds.linalg import SymmetricMatrix, default_rank_tol
-from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank, gen_remark, gen_toy
-from test_harness import general_weight_bound, weighted_block
+from saddlebounds.problems import (
+    GeneratorSpec,
+    gen_ipm_like,
+    gen_random_lowest_rank,
+    gen_remark,
+    gen_toy,
+    generate_problem,
+)
+from test_harness import general_weight_bound, reference_augmented, weighted_block
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -202,6 +210,16 @@ class TestNonsingularityCertificate:
             assert expected is not None
             assert construction_outcome(a, b) == (expected, 1)
 
+    def test_overflowing_constraint_gram_is_not_read(self):
+        # sigma_max(B)^2 overflows, so the certificate is undecided before it
+        # forms B^T B, and the dense check decides without a warning
+        a, b = 1e160 * np.diag([2.0, 1.0, 0.0]), 1e160 * np.array([[0.0, 0.3, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = SaddleProblem(a, b)
+        assert "bt_b" not in vars(p)
+        assert "k_eigs" in vars(p)
+
     def test_certified_problem_runs_no_dense_check(self):
         p = toy()
         a, b = p.A.array, p.B.array
@@ -257,20 +275,19 @@ class TestRustenWinther:
 class TestAugmentedAssembly:
     def test_scalar_weight_term(self):
         p = toy()
-        aw = assemble_augmented(p, 2.0)
+        aw = p.augmented_blocks(2.0)
         b = p.B.array
-        np.testing.assert_allclose(aw.array, p.A.array + 2.0 * b.T @ b, atol=1e-15)
+        np.testing.assert_allclose(aw, p.A.array + 2.0 * b.T @ b, atol=1e-15)
 
     def test_zero_weight_is_identity_on_a(self):
         p = toy()
-        aw = assemble_augmented(p, 0.0)
-        assert np.array_equal(aw.array, p.A.array)
+        assert np.array_equal(p.augmented_blocks(0.0), p.A.array)
 
     def test_matrix_weight_term(self):
         # the general-W block A + B^T W B at W = [[3]] is the scalar block
         p = toy()
         np.testing.assert_allclose(weighted_block(p, np.array([[3.0]])),
-                                   assemble_augmented(p, 3.0).array, atol=1e-15)
+                                   p.augmented_blocks(3.0), atol=1e-15)
 
     def test_scalar_weight_validates(self, monkeypatch):
         # every per-gamma entry point refuses gamma in the one check, with
@@ -279,6 +296,7 @@ class TestAugmentedAssembly:
         for routine in ("eigvalsh", "inv", "solve"):
             monkeypatch.setattr(np.linalg, routine, None)
         checks = (wbound, augmented_condition, inverse_identity_residual,
+                  SaddleProblem.augmented_blocks,
                   SaddleProblem.augmented_eigs, SaddleProblem.augmented_saddle_abs_eigs,
                   lambda q, g: applicable_bounds(q, gamma=g))
         for gamma, text in ((-1.0, "-1.0"), (float("nan"), "nan"), (float("inf"), "inf")):
@@ -286,6 +304,47 @@ class TestAugmentedAssembly:
                 with pytest.raises(ParameterOutOfRangeError,
                                    match=f"^scalar weight needs a finite gamma >= 0, got {text}$"):
                     check(p, gamma)
+
+    @pytest.mark.parametrize("gamma", [1e308, 1e307])
+    def test_overflowing_gamma_is_refused_without_a_warning(self, gamma):
+        # sigma_max(B)^2 = 33.7 on this problem: mu_max(A) + gamma
+        # sigma_max(B)^2 is not finite, checked in Python floats
+        p = gen_random_lowest_rank(12, 5, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (wbound, SaddleProblem.augmented_blocks,
+                          SaddleProblem.augmented_saddle_abs_eigs,
+                          lambda q, g: q.augmented_blocks(np.array([1.0, g]))):
+                with pytest.raises(ParameterOutOfRangeError,
+                                   match=re.escape(f"gamma = {gamma} overflows")):
+                    check(p, gamma)
+        assert p.augmented_blocks(1e306).shape == (p.n, p.n)
+
+    def test_stacked_blocks_are_the_single_blocks(self):
+        p = gen_random_lowest_rank(12, 5, seed=3)
+        gammas = np.array([0.0, 0.1, 1.0, 10.0])
+        stack = p.augmented_blocks(gammas)
+        assert stack.shape == (4, p.n, p.n)
+        for gamma, block in zip(gammas.tolist(), stack):
+            assert np.array_equal(block, p.augmented_blocks(gamma))
+
+    def test_bt_b_is_exactly_symmetric(self, corpus):
+        # augmented_blocks does not symmetrize: its blocks are exactly
+        # symmetric because A is stored symmetrized and B^T B comes out so
+        big = [generate_problem(GeneratorSpec(family, params, seed))
+               for family, params in (("random-lowest-rank", {"n": 400, "m": 160}),
+                                      ("ipm-like", {"n": 400, "m": 160, "delta": 1e-2}))
+               for seed in (1, 3)]
+        for label, p in corpus + [(f"n400-{i}", q) for i, q in enumerate(big)]:
+            assert np.array_equal(p.bt_b, p.bt_b.T), label
+            assert np.array_equal(p.A.array, p.A.array.T), label
+
+    def test_blocks_keep_the_bits_of_the_symmetrized_formation(self, corpus):
+        for label, p in corpus:
+            for gamma in (0.1, 1.0, 10.0):
+                ref = reference_augmented(p, gamma)
+                assert np.array_equal(p.augmented_blocks(gamma), ref), label
+                assert np.array_equal(p.augmented_eigs(gamma), np.linalg.eigvalsh(ref)), label
 
     def test_weight_mu_max(self):
         details = wbound(toy(), 2.5).details
@@ -296,7 +355,7 @@ class TestAugmentedAssembly:
         # bound up to rounding
         p = gen_random_lowest_rank(10, 3, 0)
         w = 2.5 * np.eye(3)
-        np.testing.assert_allclose(weighted_block(p, w), assemble_augmented(p, 2.5).array,
+        np.testing.assert_allclose(weighted_block(p, w), p.augmented_blocks(2.5),
                                    rtol=0, atol=1e-13)
         assert abs(general_weight_bound(p, w) - wbound(p, 2.5).value) <= 1e-13
 
@@ -367,8 +426,7 @@ class TestAngleBounds:
         c = 1.0 / math.sqrt(2.0)
         p = gen_toy(c, c)
         est = agamma_lower_bound(p, 1.0)
-        aw = assemble_augmented(p, 1.0)
-        mu_min = float(np.linalg.eigvalsh(aw.array)[0])
+        mu_min = float(np.linalg.eigvalsh(reference_augmented(p, 1.0))[0])
         assert abs(est - (1.0 - c)) <= 1e-12
         assert abs(est - mu_min) <= 1e-12
 
@@ -376,8 +434,7 @@ class TestAngleBounds:
         for p in (toy(), toy(0.8, 0.6), gen_random_lowest_rank(12, 4, 1)):
             for gamma in np.logspace(-3, 3, 13):
                 est = agamma_lower_bound(p, float(gamma))
-                aw = assemble_augmented(p, float(gamma))
-                mu_min = float(np.linalg.eigvalsh(aw.array)[0])
+                mu_min = float(np.linalg.eigvalsh(reference_augmented(p, float(gamma)))[0])
                 assert est <= mu_min + 1e-10
 
     def test_agamma_report_branches(self):
@@ -388,6 +445,25 @@ class TestAngleBounds:
         capped = agamma_bound(p, 100.0)
         assert capped.details["active"] == "weight-inverse"
         assert abs(capped.value - 0.01) <= 1e-15
+
+    def test_overflowing_square_is_infinite(self):
+        # sigma_min(B)^2 overflows a double on this valid problem; the
+        # estimate is then rho * mu_min_plus, and agamma its 1/gamma term
+        p = SaddleProblem(1e160 * np.diag([2.0, 1.0, 0.0]),
+                          1e160 * np.array([[0.0, 0.3, 1.0]]))
+        rho, _ = rho_from_angles(p.range_angles)
+        assert agamma_lower_bound(p, 1.0) == rho * p.summary.mu_min_plus
+        report = agamma_bound(p, 1.0)
+        assert report.value == 1.0
+        assert report.details["active"] == "weight-inverse"
+
+    def test_finite_estimates_keep_the_bits_of_the_square(self, lowest_rank_corpus):
+        for label, p in lowest_rank_corpus:
+            rho, _ = rho_from_angles(p.range_angles)
+            s = p.summary
+            for gamma in (0.1, 1.0, 10.0):
+                expected = rho * min(s.mu_min_plus, gamma * s.sigma_min**2)
+                assert agamma_lower_bound(p, gamma) == expected, label
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ParameterOutOfRangeError):
@@ -504,6 +580,16 @@ class TestApplicableBounds:
         assert report.name == "wbound"
         assert report.details["gamma"] == 2.0
         assert abs(report.value - general_weight_bound(toy(), np.array([[2.0]]))) <= 1e-14
+
+    @pytest.mark.parametrize("gamma", [-1.0, 1e308])
+    def test_refused_gamma_costs_no_angle_work(self, monkeypatch, gamma):
+        # the scalar-weight reports come first, so the check of gamma runs
+        # before any principal-angle SVD
+        p = gen_random_lowest_rank(12, 5, seed=3)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        with pytest.raises(ParameterOutOfRangeError, match="gamma"):
+            applicable_bounds(p, gamma=gamma)
+        assert "range_angles" not in vars(p)
 
     def test_every_report_claims_assumptions(self):
         for r in applicable_bounds(toy(), gamma=0.5):

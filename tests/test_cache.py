@@ -9,7 +9,6 @@ from saddlebounds import bounds, cli, harness, linalg, problems
 from saddlebounds.bounds import (
     SaddleProblem,
     applicable_bounds,
-    assemble_augmented,
     general_rank_optimal_gamma,
     lowest_rank_bound,
     optimal_gamma,
@@ -26,6 +25,7 @@ from saddlebounds.problems import (
     gen_random_lowest_rank,
     generate_problem,
 )
+from test_harness import reference_augmented
 
 GAMMAS = (0.1, 1.0, 10.0)
 
@@ -63,7 +63,7 @@ def _classify(problem, operands):
     counts = {"K": 0, "A_W": 0, "K_W": 0, "other": 0}
     blocks = []
     for g in GAMMAS:
-        aw = assemble_augmented(problem, g).array
+        aw = reference_augmented(problem, g)
         blocks.append(("A_W", aw))
         blocks.append(("K_W", saddle_matrix(aw, problem.B.array)))
     for op in operands:
@@ -172,7 +172,7 @@ class TestCachedValues:
             (p.split_quantities[1], principal_angles(split_basis, p.row_space_b)),
         ]
         for g in GAMMAS:
-            aw = assemble_augmented(p, g).array
+            aw = reference_augmented(p, g)
             kw = saddle_matrix(aw, p.B.array)
             expected.append((p.augmented_eigs(g), np.linalg.eigvalsh(aw)))
             expected.append((p.augmented_saddle_abs_eigs(g), np.abs(np.linalg.eigvalsh(kw))))
@@ -246,7 +246,7 @@ class TestOneSolvePerGamma:
             assert wbound(p, gamma).details == first.details
         blocks = []
         for gamma in (2.0, 3.0):
-            aw = assemble_augmented(p, gamma).array
+            aw = reference_augmented(p, gamma)
             blocks += [aw, saddle_matrix(aw, p.B.array)]
         assert len(eigvalsh_operands) == len(blocks)
         for block in blocks:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from saddlebounds import cli
+from saddlebounds import cli, harness
 from saddlebounds.bounds import saddle_matrix
 from saddlebounds.errors import (
     ConvergenceError,
@@ -273,6 +273,18 @@ class TestBound:
         assert np.isfinite(ends).all()
         assert env["certification"]["all_sound"]
 
+    def test_huge_entries_raise_no_runtime_warning(self, tmp_path, capsys):
+        # sigma_max(B)^2 overflows a double: B^T B is neither formed by the
+        # nonsingularity certificate nor, at a refused gamma, by verify
+        pa, pb = huge_problem(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["bound", "--A", pa, "--B", pb]) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            assert cli.main(["verify", "--A", pa, "--B", pb]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: gamma = 0.1 overflows the augmented block\n"
+
     def test_gamma_flags_are_exclusive(self, tmp_path):
         pa, pb, _ = generate_toy(tmp_path)
         with pytest.raises(SystemExit) as info:
@@ -479,15 +491,32 @@ class TestVerify:
         assert "violation: fabricated" in capsys.readouterr().err
 
     def test_huge_entries_are_an_input_error(self, tmp_path, capsys):
-        # the intervals hold; B^T B overflows in the augmented block, which
-        # is refused as non-finite input instead of ending in a traceback
+        # the intervals hold; B^T B overflows in the augmented block, whose
+        # gamma is refused before any line is printed instead of ending in
+        # a traceback
         pa, pb = huge_problem(tmp_path)
         capsys.readouterr()
         rc = cli.main(["verify", "--A", pa, "--B", pb])
         assert rc == cli.EXIT_INPUT
         captured = capsys.readouterr()
-        assert "interval containment: ok" in captured.out
-        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert captured.err == "error: gamma = 0.1 overflows the augmented block\n"
+
+    def test_one_slack_per_run(self, monkeypatch):
+        # containment and soundness both read the run's cert_slack
+        seen = []
+
+        def recording(check):
+            def wrapped(*args):
+                seen.append((check.__name__, args[2:]))
+                return check(*args)
+            return wrapped
+
+        for name in ("containment_violations", "certify"):
+            monkeypatch.setattr(cli, name, recording(getattr(harness, name)))
+        cli.run_verification(gen_toy(0.6, 0.8), (1.0,), cert_slack=1e-6, emit=lambda line: None)
+        assert {name for name, _ in seen} == {"containment_violations", "certify"}
+        assert all(slack == (1e-6,) for _, slack in seen)
 
     def test_run_verification_reports_each_check(self, tmp_path):
         p = gen_toy(0.6, 0.8)
@@ -506,6 +535,48 @@ class TestVerify:
         failures = cli.run_verification(p, (1e14,), emit=lines.append)
         assert failures == []
         assert any("skipped (condition" in line for line in lines)
+
+
+def readme_problem(tmp_path):
+    """The README's generated instance: random-lowest-rank, n = 12, m = 5,
+    seed 3, with sigma_max(B)^2 = 33.7."""
+    out = tmp_path / "prob"
+    rc = cli.main(["generate", "--family", "random", "--params", '{"n": 12, "m": 5}',
+                   "--seed", "3", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    return ["--A", str(out / "A.mtx"), "--B", str(out / "B.mtx")]
+
+
+class TestGammaRefusal:
+    """A gamma is refused once, by the augmented block's check, before a
+    command prints anything or writes a file."""
+
+    @pytest.mark.parametrize("argv, gamma", [
+        (["bound", "--gamma", "1e308"], "1e+308"),
+        (["verify", "--gamma", "1e307"], "1e+307"),
+        (["sweep", "--gamma-min", "1", "--gamma-max", "1e308", "--points", "3"], "1e+308"),
+    ], ids=["bound", "verify", "sweep"])
+    def test_overflowing_gamma_is_an_input_error(self, tmp_path, capsys, argv, gamma):
+        args = readme_problem(tmp_path) + ["--out", str(tmp_path / "out")] * (argv[0] == "sweep")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv + args)
+        assert rc == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gamma = {gamma} overflows the augmented block\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_zero_gamma_on_singular_a_prints_nothing(self, tmp_path, capsys):
+        args = readme_problem(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["verify", "--gamma", "0"] + args)
+        assert rc == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: augmented block is not positive definite: ")
+        assert captured.err.count("\n") == 1
 
 
 def over_cap_files(tmp_path):

@@ -10,7 +10,6 @@ from saddlebounds.bounds import (
     BoundReport,
     SaddleProblem,
     agamma_bound,
-    assemble_augmented,
     lowest_rank_bound,
     optimal_gamma,
     rusten_winther,
@@ -38,7 +37,7 @@ from saddlebounds.harness import (
     oracle,
     ptp_spectrum_deviation,
 )
-from saddlebounds.linalg import numerically_singular
+from saddlebounds.linalg import SymmetricMatrix, numerically_singular
 from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank, gen_remark, gen_toy
 
 
@@ -132,6 +131,13 @@ class TestCertify:
         assert not k.flags.writeable
 
 
+def reference_augmented(p, gamma):
+    """A + gamma B^T B formed on its own and exactly symmetrized through
+    SymmetricMatrix.from_array: the reference whose bits
+    SaddleProblem.augmented_blocks must keep."""
+    return SymmetricMatrix.from_array(p.A.array + gamma * p.bt_b).array
+
+
 # The general-W reference. The augmentation argument holds for any
 # positive semidefinite m-by-m weight W; the library computes only
 # W = gamma * I, so these form A + B^T W B themselves.
@@ -196,7 +202,7 @@ class TestInverseIdentity:
         # the reference at W = gamma * I, on the library's own A_gamma
         p = make()
         expected = solved_identity_residual(p, gamma * np.eye(p.m),
-                                            assemble_augmented(p, gamma).array)
+                                            reference_augmented(p, gamma))
         assert inverse_identity_residual(p, gamma) == expected
 
     def test_residual_holds_at_most_three_order_n_plus_m_squares(self):
@@ -323,6 +329,30 @@ class TestSweep:
             for r, gamma in zip(s.rows, grid):
                 a_g = p.A.array + gamma * (p.B.array.T @ p.B.array)
                 assert r.mu_min_a_gamma == float(original(a_g)[0])
+
+    def test_rows_keep_the_bits_of_the_symmetrized_formation(self, corpus):
+        grid = log_gamma_grid(1e-4, 1e4, 9)
+        for label, p in corpus:
+            for r in gamma_sweep(p, grid).rows:
+                ref = reference_augmented(p, r.gamma)
+                assert r.mu_min_a_gamma == float(np.linalg.eigvalsh(ref)[0]), label
+
+    def test_overflowing_grid_is_refused_before_any_eigensolve(self, monkeypatch):
+        # one block per stack at n = 200; the top of the grid overflows
+        p = gen_random_lowest_rank(200, 80, seed=1)
+        grid = log_gamma_grid(1.0, 1e308, 3)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterOutOfRangeError,
+                               match=r"^gamma = 1e\+308 overflows the augmented block$"):
+                gamma_sweep(p, grid)
+
+    def test_size_cap_is_checked_before_the_blocks(self, monkeypatch):
+        p = toy()
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        with pytest.raises(SizeCapError):
+            gamma_sweep(p, [1.0, 2.0], size_cap=2)
 
     def test_single_point_grid_at_matched_gamma(self):
         p = toy()
