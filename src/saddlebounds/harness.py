@@ -284,8 +284,8 @@ def ptp_spectrum_deviation(problem):
     """
     _require_lowest_rank(problem)
     p = np.hstack([problem.range_a, problem.row_space_b])
-    gram_eigs = np.sort(lapack("eigvalsh", "eigensolve of the stacked-basis Gram matrix",
-                               p.T @ p))
+    # eigvalsh returns the eigenvalues ascending, as expected is sorted
+    gram_eigs = lapack("eigvalsh", "eigensolve of the stacked-basis Gram matrix", p.T @ p)
     cos = problem.range_angles.cosines
     k = cos.shape[0]
     expected = np.sort(

@@ -101,6 +101,8 @@ def _read_header(lines):
         raise ParseError(f"symmetric matrix must be square, got {rows} x {cols}", idx + 1)
     if fmt == "coordinate":
         count = _parse_int(size_toks[2][0], idx + 1, size_toks[2][1])
+        if count < 0:
+            raise ParseError(f"entry count must be >= 0, got {count}", idx + 1, size_toks[2][1])
     elif symmetry == "symmetric":
         count = rows * (rows + 1) // 2
     else:

@@ -279,7 +279,8 @@ def generate_problem(spec):
         raise ParameterOutOfRangeError(
             f"unknown family {spec.family!r}; expected one of {', '.join(FAMILIES)}"
         )
+    seed = _converted("seed", _seed, spec.seed)
     generator, names, seeded = _GENERATORS[spec.family]
     p = _params(spec, names)
-    args = [p[name] for name in names] + ([spec.seed] if seeded else [])
+    args = [p[name] for name in names] + ([seed] if seeded else [])
     return generator(*args)

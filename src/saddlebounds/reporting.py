@@ -8,7 +8,9 @@ no timestamps, sorted keys, fixed float formatting.
 The envelope text is what ``json.dumps(envelope, sort_keys=True,
 indent=2)`` gives, byte for byte, but it comes from a direct recursive
 writer: json's C encoder is never used once ``indent`` is set, and its
-pure-Python path is slower than writing the text out here.
+pure-Python path is slower than writing the text out here. The writer
+takes dicts with str keys, lists, tuples and scalars; it refuses a key
+of any other type, which json.dumps would turn into text.
 """
 
 import os
@@ -32,8 +34,8 @@ BOUNDS_CSV_HEADER = "name,value,assumptions_met,status,slack,warnings"
 
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# JSON text of the exact scalar types an envelope is made of, up to the
-# float specials; no other text from these equals a key of _FLOAT_SPECIALS
+# JSON text of each scalar type, up to the float specials; no other text
+# from these equals a key of _FLOAT_SPECIALS
 _SCALAR_TEXT = {
     str: _encode_str,
     float: float.__repr__,
@@ -92,7 +94,7 @@ def read_problem(source, rel_tol=None):
         k_tol = rel_tol if rel_tol is not None else default_rank_tol(order)
         scale = float(np.abs(k).max())
         tol = k_tol * scale
-        trailing = float(np.abs(k[n:, n:]).max()) if order > n else 0.0
+        trailing = float(np.abs(k[n:, n:]).max())
         if trailing > tol:
             raise StructureError(
                 f"trailing (2,2) block is not zero: max entry {trailing:.6e} exceeds "
@@ -159,7 +161,8 @@ def report_envelope(problem, config, reports, certifications=None, sweep=None,
     """Assemble the JSON report envelope.
 
     Its values are the ones the bounds, the oracle and the sweep built,
-    unconverted; the writer rejects what json.dumps would reject."""
+    unconverted; ``envelope_to_json`` writes them as json.dumps would, and
+    rejects what it would reject."""
     s = problem.summary
     certs = certifications if certifications is not None else [None] * len(reports)
     bounds = [bound_entry(r, c) for r, c in zip(reports, certs)]
@@ -225,74 +228,19 @@ def report_envelope(problem, config, reports, certifications=None, sweep=None,
     return envelope
 
 
-def _float_text(value):
-    text = float.__repr__(value)
-    return _FLOAT_SPECIALS.get(text, text)
-
-
-def _key_text(key):
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _write_json(value, out, indent):
     """Append the JSON text of ``value`` to ``out``. ``indent`` is a
     newline plus the indentation of the line ``value`` starts on.
 
-    The container loops write items of an exact scalar type inline. Any
-    other item recurses and meets the checks below, in the order json's
-    encoder runs them, so subclasses come out as json writes them."""
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
+    The container loops write items of an exact type in _SCALAR_TEXT
+    inline; any other item recurses. A scalar of another type is written
+    by the table entry of its nearest base, so a subclass of str, int or
+    float (an np.float64, say) comes out as json writes it."""
+    if isinstance(value, (list, tuple)):
         inner = indent + "  "
         sep = "," + inner
-        out.append("[")
-        first = len(out)
+        head = "[" + inner
         for item in value:
-            text = _SCALAR_TEXT.get(type(item))
-            if text is None:
-                out.append(sep)
-                _write_json(item, out, inner)
-            else:
-                text = text(item)
-                out.append(sep + _FLOAT_SPECIALS.get(text, text))
-        out[first] = out[first][1:]  # no comma before the first item
-        out.append(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "," + inner
-        out.append("{")
-        first = len(out)
-        for key, item in sorted(value.items()):
-            head = sep + _encode_str(key if type(key) is str else _key_text(key)) + ": "
             text = _SCALAR_TEXT.get(type(item))
             if text is None:
                 out.append(head)
@@ -300,16 +248,39 @@ def _write_json(value, out, indent):
             else:
                 text = text(item)
                 out.append(head + _FLOAT_SPECIALS.get(text, text))
-        out[first] = out[first][1:]
-        out.append(indent + "}")
+            head = sep
+        out.append(indent + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "," + inner
+        head = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(head + _encode_str(key) + ": ")
+                _write_json(item, out, inner)
+            else:
+                text = text(item)
+                out.append(head + _encode_str(key) + ": " + _FLOAT_SPECIALS.get(text, text))
+            head = sep
+        out.append(indent + "}" if value else "{}")
     else:
+        for cls in type(value).__mro__:
+            text = _SCALAR_TEXT.get(cls)
+            if text is not None:
+                text = text(value)
+                out.append(_FLOAT_SPECIALS.get(text, text))
+                return
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def envelope_to_json(envelope):
     """The envelope as ``json.dumps(envelope, sort_keys=True, indent=2)``
-    plus a newline, byte for byte; what json.dumps rejects raises the
-    same TypeError."""
+    plus a newline, byte for byte. The envelope is made of dicts with str
+    keys, lists, tuples and scalars; anything else, and a key that is not
+    a str, raises TypeError naming its type."""
     out = []
     _write_json(envelope, out, "\n")
     out.append("\n")

@@ -113,6 +113,8 @@ class TestGenerate:
         ("random", {"n": 12, "m": 5}),
         ("ipm", {"n": 8, "m": 3, "delta": 0.01}),
         ("angles", {"n": 4, "m": 1, "a_eigs": [1, 2, 3], "b_sing_vals": [1], "thetas": [0.5]}),
+        ("toy", {"b1": 0.6, "b2": 0.8}),
+        ("remark", {"alpha": 0.4}),
     ])
     def test_negative_seed_is_an_input_error(self, tmp_path, capsys, family, params):
         out = tmp_path / "x"

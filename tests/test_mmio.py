@@ -290,6 +290,7 @@ class TestShape:
         "%%MatrixMarket matrix coordinate real general\n2 x 0\n",
         "%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n",
         "%%MatrixMarket matrix coordinate real general\n0 2 0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
     ])
     def test_header_errors_are_the_full_reads(self, tmp_path, text):
         path = write_text(tmp_path / "bad.mtx", text)
@@ -484,13 +485,17 @@ class TestBulkReader:
         assert out.shape == (3, 3)
         assert not out.any()
 
-    @pytest.mark.parametrize("nnz", [-1, 10**12])
-    def test_impossible_entry_count(self, tmp_path, nnz):
+    # a negative count is refused on the size line, at the count token
+    @pytest.mark.parametrize("nnz, message", [
+        (-1, "entry count must be >= 0, got -1 (line 2, column 5)"),
+        (10**12, "expected 1000000000000 entries, found 1 (line 3)"),
+    ], ids=["-1", "1000000000000"])
+    def test_impossible_entry_count(self, tmp_path, nnz, message):
         text = f"%%MatrixMarket matrix coordinate real general\n2 2 {nnz}\n1 1 1.0\n"
         path = write_text(tmp_path / "n.mtx", text)
         with pytest.raises(ParseError) as info:
             read_matrix_market(path)
-        assert str(info.value) == f"expected {nnz} entries, found 1 (line 3)"
+        assert str(info.value) == message
 
     @settings(max_examples=200)
     @given(text=matrix_market_texts())

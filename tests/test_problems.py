@@ -209,7 +209,7 @@ class TestGeneratorSpec:
         assert np.array_equal(p1.B.array, p2.B.array)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, 3.0])
-    @pytest.mark.parametrize("spec", SPECS[2:], ids=lambda s: s.family)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
     def test_seed_must_be_a_nonnegative_int(self, spec, seed):
         with pytest.raises(ParameterOutOfRangeError, match=f"^parameter seed = {seed} is invalid"):
             generate_problem(GeneratorSpec(spec.family, spec.parameters, seed))

@@ -268,14 +268,33 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, value):
         assert envelope_to_json(value) == reference_json(value)
 
+    # the explicit ids are the ones these cases had when the non-str-key
+    # cases (value7, value8, value15) still sat in this list
     @pytest.mark.parametrize("value", [
         {}, [], {"a": {}}, {"a": []}, [[]], ("x", 1), {"t": (1.5, None)},
-        {2: "int key", 1.5: "float key", True: "bool", float("nan"): "nan"}, {None: "none"},
-        np.float64(-0.0), {"f": np.float64(1e-310)}, 2**100, True, "\u00e9\x00\"",
-        [LoudInt(7), LoudFloat(0.5), LoudFloat("nan")], {LoudInt(3): 1, LoudFloat(2.5): 2},
+        np.float64(-0.0), pytest.param({"f": np.float64(1e-310)}, id="value10"),
+        2**100, True, "\u00e9\x00\"",
+        pytest.param([LoudInt(7), LoudFloat(0.5), LoudFloat("nan")], id="value14"),
     ])
     def test_edge_cases_match_json_dumps(self, value):
         assert envelope_to_json(value) == reference_json(value)
+
+    def test_numpy_gamma_in_details_matches_json_dumps(self):
+        p = gen_toy(0.6, 0.8)
+        env = report_envelope(p, RunConfig(), applicable_bounds(p, gamma=np.float64(1.0)))
+        assert "$.bounds[5].details.gamma: float64" in non_json_values(env)  # wbound's gamma
+        assert envelope_to_json(env) == reference_json(env)
+
+    # json.dumps writes these keys as text; no envelope holds one, and the
+    # writer refuses them, naming the type of the first key in sorted order
+    @pytest.mark.parametrize("value, key_type", [
+        ({2: "int key", 1.5: "float key", True: "bool", float("nan"): "nan"}, "bool"),
+        ({None: "none"}, "NoneType"),
+        ({LoudInt(3): 1, LoudFloat(2.5): 2}, "LoudFloat"),
+    ])
+    def test_rejects_non_string_keys(self, value, key_type):
+        with pytest.raises(TypeError, match=f"^keys must be str, not {key_type}$"):
+            envelope_to_json(value)
 
     @pytest.mark.parametrize("value", [
         np.float32(1.5), {"a": [np.float32(1.5)]}, {1, 2}, object(), np.int64(3),
@@ -329,12 +348,16 @@ class TestEnvelopeValues:
         assert count == 2 * len(corpus)
 
     @pytest.mark.parametrize("command, extra", [
-        ("bound", ["--auto-gamma"]),
-        ("sweep", ["--points", "9"]),
+        ("bound", ["--A", "A.mtx", "--B", "B.mtx", "--auto-gamma"]),
+        ("sweep", ["--A", "A.mtx", "--B", "B.mtx", "--points", "9"]),
+        ("bound", ["--K", "K.mtx", "--n", "2"]),
+        ("bound", ["--A", "A.mtx", "--B", "B.mtx", "--csv"]),
     ])
-    def test_cli_report_holds_only_json_types(self, tmp_path, command, extra):
-        _, pa, pb = toy_files(tmp_path)
+    def test_cli_report_holds_only_json_types(self, tmp_path, monkeypatch, command, extra):
+        p, _, _ = toy_files(tmp_path)
+        write_matrix_market(tmp_path / "K.mtx", p.k_matrix, symmetric=True)
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "rep"
-        rc = cli.main([command, "--A", pa, "--B", pb, *extra, "--out", str(out)])
+        rc = cli.main([command, *extra, "--out", str(out)])
         assert rc == cli.EXIT_OK
         assert non_json_values(json.loads((out / "report.json").read_text())) == []
