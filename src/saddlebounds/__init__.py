@@ -14,7 +14,6 @@ from .bounds import (
     SaddleProblem,
     SpectralSummary,
     agamma_bound,
-    agamma_lower_bound,
     applicable_bounds,
     general_rank_bound,
     general_rank_optimal_gamma,

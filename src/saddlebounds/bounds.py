@@ -16,6 +16,9 @@ The bounds come in three flavors:
   where t is the minimal angle between range(A) and range(B^T); for
   general rank the same shape holds with A replaced by its best
   rank-(n - m) spectral approximation.
+
+A SaddleProblem decides the numerical rank of A once, in its summary;
+the bases of range(A) and ker(A) and every rank check read that number.
 """
 
 import math
@@ -38,7 +41,6 @@ from .errors import (
 from .linalg import (
     RectMatrix,
     SymmetricMatrix,
-    _basis_from_eig,
     _frozen,
     checked_rel_tol,
     default_rank_tol,
@@ -256,14 +258,19 @@ class SaddleProblem:
             rel_tol=self.rel_tol,
         )
 
-    # subspace bases: read-only arrays, one orthonormal column per vector
+    # subspace bases: read-only arrays, one orthonormal column per vector;
+    # construction keeps every negative eigenvalue within rel_tol * mu_max,
+    # so the first rank_a columns are those of the largest |eigenvalues|
     @cached_property
     def range_a(self):
-        return _basis_from_eig(self.eig_a, self.rel_tol, "range")
+        return _frozen(self.eig_a.vectors[:, : self.summary.rank_a])
 
     @cached_property
     def kernel_a(self):
-        return _basis_from_eig(self.eig_a, self.rel_tol, "kernel")
+        """The columns past rank_a, by |eigenvalue| descending (stable)."""
+        rank = self.summary.rank_a
+        order = np.argsort(-np.abs(self.eig_a.values[rank:]), kind="stable")
+        return _frozen(self.eig_a.vectors[:, rank + order])
 
     @property
     def row_space_b(self):
@@ -298,12 +305,17 @@ class SaddleProblem:
 
     @cached_property
     def split_quantities(self):
-        """(mu_{n-m}, angles, degenerate) of the spectral split; see
-        ``_general_split_quantities``, which checks the rank first.
+        """(mu_{n-m}, angles, degenerate) of the split at the top-(n - m)
+        eigenspace of A; RankTooLowError when rank(A) < n - m (K singular).
 
         In the lowest-rank case the split basis holds exactly the columns
         of ``range_a``, so the split angles are ``range_angles``."""
         k = self.n - self.m
+        rank = self.summary.rank_a
+        if rank < k:
+            raise RankTooLowError(
+                f"rank(A) = {rank} < n - m = {k}; the saddle matrix would be singular"
+            )
         raw = self.eig_a.values
         mu_nm = float(self.a_values[k - 1])
         degenerate = abs(float(raw[k - 1]) - float(raw[k])) <= self.rel_tol * abs(float(raw[0]))
@@ -445,11 +457,10 @@ def wbound(problem, gamma):
 
 
 def _require_lowest_rank(problem):
-    want = problem.n - problem.m
-    got = problem.summary.rank_a
-    if got != want:
+    if not problem.is_lowest_rank:
         raise RankAssumptionError(
-            f"requires rank(A) = n - m = {want}, numerical rank is {got}"
+            f"requires rank(A) = n - m = {problem.n - problem.m}, "
+            f"numerical rank is {problem.summary.rank_a}"
         )
 
 
@@ -457,17 +468,6 @@ def rho_from_angles(angles):
     """(1 - cos(theta_min), theta_min) of a PrincipalAngles, theta_min
     its smallest angle: the angle data every angle bound reads."""
     return 1.0 - float(angles.cosines[0]), float(angles.angles[0])
-
-
-def agamma_lower_bound(problem, gamma):
-    """Lower bound on mu_min(A + gamma B^T B) without the augmented
-    eigensolve: rho * min{mu_min_plus(A), gamma * sigma_min(B)^2}."""
-    _require_lowest_rank(problem)
-    if not math.isfinite(gamma) or gamma <= 0:
-        raise ParameterOutOfRangeError(f"gamma must be positive, got {gamma}")
-    rho, _ = rho_from_angles(problem.range_angles)
-    s = problem.summary
-    return rho * min(s.mu_min_plus, gamma * _square(s.sigma_min))
 
 
 def _angle_term(mu, sigma_min, rho):
@@ -544,19 +544,6 @@ def kernel_angle_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     )
 
 
-def _general_split_quantities(problem):
-    """(mu_{n-m}, angles, degenerate) for the split-based bound: the
-    (n - m)-th largest eigenvalue of A and the principal angles between
-    the top-(n - m) eigenspace and range(B^T)."""
-    k = problem.n - problem.m
-    if problem.summary.rank_a < k:
-        raise RankTooLowError(
-            f"rank(A) = {problem.summary.rank_a} < n - m = {k}; "
-            "the saddle matrix would be singular"
-        )
-    return problem.split_quantities
-
-
 def general_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """Split-based angle bound valid for any rank(A) >= n - m:
     min{mu_{n-m} * (1 - cos t), sigma_min * sqrt(1 - cos t)} with t the
@@ -566,7 +553,7 @@ def general_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     the report carries a zero-angle warning; the value is still a valid
     (vacuous) lower bound.
     """
-    mu_nm, ang, degenerate = _general_split_quantities(problem)
+    mu_nm, ang, degenerate = problem.split_quantities
     rho, theta_min = rho_from_angles(ang)
     s = problem.summary
     return _angle_bound_report(
@@ -589,19 +576,23 @@ def general_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
 def general_rank_optimal_gamma(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """Optimal gamma computed from the split quantities; this is the
     fallback when rank(A) > n - m rules out the lowest-rank formula."""
-    mu_nm, ang, _ = _general_split_quantities(problem)
+    mu_nm, ang, _ = problem.split_quantities
     return _optimal_gamma(mu_nm, problem.summary.sigma_min, ang, angle_tol, "split")
 
 
 def agamma_bound(problem, gamma):
-    """K-level bound at a given gamma that avoids the augmented
+    """K-level bound at a given gamma > 0 that avoids the augmented
     eigensolve: min{1/gamma, rho * min{mu_min_plus, gamma * sigma_min^2}}.
 
-    The inner term underestimates mu_min(A_gamma), so this is never
-    tighter than wbound at the same gamma, but it is certified from the
-    angle data alone."""
-    inner = agamma_lower_bound(problem, gamma)
+    The inner term, details["augmented_estimate"], underestimates
+    mu_min(A_gamma) when rank(A) = n - m, so this is never tighter than
+    wbound at the same gamma, but it is certified from the angle data."""
+    _require_lowest_rank(problem)
+    if not math.isfinite(gamma) or gamma <= 0:
+        raise ParameterOutOfRangeError(f"gamma must be positive, got {gamma}")
     rho, theta_min = rho_from_angles(problem.range_angles)
+    s = problem.summary
+    inner = rho * min(s.mu_min_plus, gamma * _square(s.sigma_min))
     inv = 1.0 / gamma
     if inner <= inv:
         value, active = inner, "augmented-estimate"

@@ -1,5 +1,5 @@
-"""Dense symmetric eigendecompositions, SVD, numerical rank, orthonormal
-subspace bases, and principal angles.
+"""Dense symmetric eigendecompositions, SVD, numerical rank, the
+orthonormal null-space basis of a rectangular matrix, principal angles.
 
 The decompositions take the validated SymmetricMatrix and RectMatrix
 wrappers, whose backing arrays are read-only. A subspace basis is a
@@ -197,20 +197,6 @@ def numerically_semidefinite(smallest, largest, rel_tol):
     compares false, so it never counts against semidefiniteness.
     """
     return not (largest < 0 or smallest < -rel_tol * largest)
-
-
-def _abs_order(values):
-    # stable, so strictly descending positives keep their positions
-    return np.argsort(-np.abs(values), kind="stable")
-
-
-def _basis_from_eig(dec, rel_tol, kind):
-    """Read-only basis of the range (``kind == "range"``) or the kernel of
-    the matrix with eigendecomposition ``dec``."""
-    order = _abs_order(dec.values)
-    rank = numerical_rank(np.abs(dec.values)[order], rel_tol)
-    keep = order[:rank] if kind == "range" else order[rank:]
-    return _frozen(dec.vectors[:, keep])
 
 
 def kernel_basis_rect(m, rel_tol):

@@ -52,13 +52,22 @@ class GeneratorSpec:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
+def _holds_bool(value):
+    """True for a bool or bool array, or a list or tuple holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(item) for item in value)
+    return np.asarray(value).dtype.kind == "b"
+
+
 def _converted(name, convert, value):
     """``convert(value)``; a value that does not convert, or that holds
-    text (int(), float() and numpy would parse "12"), is an input error
-    naming the parameter, not a crash."""
+    text or a bool (numpy would parse "12" and turn [1, True] into floats),
+    is an input error naming the parameter, not a crash."""
     try:
         if np.asarray(value).dtype.kind in "US":
             raise TypeError("numbers must not be given as strings")
+        if _holds_bool(value):
+            raise TypeError("numbers must not be given as booleans")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterOutOfRangeError(f"parameter {name} = {value!r} is invalid: {exc}") from exc
@@ -70,6 +79,19 @@ def _integer(value):
     if isinstance(value, float) and out != value:
         raise ValueError("not an integer")
     return out
+
+
+def _order(value):
+    """_integer(value), refusing an order n whose n x n matrix numpy cannot
+    allocate, before any work, as read_matrix_market refuses a size line
+    (np.empty reserves the memory without touching it)."""
+    n = _integer(value)
+    if n > 0:
+        try:
+            np.empty((n, n))
+        except (MemoryError, ValueError):
+            raise ValueError(f"a {n} x {n} matrix does not fit in memory") from None
+    return n
 
 
 def _seed(value):
@@ -145,7 +167,7 @@ def gen_prescribed_angles(n, m, a_eigs, b_sing_vals, thetas, seed=0):
     and rank(A) = n - m. The measured angles are checked against the
     request before returning.
     """
-    n = _converted("n", _integer, n)
+    n = _converted("n", _order, n)
     m = _converted("m", _integer, m)
     if m < 1 or n < 2 * m:
         raise ParameterOutOfRangeError(f"need n >= 2m with m >= 1, got n = {n}, m = {m}")
@@ -200,7 +222,7 @@ def gen_ipm_like(n, m, delta, seed=0):
     full-row-rank matrix. delta = 0 gives an exactly lowest-rank
     problem, small positive delta the nearly-rank-deficient shape that
     interior-point iterations approach."""
-    n = _converted("n", _integer, n)
+    n = _converted("n", _order, n)
     m = _converted("m", _integer, m)
     if m < 1 or m >= n:
         raise ParameterOutOfRangeError(f"need 1 <= m < n, got n = {n}, m = {m}")
@@ -224,7 +246,7 @@ def gen_ipm_like(n, m, delta, seed=0):
 def gen_random_lowest_rank(n, m, seed=0):
     """A = X X^T of exact rank n - m with seeded Gaussian X and B; if
     validation fails the seed is incremented, up to 16 attempts."""
-    n = _converted("n", _integer, n)
+    n = _converted("n", _order, n)
     m = _converted("m", _integer, m)
     if m < 1 or m >= n:
         raise ParameterOutOfRangeError(f"need 1 <= m < n, got n = {n}, m = {m}")

@@ -17,7 +17,6 @@ import pytest
 from saddlebounds.bounds import (
     SaddleProblem,
     agamma_bound,
-    agamma_lower_bound,
     applicable_bounds,
     general_rank_bound,
     general_rank_optimal_gamma,
@@ -425,7 +424,7 @@ class TestAngleBounds:
         # mu_min(A_1) exactly at 1 - 1/sqrt(2)
         c = 1.0 / math.sqrt(2.0)
         p = gen_toy(c, c)
-        est = agamma_lower_bound(p, 1.0)
+        est = agamma_bound(p, 1.0).details["augmented_estimate"]
         mu_min = float(np.linalg.eigvalsh(reference_augmented(p, 1.0))[0])
         assert abs(est - (1.0 - c)) <= 1e-12
         assert abs(est - mu_min) <= 1e-12
@@ -433,7 +432,7 @@ class TestAngleBounds:
     def test_estimate_never_exceeds_augmented_min(self):
         for p in (toy(), toy(0.8, 0.6), gen_random_lowest_rank(12, 4, 1)):
             for gamma in np.logspace(-3, 3, 13):
-                est = agamma_lower_bound(p, float(gamma))
+                est = agamma_bound(p, float(gamma)).details["augmented_estimate"]
                 mu_min = float(np.linalg.eigvalsh(reference_augmented(p, float(gamma)))[0])
                 assert est <= mu_min + 1e-10
 
@@ -452,8 +451,8 @@ class TestAngleBounds:
         p = SaddleProblem(1e160 * np.diag([2.0, 1.0, 0.0]),
                           1e160 * np.array([[0.0, 0.3, 1.0]]))
         rho, _ = rho_from_angles(p.range_angles)
-        assert agamma_lower_bound(p, 1.0) == rho * p.summary.mu_min_plus
         report = agamma_bound(p, 1.0)
+        assert report.details["augmented_estimate"] == rho * p.summary.mu_min_plus
         assert report.value == 1.0
         assert report.details["active"] == "weight-inverse"
 
@@ -463,11 +462,12 @@ class TestAngleBounds:
             s = p.summary
             for gamma in (0.1, 1.0, 10.0):
                 expected = rho * min(s.mu_min_plus, gamma * s.sigma_min**2)
-                assert agamma_lower_bound(p, gamma) == expected, label
+                estimate = agamma_bound(p, gamma).details["augmented_estimate"]
+                assert estimate == expected, label
 
     def test_gamma_must_be_positive(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            agamma_lower_bound(toy(), 0.0)
+        with pytest.raises(ParameterOutOfRangeError, match="^gamma must be positive, got 0.0$"):
+            agamma_bound(toy(), 0.0)
         with pytest.raises(ParameterOutOfRangeError):
             agamma_bound(toy(), -2.0)
 
@@ -476,8 +476,9 @@ class TestAngleBounds:
         for fn in (lowest_rank_bound, kernel_angle_bound, optimal_gamma):
             with pytest.raises(RankAssumptionError):
                 fn(p)
-        with pytest.raises(RankAssumptionError):
-            agamma_lower_bound(p, 1.0)
+        with pytest.raises(RankAssumptionError,
+                           match=r"^requires rank\(A\) = n - m = 1, numerical rank is 2$"):
+            agamma_bound(p, 1.0)
 
     def test_zero_angle_error_via_inflated_tolerance(self):
         # every validated problem has a positive angle, so force the
@@ -530,12 +531,13 @@ class TestGeneralRank:
 
     def test_rank_too_low_is_detected(self):
         # unreachable through a validated problem (K would be singular),
-        # so drive the function with a minimal stand-in
+        # so drive the split with a minimal stand-in
         stub = types.SimpleNamespace(
             n=4, m=1, rel_tol=1e-12, summary=types.SimpleNamespace(rank_a=2)
         )
-        with pytest.raises(RankTooLowError):
-            general_rank_bound(stub)
+        message = r"^rank\(A\) = 2 < n - m = 3; the saddle matrix would be singular$"
+        with pytest.raises(RankTooLowError, match=message):
+            SaddleProblem.split_quantities.func(stub)
 
     def test_optimal_gamma_fallback_positive(self):
         rng = np.random.default_rng(12)

@@ -88,12 +88,38 @@ class TestGenerate:
         ("ipm", {"n": 8, "m": 3, "delta": "0.01"}, "delta"),
         ("angles", {"n": 4, "m": 1, "a_eigs": [1, 2, 3], "b_sing_vals": [1],
                     "thetas": ["0.5"]}, "thetas"),
+        # booleans, which int(), float() and numpy would take for 0 and 1,
+        # inside lists too, where numpy turns [1, true] into floats
+        ("random", {"n": 12, "m": True}, "m"),
+        ("ipm", {"n": 8, "m": 3, "delta": False}, "delta"),
+        ("angles", {"n": 4, "m": 2, "a_eigs": [1, 2], "b_sing_vals": [1, True],
+                    "thetas": [0.5, True]}, "b_sing_vals"),
+        ("angles", {"n": 4, "m": 2, "a_eigs": [1, 2], "b_sing_vals": [1, 1],
+                    "thetas": [0.5, True]}, "thetas"),
+        ("toy", {"b1": True, "b2": 0.0}, "b1"),
+        ("remark", {"alpha": True}, "alpha"),
     ])
     def test_mistyped_parameter_is_an_input_error(self, tmp_path, capsys, family, params, name):
+        out = tmp_path / "x"
         rc = cli.main(["generate", "--family", family, "--params", json.dumps(params),
-                       "--out", str(tmp_path / "x")])
+                       "--out", str(out)])
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: parameter {name} = ")
+        assert not out.exists()
+
+    # sizes whose n x n matrix fails before any memory is touched; never
+    # test a size that numpy could really allocate
+    @pytest.mark.parametrize("n", [100000000, 100000000000000000000])
+    def test_unallocatable_size_is_an_input_error(self, tmp_path, capsys, n):
+        out = tmp_path / "x"
+        rc = cli.main(["generate", "--family", "random", "--params",
+                       json.dumps({"n": n, "m": 5}), "--seed", "1", "--out", str(out)])
+        assert rc == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: parameter n = {n} is invalid: "
+                                f"a {n} x {n} matrix does not fit in memory\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("family, params, name", [
         ("random", {"n": 12.9, "m": 5}, "n"),

@@ -15,7 +15,7 @@ from saddlebounds.errors import (
 from saddlebounds.linalg import (
     RectMatrix,
     SymmetricMatrix,
-    _basis_from_eig,
+    _frozen,
     checked_rel_tol,
     default_rank_tol,
     kernel_basis_rect,
@@ -27,6 +27,7 @@ from saddlebounds.linalg import (
     svd,
     sym_eig,
 )
+from saddlebounds.problems import GeneratorSpec, generate_problem
 
 
 # Helpers that only the tests use: subspace bases of a bare matrix and the
@@ -34,16 +35,28 @@ from saddlebounds.linalg import (
 # A basis is an array with one orthonormal column per basis vector.
 
 
+def basis_from_eig(dec, rel_tol, kind):
+    """Read-only basis of the range (``kind == "range"``) or the kernel of
+    the matrix with eigendecomposition ``dec``: the eigenvectors ordered
+    by |eigenvalue| descending (stable, so strictly descending positives
+    keep their positions) and split at the numerical rank of those
+    |eigenvalues|. The reference behind SaddleProblem.range_a/kernel_a."""
+    order = np.argsort(-np.abs(dec.values), kind="stable")
+    rank = numerical_rank(np.abs(dec.values)[order], rel_tol)
+    keep = order[:rank] if kind == "range" else order[rank:]
+    return _frozen(dec.vectors[:, keep])
+
+
 def range_basis(m):
     """Orthonormal basis of the numerical range of a symmetric matrix."""
     sm = SymmetricMatrix.from_array(m)
-    return _basis_from_eig(sym_eig(sm), default_rank_tol(sm.order), "range")
+    return basis_from_eig(sym_eig(sm), default_rank_tol(sm.order), "range")
 
 
 def kernel_basis(m):
     """Orthonormal basis of the numerical null space of a symmetric matrix."""
     sm = SymmetricMatrix.from_array(m)
-    return _basis_from_eig(sym_eig(sm), default_rank_tol(sm.order), "kernel")
+    return basis_from_eig(sym_eig(sm), default_rank_tol(sm.order), "kernel")
 
 
 def row_space_basis(m):
@@ -326,6 +339,52 @@ class TestSubspaces:
         np.testing.assert_allclose(a @ k, 0.0, atol=1e-10)
         # the two bases are mutually orthogonal
         assert np.abs(r.T @ k).max() <= 1e-8
+
+    @staticmethod
+    def _bits(angles):
+        """The bits of the PrincipalAngles ``angles()`` returns, or the
+        message of the DimensionMismatchError it raises."""
+        try:
+            ang = angles()
+        except DimensionMismatchError as exc:
+            return str(exc)
+        return ang.cosines.tobytes(), ang.angles.tobytes()
+
+    @classmethod
+    def _assert_bases_match_the_reference(cls, label, p):
+        range_a = basis_from_eig(p.eig_a, p.rel_tol, "range")
+        kernel_a = basis_from_eig(p.eig_a, p.rel_tol, "kernel")
+        for got, want in ((p.range_a, range_a), (p.kernel_a, kernel_a)):
+            assert not got.flags.writeable, label
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), label
+        assert (cls._bits(lambda: p.range_angles)
+                == cls._bits(lambda: principal_angles(range_a, p.row_space_b))), label
+        assert (cls._bits(lambda: p.kernel_angles)
+                == cls._bits(lambda: principal_angles(kernel_a, p.kernel_b))), label
+        k = p.n - p.m
+        split = range_a if p.is_lowest_rank else p.eig_a.vectors[:, :k]
+        raw = p.eig_a.values
+        mu_nm, angles, degenerate = p.split_quantities
+        assert mu_nm == max(float(raw[k - 1]), 0.0), label
+        assert degenerate == (abs(float(raw[k - 1]) - float(raw[k]))
+                              <= p.rel_tol * abs(float(raw[0]))), label
+        assert (cls._bits(lambda: angles)
+                == cls._bits(lambda: principal_angles(split, p.row_space_b))), label
+
+    def test_problem_bases_are_the_reference_bits(self, corpus):
+        # SaddleProblem splits the eigenvectors of A at summary.rank_a; the
+        # reference re-sorts by |eigenvalue| and takes its own rank
+        for label, p in corpus:
+            self._assert_bases_match_the_reference(label, p)
+
+    @pytest.mark.parametrize("family, params", [
+        ("random-lowest-rank", {"n": 400, "m": 160}),
+        ("ipm-like", {"n": 400, "m": 160, "delta": 1e-2}),
+    ])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_large_problem_bases_are_the_reference_bits(self, family, params, seed):
+        p = generate_problem(GeneratorSpec(family, params, seed))
+        self._assert_bases_match_the_reference(f"{family}-s{seed}", p)
 
     def test_kernel_basis_rect_annihilates(self):
         rng = np.random.default_rng(5)

@@ -208,11 +208,23 @@ class TestGeneratorSpec:
         assert np.array_equal(p1.A.array, p2.A.array)
         assert np.array_equal(p1.B.array, p2.B.array)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 3.0])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 3.0, True, False])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
     def test_seed_must_be_a_nonnegative_int(self, spec, seed):
         with pytest.raises(ParameterOutOfRangeError, match=f"^parameter seed = {seed} is invalid"):
             generate_problem(GeneratorSpec(spec.family, spec.parameters, seed))
+
+    # orders whose n x n matrix fails before any memory is touched
+    @pytest.mark.parametrize("n", [100000000, 100000000000000000000])
+    @pytest.mark.parametrize("make", [
+        lambda n: gen_random_lowest_rank(n, 5),
+        lambda n: gen_ipm_like(n, 5, 0.01),
+        lambda n: gen_prescribed_angles(n, 1, [1.0], [1.0], [0.5]),
+    ], ids=["random-lowest-rank", "ipm-like", "prescribed-angles"])
+    def test_unallocatable_order_is_refused_first(self, make, n):
+        message = f"^parameter n = {n} is invalid: a {n} x {n} matrix does not fit in memory$"
+        with pytest.raises(ParameterOutOfRangeError, match=message):
+            make(n)
 
     def test_json_round_trip(self):
         spec = SPECS[2]
