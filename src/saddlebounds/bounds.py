@@ -36,6 +36,7 @@ from .errors import (
     RankDeficientError,
     RankTooLowError,
     SingularKError,
+    SizeCapError,
     ZeroAngleError,
 )
 from .linalg import (
@@ -55,6 +56,8 @@ from .linalg import (
 )
 
 DEFAULT_ANGLE_TOL = 1e-10
+# largest order of K that is eigensolved densely
+DEFAULT_SIZE_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,8 @@ class SaddleProblem:
     m < n, and the assembled saddle matrix nonsingular. The eigensolve of
     A and the SVD of B are computed once here and reused by every bound.
     Nonsingularity of K is proved by one Cholesky factorization of order
-    n; only where that proof cannot decide does construction eigensolve K.
+    n; only where that proof cannot decide does construction eigensolve K,
+    and above ``DEFAULT_SIZE_CAP`` it raises SizeCapError instead.
 
     A and B are kept as copies, so the caller's arrays may change later.
     Every quantity that several bounds and checks share is computed on
@@ -176,6 +180,11 @@ class SaddleProblem:
 
         self._per_gamma = {}  # (kind, gamma) -> read-only value vector
         if not self._k_certified_nonsingular():
+            if n + m > DEFAULT_SIZE_CAP:
+                raise SizeCapError(
+                    f"K has order {n + m}, above the size cap {DEFAULT_SIZE_CAP}; "
+                    "only its dense eigensolve could show it nonsingular"
+                )
             self.k_eigs  # the dense check: raises SingularKError when K is singular
 
     def _k_certified_nonsingular(self):
@@ -396,17 +405,16 @@ def rusten_winther(summary):
       (mu_max - sqrt(mu_max^2 + 4 sigma_min^2)) / 2 ]
     and the positive ones in
     [ mu_min, (mu_max + sqrt(mu_max^2 + 4 sigma_max^2)) / 2 ].
-    With a singular A the positive lower endpoint degenerates to zero and
-    the report carries a vacuous-positive-lower warning.
+    With a singular A (the summary's ``nullity_a`` > 0) the positive lower
+    endpoint degenerates to zero and the report carries a
+    vacuous-positive-lower warning.
     """
     s = summary
     neg_lo = 0.5 * (s.mu_min - _rw_root(s.mu_min, s.sigma_max))
     neg_hi = 0.5 * (s.mu_max - _rw_root(s.mu_max, s.sigma_min))
     pos_lo = s.mu_min
     pos_hi = 0.5 * (s.mu_max + _rw_root(s.mu_max, s.sigma_max))
-    warns = ()
-    if numerically_singular(s.mu_min, s.mu_max, s.rel_tol):
-        warns = ("vacuous-positive-lower",)
+    warns = ("vacuous-positive-lower",) if s.nullity_a else ()
     return BoundReport(
         name="rusten-winther",
         value=pos_lo,

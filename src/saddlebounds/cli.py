@@ -3,7 +3,8 @@
 Subcommands: bound (compute and certify bounds for one problem), sweep
 (tabulate the scalar-weight bound over a gamma grid), generate (write a
 seeded family instance to Matrix Market files), verify (run the invariant
-suite and fail on any violation).
+suite and fail on any violation). This module parses arguments and prints;
+the checks, the verify suite and their tolerances live in ``harness``.
 
 Exit codes: 0 success, 1 invariant violation, 2 input error, 3 size cap.
 """
@@ -14,27 +15,16 @@ import os
 import sys
 
 from . import __version__
-from .bounds import (
-    DEFAULT_ANGLE_TOL,
-    applicable_bounds,
-    general_rank_optimal_gamma,
-    optimal_gamma,
-    scalar_weight_bounds,
-)
+from .bounds import applicable_bounds, general_rank_optimal_gamma, optimal_gamma
 from .errors import ParameterOutOfRangeError, SaddleBoundsError, SizeCapError
 from .harness import (
-    DEFAULT_CERT_SLACK,
-    DEFAULT_COND_CAP,
-    DEFAULT_SIZE_CAP,
-    augmented_condition,
+    DEFAULT_VERIFY_GAMMAS,
     certify,
     check_size_cap,
-    containment_violations,
     gamma_sweep,
-    inverse_identity_residual,
     log_gamma_grid,
     oracle,
-    ptp_spectrum_deviation,
+    run_verification,
 )
 from .mmio import write_matrix_market
 from .problems import FAMILIES, GeneratorSpec, generate_problem
@@ -60,10 +50,6 @@ _FAMILY_ALIASES = {
     "ipm": "ipm-like",
     "random": "random-lowest-rank",
 }
-
-_VERIFY_GAMMAS = (0.1, 1.0, 10.0)
-_INVERSE_IDENTITY_TOL = 1e-8
-_PTP_TOL = 1e-8
 
 
 def _add_problem_args(parser):
@@ -229,73 +215,10 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
-                     angle_tol=DEFAULT_ANGLE_TOL, size_cap=DEFAULT_SIZE_CAP, emit=print):
-    """Invariant suite shared by the verify subcommand and tests.
-
-    Returns a list of failure descriptions; empty means everything held.
-    A refused gamma emits nothing: every report is built before the oracle.
-    """
-    failures = []
-    check_size_cap(problem.n + problem.m, size_cap)
-    reports = applicable_bounds(problem, angle_tol=angle_tol)
-    for gamma in gammas:
-        reports += scalar_weight_bounds(problem, gamma)
-    oracle_result = oracle(problem, size_cap)
-
-    if not oracle_result.inertia_ok:
-        failures.append(
-            f"inertia: expected {problem.n} positive / {problem.m} negative, got "
-            f"{oracle_result.pos_count} / {oracle_result.neg_count}"
-        )
-    emit(f"inertia counts: {'ok' if oracle_result.inertia_ok else 'FAIL'}")
-
-    outside = containment_violations(reports[0], oracle_result, cert_slack)  # rusten-winther
-    if outside.size:
-        failures.append(f"containment: {outside.size} eigenvalues outside the intervals")
-    emit(f"interval containment: {'ok' if not outside.size else 'FAIL'}")
-
-    for report in reports:
-        outcome = certify(report, oracle_result, cert_slack)
-        if outcome.status == "violated":
-            failures.append(
-                f"soundness: {report.name} = {report.value:.6e} exceeds "
-                f"mu_min_plus(K) = {oracle_result.mu_min_plus:.6e}"
-            )
-        tag = report.name
-        if "gamma" in report.details:
-            tag = f"{report.name} (gamma={report.details['gamma']:g})"
-        emit(f"soundness {tag}: {outcome.status} (slack {outcome.slack:.3e})")
-
-    for gamma in gammas:
-        cond = augmented_condition(problem, gamma)
-        if cond > DEFAULT_COND_CAP:
-            emit(f"inverse identity gamma={gamma:g}: skipped (condition {cond:.3e})")
-            continue
-        residual = inverse_identity_residual(problem, gamma)
-        ok = residual <= _INVERSE_IDENTITY_TOL
-        if not ok:
-            failures.append(
-                f"inverse identity at gamma={gamma:g}: residual {residual:.3e}"
-            )
-        emit(f"inverse identity gamma={gamma:g}: {'ok' if ok else 'FAIL'} "
-             f"(residual {residual:.3e})")
-
-    if problem.is_lowest_rank:
-        dev_spec, dev_inv = ptp_spectrum_deviation(problem)
-        ok = dev_spec <= _PTP_TOL and dev_inv <= _PTP_TOL
-        if not ok:
-            failures.append(
-                f"stacked-basis spectrum: deviations {dev_spec:.3e}, {dev_inv:.3e}"
-            )
-        emit(f"stacked-basis spectrum: {'ok' if ok else 'FAIL'}")
-    return failures
-
-
 def cmd_verify(args):
     cfg = RunConfig(rel_tol=args.relTol)
     problem = _read_under_cap(_source(args), cfg)
-    gammas = (args.gamma,) if args.gamma is not None else _VERIFY_GAMMAS
+    gammas = (args.gamma,) if args.gamma is not None else DEFAULT_VERIFY_GAMMAS
     failures = run_verification(
         problem, gammas, cfg.cert_slack, cfg.angle_tol, cfg.size_cap
     )

@@ -1,6 +1,7 @@
 """Certification harness: dense eigenvalue oracle, soundness checks for
-bound reports, the augmented-inverse identity residual, and the sweep of
-the scalar-weight bound over a gamma grid.
+bound reports, the augmented-inverse identity residual, the sweep of
+the scalar-weight bound over a gamma grid, and the ``verify`` suite,
+``run_verification``, with every tolerance and default its checks use.
 
 The oracle is the ground truth every bound is checked against: a full
 dense eigensolve of K, capped by default at order 2000. It is the only
@@ -12,13 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _require_lowest_rank, rho_from_angles, saddle_matrix
+from .bounds import (
+    DEFAULT_ANGLE_TOL,
+    DEFAULT_SIZE_CAP,
+    _require_lowest_rank,
+    applicable_bounds,
+    rho_from_angles,
+    saddle_matrix,
+    scalar_weight_bounds,
+)
 from .errors import AugmentedBlockSingularError, ParameterOutOfRangeError, SizeCapError
 from .linalg import _frozen, lapack, numerically_singular
 
-DEFAULT_SIZE_CAP = 2000
 DEFAULT_CERT_SLACK = 1e-8
 DEFAULT_COND_CAP = 1e12
+# the verify suite: its gammas, and the absolute tolerances of the
+# inverse-identity residual and of the stacked-basis deviations
+DEFAULT_VERIFY_GAMMAS = (0.1, 1.0, 10.0)
+_INVERSE_IDENTITY_TOL = 1e-8
+_PTP_TOL = 1e-8
 
 SWEEP_CSV_HEADER = "gamma,inv_gamma,mu_min_A_gamma,predicted_bound,actual_min_pos_eig"
 _SWEEP_CSV_ROW = ",".join(["%.17g"] * 5) + "\n"
@@ -33,10 +46,11 @@ MAX_GAMMA_POINTS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
-    """Dense spectrum of K with the positivity threshold applied.
+    """Dense spectrum of K split by sign.
 
-    ``mu_min_plus`` is the smallest eigenvalue above
-    rel_tol * ||K||. A valid problem has exactly n positive and m
+    ``mu_min_plus`` is the smallest positive eigenvalue; no eigenvalue is
+    zero (``zero_count`` is 0), since ``SaddleProblem.k_eigs`` refuses a
+    numerically singular K. A valid problem has exactly n positive and m
     negative eigenvalues; ``inertia_ok`` records whether the counts came
     out that way rather than asserting it silently.
     """
@@ -47,7 +61,6 @@ class OracleResult:
     neg_count: int
     zero_count: int
     inertia_ok: bool
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -104,26 +117,19 @@ def check_size_cap(order, size_cap=DEFAULT_SIZE_CAP):
 def oracle(problem, size_cap=DEFAULT_SIZE_CAP):
     """Full spectrum of K from a dense eigensolve, refusing problems
     above the size cap before any work of order n + m. The eigensolve
-    runs on the first call and is kept on the problem for later calls."""
-    order = problem.n + problem.m
-    check_size_cap(order, size_cap)
-    vals = problem.k_eigs[::-1]  # descending
-    threshold = problem.rel_tol * float(np.abs(vals).max())
-    pos = vals > threshold
-    neg = vals < -threshold
-    pos_count = int(np.count_nonzero(pos))
-    neg_count = int(np.count_nonzero(neg))
-    zero_count = order - pos_count - neg_count
-    mu_min_plus = float(vals[pos].min())  # nonempty: K is validated nonsingular
-    inertia_ok = pos_count == problem.n and neg_count == problem.m and zero_count == 0
+    runs on the first call and is kept on the problem for later calls.
+    ``k_eigs`` has already refused an eigenvalue near zero, so the
+    spectrum is split by sign."""
+    check_size_cap(problem.n + problem.m, size_cap)
+    vals = problem.k_eigs
+    pos_count = int(np.count_nonzero(vals > 0.0))
     return OracleResult(
-        all_eigs=_frozen(vals),
-        mu_min_plus=mu_min_plus,
+        all_eigs=_frozen(vals[::-1]),
+        mu_min_plus=float(vals[-pos_count]),  # vals ascend
         pos_count=pos_count,
-        neg_count=neg_count,
-        zero_count=zero_count,
-        inertia_ok=inertia_ok,
-        threshold=threshold,
+        neg_count=vals.size - pos_count,
+        zero_count=0,
+        inertia_ok=pos_count == problem.n,
     )
 
 
@@ -295,3 +301,66 @@ def ptp_spectrum_deviation(problem):
     # sigma_min(P)^2 is the smallest eigenvalue of P^T P
     dev_inverse = abs(float(gram_eigs[0]) - rho_from_angles(problem.range_angles)[0])
     return dev_spectrum, dev_inverse
+
+
+def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
+                     angle_tol=DEFAULT_ANGLE_TOL, size_cap=DEFAULT_SIZE_CAP, emit=print):
+    """Invariant suite shared by the verify subcommand and tests.
+
+    Returns a list of failure descriptions; empty means everything held.
+    A refused gamma emits nothing: every report is built before the oracle.
+    """
+    failures = []
+    check_size_cap(problem.n + problem.m, size_cap)
+    reports = applicable_bounds(problem, angle_tol=angle_tol)
+    for gamma in gammas:
+        reports += scalar_weight_bounds(problem, gamma)
+    oracle_result = oracle(problem, size_cap)
+
+    if not oracle_result.inertia_ok:
+        failures.append(
+            f"inertia: expected {problem.n} positive / {problem.m} negative, got "
+            f"{oracle_result.pos_count} / {oracle_result.neg_count}"
+        )
+    emit(f"inertia counts: {'ok' if oracle_result.inertia_ok else 'FAIL'}")
+
+    outside = containment_violations(reports[0], oracle_result, cert_slack)  # rusten-winther
+    if outside.size:
+        failures.append(f"containment: {outside.size} eigenvalues outside the intervals")
+    emit(f"interval containment: {'ok' if not outside.size else 'FAIL'}")
+
+    for report in reports:
+        outcome = certify(report, oracle_result, cert_slack)
+        if outcome.status == "violated":
+            failures.append(
+                f"soundness: {report.name} = {report.value:.6e} exceeds "
+                f"mu_min_plus(K) = {oracle_result.mu_min_plus:.6e}"
+            )
+        tag = report.name
+        if "gamma" in report.details:
+            tag = f"{report.name} (gamma={report.details['gamma']:g})"
+        emit(f"soundness {tag}: {outcome.status} (slack {outcome.slack:.3e})")
+
+    for gamma in gammas:
+        cond = augmented_condition(problem, gamma)
+        if cond > DEFAULT_COND_CAP:
+            emit(f"inverse identity gamma={gamma:g}: skipped (condition {cond:.3e})")
+            continue
+        residual = inverse_identity_residual(problem, gamma)
+        ok = residual <= _INVERSE_IDENTITY_TOL
+        if not ok:
+            failures.append(
+                f"inverse identity at gamma={gamma:g}: residual {residual:.3e}"
+            )
+        emit(f"inverse identity gamma={gamma:g}: {'ok' if ok else 'FAIL'} "
+             f"(residual {residual:.3e})")
+
+    if problem.is_lowest_rank:
+        dev_spec, dev_inv = ptp_spectrum_deviation(problem)
+        ok = dev_spec <= _PTP_TOL and dev_inv <= _PTP_TOL
+        if not ok:
+            failures.append(
+                f"stacked-basis spectrum: deviations {dev_spec:.3e}, {dev_inv:.3e}"
+            )
+        emit(f"stacked-basis spectrum: {'ok' if ok else 'FAIL'}")
+    return failures

@@ -8,6 +8,8 @@ that reader declines (a malformed section, or syntax only Python's
 int() and float() accept, such as 1_0, interior % comments or an empty
 section) is scanned line by line: the scan returns the same columns,
 or raises a ParseError with the line and column of the first bad token.
+An ``integer`` file is always scanned, so that a value that is not an
+integer is refused; an integral value reads as float() reads it.
 Values are written with 17 significant digits so float64 entries
 round-trip exactly, and entries are emitted in a fixed column-major
 order so output bytes are stable; one ``%`` format call writes them all.
@@ -50,10 +52,16 @@ def _parse_float(text, lineno, column):
         raise ParseError(f"expected a number, got {text!r}", lineno, column) from None
 
 
+def _parse_integral(text, lineno, column):
+    """The value of an integer token, with the bits float() gives it."""
+    _parse_int(text, lineno, column)
+    return float(text)
+
+
 def _read_header(lines):
     """Parse the banner and the size line from the iterator ``lines``,
-    consuming no line after the size line. Returns (format, symmetry,
-    rows, cols, entry count, 0-based index of the size line)."""
+    consuming no line after the size line. Returns (format, field,
+    symmetry, rows, cols, entry count, 0-based index of the size line)."""
     first = next(lines, None)
     if first is None:
         raise ParseError("empty file", 1)
@@ -107,7 +115,7 @@ def _read_header(lines):
         count = rows * (rows + 1) // 2
     else:
         count = rows * cols
-    return fmt, symmetry, rows, cols, count, idx
+    return fmt, field, symmetry, rows, cols, count, idx
 
 
 def read_matrix_market_shape(path):
@@ -116,7 +124,7 @@ def read_matrix_market_shape(path):
     after the size line is read."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         # the lines str.splitlines gives on the whole text
-        _, _, rows, cols, _, _ = _read_header(chain.from_iterable(map(str.splitlines, fh)))
+        _, _, _, rows, cols, _, _ = _read_header(chain.from_iterable(map(str.splitlines, fh)))
     return rows, cols
 
 
@@ -124,16 +132,16 @@ def read_matrix_market(path):
     """Read a Matrix Market file into a dense float array."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
-    fmt, symmetry, rows, cols, count, idx = _read_header(iter(lines))
+    fmt, field, symmetry, rows, cols, count, idx = _read_header(iter(lines))
     try:
         out = np.zeros((rows, cols))
     except (MemoryError, ValueError):
         raise ParseError(f"a {rows} x {cols} matrix does not fit in memory", idx + 1) from None
 
     symmetric = symmetry == "symmetric"
-    columns = _load_columns(lines[idx + 1 :], fmt, rows, cols, count)
+    columns = _load_columns(lines[idx + 1 :], fmt, rows, cols, count) if field == "real" else None
     if columns is None:
-        columns = _scan_columns(lines, idx, fmt, symmetry, rows, cols, count)
+        columns = _scan_columns(lines, idx, fmt, field, symmetry, rows, cols, count)
 
     if fmt == "coordinate":
         i, j, v = columns
@@ -185,11 +193,12 @@ def _indices_in_range(i, j, rows, cols):
     return bool((i >= 1).all() and (i <= rows).all() and (j >= 1).all() and (j <= cols).all())
 
 
-def _scan_columns(lines, idx, fmt, symmetry, rows, cols, count):
+def _scan_columns(lines, idx, fmt, field, symmetry, rows, cols, count):
     """Scan the data section after the size line ``lines[idx]`` line by
     line with Python's int() and float(). Return its columns, as
     _load_columns does, or raise the ParseError of the first malformed
     line with the line and column of the bad token."""
+    parse_value = _parse_float if field == "real" else _parse_integral
     data_lines = []
     for off, line in enumerate(lines[idx + 1 :], start=idx + 2):
         if line.lstrip().startswith("%") or not line.strip():
@@ -207,7 +216,7 @@ def _scan_columns(lines, idx, fmt, symmetry, rows, cols, count):
                 raise ParseError(f"entry needs 'row col value', got {len(toks)} tokens", lineno)
             i = _parse_int(toks[0][0], lineno, toks[0][1])
             j = _parse_int(toks[1][0], lineno, toks[1][1])
-            v = _parse_float(toks[2][0], lineno, toks[2][1])
+            v = parse_value(toks[2][0], lineno, toks[2][1])
             if not 1 <= i <= rows:
                 raise ParseError(f"row index {i} outside 1..{rows}", lineno, toks[0][1])
             if not 1 <= j <= cols:
@@ -227,7 +236,7 @@ def _scan_columns(lines, idx, fmt, symmetry, rows, cols, count):
         toks = _tokens(line)
         if len(toks) != 1:
             raise ParseError(f"array entry needs one value per line, got {len(toks)}", lineno)
-        values.append(_parse_float(toks[0][0], lineno, toks[0][1]))
+        values.append(parse_value(toks[0][0], lineno, toks[0][1]))
     return [np.array(values, dtype=np.float64)]
 
 

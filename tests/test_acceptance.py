@@ -78,7 +78,7 @@ def test_02_remark_matrix_spectrum():
         for alpha in (0.1, 0.5, 0.9):
             p = gen_remark(alpha)
             orc = oracle(p)
-            pos = np.sort(orc.all_eigs[orc.all_eigs > orc.threshold])
+            pos = np.sort(orc.all_eigs[orc.all_eigs > 0])
             assert pos.shape == (3,)
             expected = np.sort([alpha, 1.0, golden])
             assert np.max(np.abs(pos - expected)) <= 1e-10

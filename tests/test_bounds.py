@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from saddlebounds import bounds
 from saddlebounds.bounds import (
     SaddleProblem,
     agamma_bound,
@@ -38,6 +39,7 @@ from saddlebounds.errors import (
     RankDeficientError,
     RankTooLowError,
     SingularKError,
+    SizeCapError,
     ZeroAngleError,
 )
 from saddlebounds.harness import (
@@ -245,6 +247,53 @@ class TestNonsingularityCertificate:
             assert both == dense_k_check(c * a, c * b)
             assert (both is None) == (base is None)
             assert construction_outcome(a, c * b)[0] == dense_k_check(a, c * b)
+
+
+def undecided_cases():
+    """Order-17 problems whose K the Cholesky certificate cannot decide:
+    rel_tol below n eps, entries at 1e160, and a row of B scaled to 1e-7."""
+    ipm = gen_ipm_like(12, 5, 1.0, seed=3)
+    rnd = gen_random_lowest_rank(12, 5, seed=3)
+    a, b = rnd.A.array, rnd.B.array.copy()
+    b[0] *= 1e-7
+    return [
+        (ipm.A.array, ipm.B.array, 1e-15),
+        (1e160 * rnd.A.array, 1e160 * rnd.B.array, None),
+        (a, b, None),
+    ]
+
+
+class TestSizeCapAtConstruction:
+    """Above the size cap, construction refuses the K its certificate
+    cannot decide instead of eigensolving it."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_undecided_k_above_the_cap_is_refused(self, monkeypatch, case):
+        a, b, rel_tol = undecided_cases()[case]
+        monkeypatch.setattr(bounds, "DEFAULT_SIZE_CAP", 16)
+        original = np.linalg.eigvalsh
+        orders = []
+
+        def recording(x, *args, **kwargs):
+            orders.append(np.shape(x)[-1])
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        with pytest.raises(SizeCapError, match=re.escape(
+                "K has order 17, above the size cap 16; only its dense eigensolve "
+                "could show it nonsingular")):
+            SaddleProblem(a, b, rel_tol=rel_tol)
+        assert 17 not in orders
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_at_the_real_cap_the_dense_check_decides(self, case):
+        a, b, rel_tol = undecided_cases()[case]
+        assert construction_outcome(a, b, rel_tol) == (None, 1)
+
+    def test_certified_k_above_the_cap_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(bounds, "DEFAULT_SIZE_CAP", 16)
+        p = gen_random_lowest_rank(12, 5, seed=3)
+        assert construction_outcome(p.A.array, p.B.array) == (None, 0)
 
 
 class TestRustenWinther:

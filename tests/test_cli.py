@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from saddlebounds import cli, harness
+from saddlebounds import bounds, cli, harness
 from saddlebounds.bounds import saddle_matrix
 from saddlebounds.errors import (
     ConvergenceError,
@@ -20,7 +20,7 @@ from saddlebounds.errors import (
 )
 from saddlebounds.harness import MAX_GAMMA_POINTS, SWEEP_CSV_HEADER
 from saddlebounds.mmio import write_matrix_market
-from saddlebounds.problems import gen_toy
+from saddlebounds.problems import gen_ipm_like, gen_toy
 from saddlebounds.reporting import BOUNDS_CSV_HEADER, RunConfig, read_problem
 
 
@@ -541,7 +541,7 @@ class TestVerify:
             return wrapped
 
         for name in ("containment_violations", "certify"):
-            monkeypatch.setattr(cli, name, recording(getattr(harness, name)))
+            monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
         cli.run_verification(gen_toy(0.6, 0.8), (1.0,), cert_slack=1e-6, emit=lambda line: None)
         assert {name for name, _ in seen} == {"containment_violations", "certify"}
         assert all(slack == (1e-6,) for _, slack in seen)
@@ -573,6 +573,19 @@ def readme_problem(tmp_path):
                    "--seed", "3", "--out", str(out)])
     assert rc == cli.EXIT_OK
     return ["--A", str(out / "A.mtx"), "--B", str(out / "B.mtx")]
+
+
+class TestIntegerFile:
+    def test_real_values_under_an_integer_banner_are_an_input_error(self, tmp_path, capsys):
+        files = readme_problem(tmp_path)
+        pa = tmp_path / "prob" / "A.mtx"
+        pa.write_text(pa.read_text().replace(" real ", " integer ", 1))
+        capsys.readouterr()
+        assert cli.main(["verify"] + files) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expected an integer, got ")
+        assert captured.err.count("\n") == 1
 
 
 class TestGammaRefusal:
@@ -654,6 +667,32 @@ class TestSizeLines:
         rc = cli.main(["verify"] + files["A/B"])
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUndecidedKAboveTheCap:
+    """bound reads the whole problem above the cap, but construction never
+    eigensolves a K there: where the certificate cannot decide, it exits 3."""
+
+    def bound_argv(self, tmp_path):
+        p = gen_ipm_like(12, 5, 1.0, seed=3)
+        pa, pb = tmp_path / "A.mtx", tmp_path / "B.mtx"
+        write_matrix_market(pa, p.A.array, symmetric=True)
+        write_matrix_market(pb, p.B.array)
+        # 1e-15 is below n eps, where the certificate declines
+        return ["bound", "--A", str(pa), "--B", str(pb), "--relTol", "1e-15"]
+
+    def test_exits_three_above_the_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "DEFAULT_SIZE_CAP", 16)
+        assert cli.main(self.bound_argv(tmp_path)) == cli.EXIT_SIZE_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: K has order 17, above the size cap 16; only its dense "
+                                "eigensolve could show it nonsingular\n")
+
+    def test_bounds_at_the_real_cap(self, tmp_path, capsys):
+        assert cli.main(self.bound_argv(tmp_path)) == cli.EXIT_OK
+        env = json.loads(capsys.readouterr().out)
+        assert env["certification"]["performed"]
 
 
 class TestExitCodes:

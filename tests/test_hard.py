@@ -1,0 +1,60 @@
+"""The hard-problem fixture of ``hard.py``: each member is checked for the
+outcome a correct system gives; the ones that fail today are strict xfails."""
+
+import math
+import warnings
+
+import pytest
+
+import hard
+from saddlebounds import cli
+from saddlebounds.bounds import (
+    SaddleProblem,
+    general_rank_optimal_gamma,
+    optimal_gamma,
+    rho_from_angles,
+    wbound,
+)
+from saddlebounds.harness import DEFAULT_VERIFY_GAMMAS, certify, oracle, run_verification
+from saddlebounds.mmio import write_matrix_market
+
+
+def problem_of(member):
+    return SaddleProblem(*member.build())
+
+
+@pytest.mark.parametrize("member", [m.param() for m in hard.AUTO_GAMMA])
+def test_auto_gamma_wbound_is_sound(member):
+    p = problem_of(member)
+    gamma = optimal_gamma(p) if p.is_lowest_rank else general_rank_optimal_gamma(p)
+    assert certify(wbound(p, gamma), oracle(p)).status == "sound"
+
+
+@pytest.mark.parametrize("member", [m.param() for m in hard.ANGLE_LADDER])
+def test_small_angle_rho_is_accurate(member):
+    rho = rho_from_angles(problem_of(member).range_angles)[0]
+    exact = 2.0 * math.sin(member.theta_min / 2.0) ** 2
+    assert abs(rho - exact) <= 1e-8 * exact
+
+
+@pytest.mark.parametrize("member", [m.param() for m in hard.SCALE_LADDER])
+def test_verify_holds_at_every_scale(member, tmp_path, capsys):
+    a, b = member.build()
+    pa, pb = tmp_path / "A.mtx", tmp_path / "B.mtx"
+    write_matrix_market(pa, a, symmetric=True)
+    write_matrix_market(pb, b)
+    argv = ["verify", "--A", str(pa), "--B", str(pb)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the subcommand itself, so that an error escapes with its type
+        args = cli.build_parser().parse_args(argv)
+        assert args.func(args) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.endswith("all invariants hold\n")
+        assert cli.main(argv) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("member", [m.param() for m in hard.INVERSE_IDENTITY])
+def test_inverse_identity_holds(member):
+    p = problem_of(member)
+    assert run_verification(p, DEFAULT_VERIFY_GAMMAS, emit=lambda line: None) == []

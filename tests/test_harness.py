@@ -78,7 +78,8 @@ class TestOracle:
         orc = oracle(p)
         assert (orc.pos_count, orc.neg_count, orc.zero_count) == (2, 1, 0)
         assert orc.inertia_ok
-        assert orc.threshold == p.rel_tol * float(np.abs(p.k_eigs).max())
+        # no eigenvalue is within the rank threshold of zero
+        assert np.all(np.abs(orc.all_eigs) > p.rel_tol * float(np.abs(orc.all_eigs).max()))
         assert np.all(np.diff(orc.all_eigs) <= 0)
 
     def test_size_cap(self):

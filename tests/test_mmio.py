@@ -178,6 +178,39 @@ class TestReader:
         np.testing.assert_array_equal(read_matrix_market(path), [[1.0, 5.0], [5.0, 0.0]])
 
 
+class TestIntegerField:
+    """An integer file holds integers: any other value token is refused
+    with its line and column, and an integral one reads as float() reads it."""
+
+    @pytest.mark.parametrize("token", ["2.5", "1.0", "1e0", "nan", "inf", "0x1"])
+    def test_coordinate_value_must_be_an_integer(self, tmp_path, token):
+        text = f"%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 3\n1 2 {token}\n"
+        path = write_text(tmp_path / "i.mtx", text)
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert (info.value.line, info.value.column) == (4, 5)
+        assert f"expected an integer, got {token!r}" in str(info.value)
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_array_value_must_be_an_integer(self, tmp_path, symmetry):
+        text = f"%%MatrixMarket matrix array integer {symmetry}\n2 2\n1\n2.5\n3\n4\n"
+        if symmetry == "symmetric":
+            text = text.replace("\n4\n", "\n")
+        path = write_text(tmp_path / "i.mtx", text)
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert (info.value.line, info.value.column) == (4, 1)
+        assert "expected an integer, got '2.5'" in str(info.value)
+
+    def test_integral_values_keep_their_bits(self, tmp_path):
+        tokens = ["+3", "-0", "1_0", "9" * 20, "-12345678901234567891"]
+        text = ("%%MatrixMarket matrix array integer general\n"
+                f"{len(tokens)} 1\n" + "\n".join(tokens) + "\n")
+        out = read_matrix_market(write_text(tmp_path / "i.mtx", text))
+        want = np.array([float(t) for t in tokens])
+        assert out.tobytes() == want.reshape(-1, 1).tobytes()
+
+
 class TestParseErrors:
     def check(self, tmp_path, text, line=None, column=None, fragment=None):
         path = write_text(tmp_path / "bad.mtx", text)

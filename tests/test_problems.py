@@ -111,7 +111,7 @@ class TestPrescribedAngles:
         thetas = np.full(2, math.pi / 2)
         p = gen_prescribed_angles(6, 2, a_eigs, b_sing, thetas, seed=1)
         orc = oracle(p)
-        pos = np.sort(orc.all_eigs[orc.all_eigs > orc.threshold])
+        pos = np.sort(orc.all_eigs[orc.all_eigs > 0])
         expected = np.sort(np.concatenate([a_eigs, b_sing]))
         np.testing.assert_allclose(pos, expected, atol=1e-8)
 
