@@ -47,7 +47,6 @@ from .harness import (
     CertificationOutcome,
     OracleResult,
     SweepResult,
-    SweepRow,
     augmented_condition,
     certify,
     containment_violations,

@@ -43,6 +43,7 @@ from .linalg import (
     RectMatrix,
     SymmetricMatrix,
     _frozen,
+    _real,
     checked_rel_tol,
     default_rank_tol,
     kernel_basis_rect,
@@ -84,15 +85,14 @@ class BoundReport:
     """One computed bound: its name, the certified value, and the
     quantities that produced it.
 
-    ``value`` is a lower bound on the positive eigenvalues of K whenever
-    ``assumptions_met`` is true. For the interval report ``intervals``
-    holds ((neg_lo, neg_hi), (pos_lo, pos_hi)) and ``value`` is the lower
-    endpoint of the positive interval.
+    ``value`` is a lower bound on the positive eigenvalues of K: a bound
+    whose assumptions the problem fails raises instead of reporting. For
+    the interval report ``intervals`` holds ((neg_lo, neg_hi), (pos_lo,
+    pos_hi)) and ``value`` is the lower endpoint of the positive interval.
     """
 
     name: str
     value: float
-    assumptions_met: bool
     details: dict = field(default_factory=dict)
     warnings: tuple = ()
     intervals: tuple = None
@@ -335,11 +335,12 @@ class SaddleProblem:
     def augmented_blocks(self, gammas):
         """A + gamma B^T B, stacked when ``gammas`` is an array: the one place
         it is formed and the one check of gamma, before any work. Each gamma
-        must be finite and >= 0, and so must mu_max(A) + gamma sigma_max(B)^2
-        + sigma_max(B), a bound on every |eigenvalue| of A_gamma and K_gamma
-        (in Python floats, so the check never overflows in numpy)."""
+        must be an integer or float (not a boolean), finite and >= 0, and so
+        must mu_max(A) + gamma sigma_max(B)^2 + sigma_max(B), a bound on every
+        |eigenvalue| of A_gamma and K_gamma (in Python floats, so the check
+        never overflows in numpy)."""
         s = self.summary
-        for gamma in np.ravel(gammas).tolist():
+        for gamma in np.ravel(_real(gammas, "gamma")).tolist():
             if not math.isfinite(gamma) or gamma < 0:
                 raise ParameterOutOfRangeError(
                     f"scalar weight needs a finite gamma >= 0, got {gamma}")
@@ -351,7 +352,9 @@ class SaddleProblem:
 
     def _per_gamma_values(self, kind, gamma, compute):
         """The values ``compute`` gives at ``gamma``, computed once per
-        (kind, gamma)."""
+        (kind, gamma). A boolean gamma is refused before the lookup: True
+        would find the values kept for 1.0."""
+        _real(gamma, "gamma")
         key = (kind, gamma)
         if key not in self._per_gamma:
             self._per_gamma[key] = _frozen(compute())
@@ -418,7 +421,6 @@ def rusten_winther(summary):
     return BoundReport(
         name="rusten-winther",
         value=pos_lo,
-        assumptions_met=True,
         details={
             "mu_max": s.mu_max,
             "mu_min": s.mu_min,
@@ -461,7 +463,7 @@ def wbound(problem, gamma):
         inv = 1.0 / gamma
         value = min(mu_min_aw, inv)
         details["active"] = "leading-block" if mu_min_aw <= inv else "weight-inverse"
-    return BoundReport("wbound", value, True, details)
+    return BoundReport("wbound", value, details)
 
 
 def _require_lowest_rank(problem):
@@ -514,7 +516,7 @@ def _angle_bound_report(name, mu, sigma_min, rho, theta_min, angle_tol, extra, w
     details.update(
         {"rho": rho, "sigma_min": sigma_min, "active": active, "angle_tol": angle_tol}
     )
-    return BoundReport(name, value, True, details, warns)
+    return BoundReport(name, value, details, warns)
 
 
 def lowest_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
@@ -596,6 +598,7 @@ def agamma_bound(problem, gamma):
     mu_min(A_gamma) when rank(A) = n - m, so this is never tighter than
     wbound at the same gamma, but it is certified from the angle data."""
     _require_lowest_rank(problem)
+    _real(gamma, "gamma")
     if not math.isfinite(gamma) or gamma <= 0:
         raise ParameterOutOfRangeError(f"gamma must be positive, got {gamma}")
     rho, theta_min = rho_from_angles(problem.range_angles)
@@ -609,7 +612,6 @@ def agamma_bound(problem, gamma):
     return BoundReport(
         "agamma",
         value,
-        True,
         {
             "gamma": gamma,
             "rho": rho,

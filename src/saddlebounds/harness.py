@@ -23,7 +23,7 @@ from .bounds import (
     scalar_weight_bounds,
 )
 from .errors import AugmentedBlockSingularError, ParameterOutOfRangeError, SizeCapError
-from .linalg import _frozen, lapack, numerically_singular
+from .linalg import _frozen, _real, lapack, numerically_singular
 
 DEFAULT_CERT_SLACK = 1e-8
 DEFAULT_COND_CAP = 1e12
@@ -49,17 +49,16 @@ class OracleResult:
     """Dense spectrum of K split by sign.
 
     ``mu_min_plus`` is the smallest positive eigenvalue; no eigenvalue is
-    zero (``zero_count`` is 0), since ``SaddleProblem.k_eigs`` refuses a
-    numerically singular K. A valid problem has exactly n positive and m
-    negative eigenvalues; ``inertia_ok`` records whether the counts came
-    out that way rather than asserting it silently.
+    zero, since ``SaddleProblem.k_eigs`` refuses a numerically singular
+    K. A valid problem has exactly n positive and m negative eigenvalues;
+    ``inertia_ok`` records whether the counts came out that way rather
+    than asserting it silently.
     """
 
     all_eigs: np.ndarray  # descending
     mu_min_plus: float
     pos_count: int
     neg_count: int
-    zero_count: int
     inertia_ok: bool
 
 
@@ -76,36 +75,40 @@ class CertificationOutcome:
     slack: float
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    gamma: float
-    inv_gamma: float
-    mu_min_a_gamma: float
-    predicted_bound: float
-    actual_mu_min_plus: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Scalar-weight bound evaluated over a gamma grid.
+    """Scalar-weight bound over a gamma grid: the grid and the
+    mu_min(A_gamma) measured at each point, both read-only, and the
+    oracle's mu_min_plus(K). ``rows`` derives one tuple per point, in the
+    columns of SWEEP_CSV_HEADER."""
 
-    ``crossing_index`` is the first grid index i where
-    1/gamma - mu_min(A_gamma) changes sign between i and i + 1, or None
-    when the grid never brackets the crossing.
-    """
-
-    rows: tuple
-    crossing_index: object
+    gammas: np.ndarray
+    mu_min_a_gamma: np.ndarray
     actual_mu_min_plus: float
+
+    def _table(self):
+        with np.errstate(over="ignore"):  # inf for a subnormal gamma, as Python gives
+            inv = 1.0 / self.gammas
+        mu = self.mu_min_a_gamma
+        return np.column_stack((self.gammas, inv, mu, np.minimum(inv, mu),
+                                np.full(mu.shape, self.actual_mu_min_plus)))
+
+    @property
+    def rows(self):
+        return tuple(map(tuple, self._table().tolist()))
+
+    @property
+    def crossing_index(self):
+        """The first grid index i where 1/gamma - mu_min(A_gamma) changes
+        sign between i and i + 1, or None when the grid never brackets it."""
+        table = self._table()
+        signs = np.sign(table[:, 1] - table[:, 2])
+        changes = np.flatnonzero(signs[:-1] != signs[1:])
+        return int(changes[0]) if changes.size else None
 
     def to_csv(self):
-        flat = tuple(
-            v
-            for r in self.rows
-            for v in (r.gamma, r.inv_gamma, r.mu_min_a_gamma, r.predicted_bound,
-                      r.actual_mu_min_plus)
-        )
-        return SWEEP_CSV_HEADER + "\n" + _SWEEP_CSV_ROW * len(self.rows) % flat
+        table = self._table()
+        return SWEEP_CSV_HEADER + "\n" + _SWEEP_CSV_ROW * len(table) % tuple(table.flat)
 
 
 def check_size_cap(order, size_cap=DEFAULT_SIZE_CAP):
@@ -128,7 +131,6 @@ def oracle(problem, size_cap=DEFAULT_SIZE_CAP):
         mu_min_plus=float(vals[-pos_count]),  # vals ascend
         pos_count=pos_count,
         neg_count=vals.size - pos_count,
-        zero_count=0,
         inertia_ok=pos_count == problem.n,
     )
 
@@ -232,9 +234,9 @@ def log_gamma_grid(gamma_min, gamma_max, points):
 
 
 def _checked_grid(grid):
-    """``grid`` as a float array, refused unless it is a nonempty 1-D
-    array of finite, positive, strictly increasing values."""
-    g = np.asarray(grid, dtype=float)
+    """``grid`` as a new float array, refused unless it is a nonempty 1-D
+    array of finite, positive, strictly increasing real numbers."""
+    g = np.array(_real(grid, "each gamma grid point"), dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ParameterOutOfRangeError("gamma grid must be a nonempty 1-D array")
     if not np.isfinite(g).all() or np.any(g <= 0):
@@ -247,14 +249,13 @@ def _checked_grid(grid):
 def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
     """Evaluate min{1/gamma, mu_min(A_gamma)} over a gamma grid.
 
-    Rows are computed in grid order, so the result is deterministic for
-    a fixed grid. The oracle value is computed once and repeated per row.
-    The augmented blocks A + gamma B^T B are eigensolved in stacks of at
-    most SWEEP_STACK_BYTES (at least one block per call); each block in a
-    stack has the same bits as when it is formed on its own, so the rows
-    do too.
+    The result keeps a read-only copy of the grid, so the caller's array
+    stays as it was. The augmented blocks A + gamma B^T B are eigensolved
+    in stacks of at most SWEEP_STACK_BYTES (at least one block per call);
+    each block in a stack has the same bits as when it is formed on its
+    own, so the measured column does too.
     """
-    g = _checked_grid(grid)
+    g = _frozen(_checked_grid(grid))
     check_size_cap(problem.n + problem.m, size_cap)
     per_call = max(1, SWEEP_STACK_BYTES // problem.bt_b.nbytes)
     mu_mins = np.empty(g.size)
@@ -263,19 +264,7 @@ def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
         stack = problem.augmented_blocks(g[start:start + per_call])
         vals = lapack("eigvalsh", "eigensolve of the augmented blocks", stack)
         mu_mins[start:start + per_call] = vals[:, 0]
-    actual = oracle(problem, size_cap).mu_min_plus
-    rows = []
-    for gamma, mu_min in zip(g.tolist(), mu_mins.tolist()):
-        inv = 1.0 / gamma
-        rows.append(SweepRow(gamma, inv, mu_min, min(inv, mu_min), actual))
-    diffs = np.array([r.inv_gamma - r.mu_min_a_gamma for r in rows])
-    signs = np.sign(diffs)
-    crossing = None
-    for i in range(len(rows) - 1):
-        if signs[i] != signs[i + 1]:
-            crossing = i
-            break
-    return SweepResult(tuple(rows), crossing, actual)
+    return SweepResult(g, _frozen(mu_mins), oracle(problem, size_cap).mu_min_plus)
 
 
 def ptp_spectrum_deviation(problem):

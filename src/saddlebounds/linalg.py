@@ -42,6 +42,16 @@ def checked_rel_tol(rel_tol):
     return tol
 
 
+def _real(value, what):
+    """``value`` as an array, refused unless its dtype is integer or float:
+    a boolean, complex, string or object value is not a real number."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        got = f"dtype {arr.dtype}" if arr.ndim else type(value).__name__
+        raise ParameterOutOfRangeError(f"{what} must be a real number, got {got}")
+    return arr
+
+
 def _frozen(arr):
     """``arr`` made read-only in place: callers pass a fresh array that
     nothing else writes to. Only an array that is not C-ordered float is
@@ -59,7 +69,7 @@ class SymmetricMatrix:
 
     @classmethod
     def from_array(cls, m):
-        arr = np.asarray(m, dtype=float)
+        arr = np.asarray(_real(m, "each matrix entry"), dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionMismatchError(
                 f"expected a nonempty square matrix, got shape {arr.shape}"
@@ -92,7 +102,8 @@ class RectMatrix:
 
     @classmethod
     def from_array(cls, m):
-        arr = np.array(m, dtype=float, order="C")  # a copy: the caller keeps m
+        # a copy: the caller keeps m
+        arr = np.array(_real(m, "each matrix entry"), dtype=float, order="C")
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise DimensionMismatchError(
                 f"expected a nonempty 2-D matrix, got shape {arr.shape}"

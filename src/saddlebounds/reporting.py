@@ -26,11 +26,13 @@ from .errors import (
     SaddleBoundsError,
     StructureError,
 )
-from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP
+from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP, SWEEP_CSV_HEADER
 from .linalg import checked_rel_tol, default_rank_tol
 from .mmio import read_matrix_market, read_matrix_market_shape
 
 BOUNDS_CSV_HEADER = "name,value,assumptions_met,status,slack,warnings"
+# the keys of a sweep row in report.json: the columns of sweep.csv
+_SWEEP_KEYS = SWEEP_CSV_HEADER.split(",")
 
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -81,8 +83,10 @@ def read_problem(source, rel_tol=None):
     numerically zero and the off-diagonal blocks exact transposes, both
     within rel_tol * max|K| (rel_tol of None: (n + m) * machine epsilon).
     Structural failures raise StructureError naming the violated
-    invariant.
+    invariant; a rel_tol that is not positive and finite is refused
+    first, with ParameterOutOfRangeError.
     """
+    rel_tol = checked_rel_tol(rel_tol) if rel_tol is not None else None
     if "K" in source:
         k = read_matrix_market(source["K"])
         order = k.shape[0]
@@ -138,7 +142,7 @@ def bound_entry(report, certification=None):
     entry = {
         "name": report.name,
         "value": report.value,
-        "assumptions_met": report.assumptions_met,
+        "assumptions_met": True,  # a bound whose assumptions fail raises instead
         "details": dict(report.details),
         "warnings": list(report.warnings),
     }
@@ -174,7 +178,7 @@ def report_envelope(problem, config, reports, certifications=None, sweep=None,
                 "mu_min_plus_k": oracle_result.mu_min_plus,
                 "pos_count": oracle_result.pos_count,
                 "neg_count": oracle_result.neg_count,
-                "zero_count": oracle_result.zero_count,
+                "zero_count": 0,  # k_eigs refuses a K with an eigenvalue near zero
                 "inertia_ok": oracle_result.inertia_ok,
                 "all_sound": all(st in ("sound", "vacuous") for st in statuses if st),
             }
@@ -214,16 +218,7 @@ def report_envelope(problem, config, reports, certifications=None, sweep=None,
         envelope["sweep"] = {
             "crossing_index": sweep.crossing_index,
             "actual_mu_min_plus": sweep.actual_mu_min_plus,
-            "rows": [
-                {
-                    "gamma": r.gamma,
-                    "inv_gamma": r.inv_gamma,
-                    "mu_min_A_gamma": r.mu_min_a_gamma,
-                    "predicted_bound": r.predicted_bound,
-                    "actual_min_pos_eig": r.actual_mu_min_plus,
-                }
-                for r in sweep.rows
-            ],
+            "rows": [dict(zip(_SWEEP_KEYS, row)) for row in sweep.rows],
         }
     return envelope
 

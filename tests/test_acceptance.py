@@ -89,7 +89,7 @@ def test_02_remark_matrix_spectrum():
 
 
 def test_03_corpus_soundness_containment(corpus):
-    # every assumption-met bound certifies against the dense oracle with
+    # every bound certifies against the dense oracle with
     # slack >= -1e-8, and no eigenvalue escapes the two-sided intervals
     with criterion(3, "corpus-soundness-containment"):
         start = time.monotonic()
@@ -100,8 +100,6 @@ def test_03_corpus_soundness_containment(corpus):
             orc = oracle(p)
             assert orc.inertia_ok, label
             for rep in applicable_bounds(p, gamma=1.0):
-                if not rep.assumptions_met:
-                    continue
                 out = certify(rep, orc)
                 assert out.status != "violated", (label, rep.name, out.slack)
                 assert out.slack >= -1e-8, (label, rep.name, out.slack)
@@ -159,8 +157,8 @@ def test_07_sweep_geometry(corpus):
         grid = log_gamma_grid(1e-4, 1e4, 25)
         for label, p in corpus:
             res = gamma_sweep(p, grid)
-            pred = np.array([r.predicted_bound for r in res.rows])
-            mu = np.array([r.mu_min_a_gamma for r in res.rows])
+            pred = np.array([row[3] for row in res.rows])
+            mu = np.array([row[2] for row in res.rows])
             assert pred.shape == (25,)
             assert np.all(pred <= res.actual_mu_min_plus + ROUNDING_EPS), label
             assert np.all(np.diff(mu) >= -ROUNDING_EPS), label

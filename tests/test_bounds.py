@@ -57,6 +57,7 @@ from saddlebounds.problems import (
     gen_toy,
     generate_problem,
 )
+from saddlebounds.reporting import bound_entry
 from test_harness import general_weight_bound, reference_augmented, weighted_block
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -90,6 +91,13 @@ class TestProblemValidation:
         b = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(RankDeficientError):
             SaddleProblem(np.eye(3), b)
+
+    def test_rejects_complex_leading_block(self):
+        a, b = np.diag([2.0, 1.0, 0.0]), np.array([[0.0, 0.3, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterOutOfRangeError, match="got dtype complex128$"):
+                SaddleProblem(a + 1j * np.eye(3), b)
 
     def test_rejects_singular_saddle_matrix(self):
         # e3 is in ker(A) and ker(B), so K has a null vector
@@ -228,6 +236,11 @@ class TestNonsingularityCertificate:
         # below n eps the rounding argument does not hold: the dense check decides
         assert construction_outcome(a, b, rel_tol=1e-20) == (None, 1)
 
+    def test_certificate_decides_every_corpus_member(self, corpus):
+        # generate, and bound above the size cap, pay for no eigensolve of K
+        for label, p in corpus:
+            assert construction_outcome(p.A.array, p.B.array, p.rel_tol) == (None, 0), label
+
     @pytest.mark.parametrize("c", [1e-9, 1e9])
     def test_decision_unchanged_under_scaling(self, c):
         cases = [
@@ -352,6 +365,28 @@ class TestAugmentedAssembly:
                 with pytest.raises(ParameterOutOfRangeError,
                                    match=f"^scalar weight needs a finite gamma >= 0, got {text}$"):
                     check(p, gamma)
+
+    @pytest.mark.parametrize("gamma, name", [
+        (True, "bool"), (np.True_, "bool"), (np.False_, "bool"), (1j, "complex"), ("1", "str"),
+    ])
+    def test_gamma_must_be_a_real_number(self, monkeypatch, gamma, name):
+        # every per-gamma entry point refuses it before any dense work; the
+        # values kept for gamma = 1.0 do not answer for True
+        p = toy()
+        wbound(p, 1.0)
+        for routine in ("eigvalsh", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, routine, None)
+        checks = (wbound, agamma_bound, augmented_condition, inverse_identity_residual,
+                  SaddleProblem.augmented_blocks,
+                  SaddleProblem.augmented_eigs, SaddleProblem.augmented_saddle_abs_eigs,
+                  lambda q, g: applicable_bounds(q, gamma=g))
+        for check in checks:
+            with pytest.raises(ParameterOutOfRangeError,
+                               match=f"^gamma must be a real number, got {name}$"):
+                check(p, gamma)
+        with pytest.raises(ParameterOutOfRangeError,
+                           match="^gamma must be a real number, got dtype bool$"):
+            p.augmented_blocks(np.array([False, True]))
 
     @pytest.mark.parametrize("gamma", [1e308, 1e307])
     def test_overflowing_gamma_is_refused_without_a_warning(self, gamma):
@@ -643,8 +678,9 @@ class TestApplicableBounds:
         assert "range_angles" not in vars(p)
 
     def test_every_report_claims_assumptions(self):
+        # a bound whose assumptions fail raises, so every entry claims them
         for r in applicable_bounds(toy(), gamma=0.5):
-            assert r.assumptions_met
+            assert bound_entry(r)["assumptions_met"] is True
 
     def test_saddle_matrix_layout(self):
         p = toy()

@@ -27,7 +27,6 @@ from saddlebounds.harness import (
     SWEEP_CSV_HEADER,
     SWEEP_STACK_BYTES,
     SweepResult,
-    SweepRow,
     augmented_condition,
     certify,
     containment_violations,
@@ -48,19 +47,8 @@ def toy(b1=0.6, b2=0.8):
 def reference_sweep_csv(sweep):
     """The per-value formatter SweepResult.to_csv must match byte for byte."""
     lines = [SWEEP_CSV_HEADER]
-    for r in sweep.rows:
-        lines.append(
-            ",".join(
-                f"{v:.17g}"
-                for v in (
-                    r.gamma,
-                    r.inv_gamma,
-                    r.mu_min_a_gamma,
-                    r.predicted_bound,
-                    r.actual_mu_min_plus,
-                )
-            )
-        )
+    for row in sweep.rows:  # gamma, 1/gamma, mu_min(A_gamma), predicted, mu_min_plus(K)
+        lines.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -76,7 +64,8 @@ class TestOracle:
     def test_counts_and_threshold(self):
         p = toy()
         orc = oracle(p)
-        assert (orc.pos_count, orc.neg_count, orc.zero_count) == (2, 1, 0)
+        assert (orc.pos_count, orc.neg_count) == (2, 1)
+        assert orc.pos_count + orc.neg_count == orc.all_eigs.size  # no zero eigenvalue
         assert orc.inertia_ok
         # no eigenvalue is within the rank threshold of zero
         assert np.all(np.abs(orc.all_eigs) > p.rel_tol * float(np.abs(orc.all_eigs).max()))
@@ -90,17 +79,17 @@ class TestOracle:
 class TestCertify:
     def test_statuses(self):
         orc = oracle(toy())  # mu_min_plus about 0.512
-        assert certify(BoundReport("stub", -1.0, True), orc).status == "vacuous"
-        assert certify(BoundReport("stub", 0.0, True), orc).status == "vacuous"
-        sound = certify(BoundReport("stub", 0.4, True), orc)
+        assert certify(BoundReport("stub", -1.0), orc).status == "vacuous"
+        assert certify(BoundReport("stub", 0.0), orc).status == "vacuous"
+        sound = certify(BoundReport("stub", 0.4), orc)
         assert sound.status == "sound"
         assert abs(sound.slack - (orc.mu_min_plus - 0.4)) <= 1e-15
-        assert certify(BoundReport("stub", 0.6, True), orc).status == "violated"
+        assert certify(BoundReport("stub", 0.6), orc).status == "violated"
 
     def test_slack_tolerance_absorbs_roundoff(self):
         orc = oracle(toy())
         barely = orc.mu_min_plus + 1e-10
-        assert certify(BoundReport("stub", barely, True), orc).status == "sound"
+        assert certify(BoundReport("stub", barely), orc).status == "sound"
 
     def test_containment_empty_for_real_intervals(self):
         p = toy()
@@ -111,14 +100,14 @@ class TestCertify:
     def test_containment_flags_everything_outside(self):
         orc = oracle(toy())
         fake = BoundReport(
-            "stub", 0.6, True, intervals=((-0.5, -0.4), (0.6, 0.7))
+            "stub", 0.6, intervals=((-0.5, -0.4), (0.6, 0.7))
         )
         # intervals that miss all three eigenvalues
         assert containment_violations(fake, orc).size == 3
 
     def test_containment_needs_intervals(self):
         with pytest.raises(ParameterOutOfRangeError):
-            containment_violations(BoundReport("stub", 0.0, True), oracle(toy()))
+            containment_violations(BoundReport("stub", 0.0), oracle(toy()))
 
     def test_assemble_K_layout(self):
         p = toy()
@@ -240,7 +229,7 @@ class TestInverseIdentity:
             w = random_psd_weight(p.m, 1.0 / truth.mu_min_plus, seed=i)
             value = general_weight_bound(p, w)
             assert value > 0.0, label
-            outcome = certify(BoundReport("general-weight", value, True), truth)
+            outcome = certify(BoundReport("general-weight", value), truth)
             assert outcome.status == "sound", label
             assert solved_identity_residual(p, w) <= 1e-8, label
 
@@ -295,12 +284,24 @@ class TestSweep:
         p = toy()
         s = gamma_sweep(p, log_gamma_grid(1e-4, 1e4, 25))
         assert s.crossing_index == 12
-        predicted = [r.predicted_bound for r in s.rows]
+        predicted = [row[3] for row in s.rows]
         assert int(np.argmax(predicted)) == 13
         assert s.actual_mu_min_plus == oracle(p).mu_min_plus
-        for r in s.rows:
-            assert r.predicted_bound == min(r.inv_gamma, r.mu_min_a_gamma)
-            assert r.actual_mu_min_plus == s.actual_mu_min_plus
+        for gamma, inv_gamma, mu_min_a_gamma, predicted_bound, actual in s.rows:
+            assert inv_gamma == 1.0 / gamma
+            assert predicted_bound == min(inv_gamma, mu_min_a_gamma)
+            assert actual == s.actual_mu_min_plus
+
+    def test_result_keeps_a_read_only_copy_of_the_grid(self):
+        grid = log_gamma_grid(1e-2, 1e2, 5)
+        s = gamma_sweep(toy(), grid)
+        assert grid.flags.writeable
+        grid[:] = 7.0
+        assert s.gammas.tolist() == log_gamma_grid(1e-2, 1e2, 5).tolist()
+        assert not s.gammas.flags.writeable
+        assert not s.mu_min_a_gamma.flags.writeable
+        assert type(s.crossing_index) is int
+        assert len(s.rows) == 5
 
     def test_rows_match_direct_eigensolve(self, monkeypatch):
         cases = [
@@ -327,16 +328,32 @@ class TestSweep:
             for shape, nbytes in operands:
                 assert shape[-2:] == (p.n, p.n)
                 assert nbytes <= max(SWEEP_STACK_BYTES, block)
-            for r, gamma in zip(s.rows, grid):
+            for mu_min_a_gamma, gamma in zip(s.mu_min_a_gamma, grid):
                 a_g = p.A.array + gamma * (p.B.array.T @ p.B.array)
-                assert r.mu_min_a_gamma == float(original(a_g)[0])
+                assert mu_min_a_gamma == float(original(a_g)[0])
 
     def test_rows_keep_the_bits_of_the_symmetrized_formation(self, corpus):
         grid = log_gamma_grid(1e-4, 1e4, 9)
         for label, p in corpus:
-            for r in gamma_sweep(p, grid).rows:
-                ref = reference_augmented(p, r.gamma)
-                assert r.mu_min_a_gamma == float(np.linalg.eigvalsh(ref)[0]), label
+            s = gamma_sweep(p, grid)
+            for gamma, mu_min_a_gamma in zip(s.gammas, s.mu_min_a_gamma):
+                ref = reference_augmented(p, gamma)
+                assert mu_min_a_gamma == float(np.linalg.eigvalsh(ref)[0]), label
+
+    def test_derived_columns_match_the_row_loop(self, corpus):
+        # the derived columns and crossing_index against the per-row loop
+        # that built them before they were derived
+        grid = log_gamma_grid(1e-4, 1e4, 9)
+        for label, p in corpus:
+            s = gamma_sweep(p, grid)
+            expected = []
+            for gamma, mu_min in zip(grid.tolist(), s.mu_min_a_gamma.tolist()):
+                inv = 1.0 / gamma
+                expected.append((gamma, inv, mu_min, min(inv, mu_min), s.actual_mu_min_plus))
+            assert s.rows == tuple(expected), label
+            signs = np.sign(np.array([row[1] - row[2] for row in expected]))
+            crossing = next((i for i in range(len(signs) - 1) if signs[i] != signs[i + 1]), None)
+            assert s.crossing_index == crossing, label
 
     def test_overflowing_grid_is_refused_before_any_eigensolve(self, monkeypatch):
         # one block per stack at n = 200; the top of the grid overflows
@@ -360,13 +377,13 @@ class TestSweep:
         g = optimal_gamma(p)
         s = gamma_sweep(p, np.array([g]))
         assert s.crossing_index is None
-        assert s.rows[0].predicted_bound >= lowest_rank_bound(p).value - 1e-10
+        assert s.rows[0][3] >= lowest_rank_bound(p).value - 1e-10  # predicted
 
     def test_predicted_dominates_certified_estimate(self):
         p = toy()
         for gamma in (0.3, 1.0, 3.0):
             s = gamma_sweep(p, np.array([gamma]))
-            assert s.rows[0].predicted_bound + 1e-12 >= agamma_bound(p, gamma).value
+            assert s.rows[0][3] + 1e-12 >= agamma_bound(p, gamma).value  # predicted
 
     def test_repeated_sweep_is_deterministic(self):
         p = gen_random_lowest_rank(12, 4, seed=2)
@@ -386,18 +403,31 @@ class TestSweep:
             gamma_sweep(p, np.array([]))
         with pytest.raises(ParameterOutOfRangeError):
             gamma_sweep(p, np.ones((2, 2)))
+        # refused before any conversion: no ComplexWarning, no 1.0 for True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid, got in (([1.0 + 1j, 2.0], "complex128"), ([True], "bool"), (["1"], "<U1")):
+                refusal = f"^each gamma grid point must be a real number, got dtype {got}$"
+                with pytest.raises(ParameterOutOfRangeError, match=refusal):
+                    gamma_sweep(p, grid)
 
     def test_csv_matches_reference_formatter(self):
         p = gen_random_lowest_rank(12, 4, seed=2)
         for grid in (np.array([1.0]), log_gamma_grid(1e-4, 1e4, 25)):
             s = gamma_sweep(p, grid)
             assert s.to_csv() == reference_sweep_csv(s)
+        # a subnormal gamma gives 1/gamma = inf; -0.0, nan, -1e-300 and 0.0
+        # in the measured column, and 1e300 in the oracle's
         specials = SweepResult(
-            (SweepRow(5e-324, float("inf"), -0.0, float("nan"), 1e300),
-             SweepRow(np.float64(2.5), np.float64(0.4), -1e-300, 0.1, 1 / 3)),
-            None, 1.0,
+            np.array([5e-324, 2.5, 4.0, 8.0]), np.array([-0.0, float("nan"), -1e-300, 0.0]), 1e300,
         )
         assert specials.to_csv() == reference_sweep_csv(specials)
+        assert specials.to_csv().split("\n")[1:5] == [
+            "4.9406564584124654e-324,inf,-0,-0,1.0000000000000001e+300",
+            "2.5,0.40000000000000002,nan,nan,1.0000000000000001e+300",
+            "4,0.25,-1e-300,-1e-300,1.0000000000000001e+300",
+            "8,0.125,0,0,1.0000000000000001e+300",
+        ]
 
     def test_csv_round_trips_floats(self):
         s = gamma_sweep(toy(), log_gamma_grid(1e-2, 1e2, 5))
@@ -407,13 +437,7 @@ class TestSweep:
         assert len(lines) == 6
         for line, row in zip(lines[1:], s.rows):
             parsed = [float(tok) for tok in line.split(",")]
-            assert parsed == [
-                row.gamma,
-                row.inv_gamma,
-                row.mu_min_a_gamma,
-                row.predicted_bound,
-                row.actual_mu_min_plus,
-            ]
+            assert parsed == list(row)
 
 
 class TestLapackFailures:

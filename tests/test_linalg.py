@@ -1,5 +1,7 @@
 """Decomposition layer: validation, ordering, residuals, subspaces."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -133,6 +135,28 @@ class TestMatrixWrappers:
     def test_rect_rejects_empty_dims(self):
         with pytest.raises(DimensionMismatchError):
             RectMatrix.from_array(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("entries, dtype", [
+        ([[1.0 + 1j, 0.0], [0.0, 1.0]], "complex128"),
+        ([["1", "0"], ["0", "1"]], "<U1"),
+        ([[True, False], [False, True]], "bool"),
+        (np.eye(2, dtype=object), "object"),
+    ])
+    def test_entries_must_be_real_numbers(self, entries, dtype):
+        # refused before any conversion, so a complex matrix warns of nothing
+        for wrap in (SymmetricMatrix.from_array, RectMatrix.from_array):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                refusal = f"^each matrix entry must be a real number, got dtype {dtype}$"
+                with pytest.raises(ParameterOutOfRangeError, match=refusal):
+                    wrap(entries)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32])
+    def test_integer_and_float_entries_are_accepted(self, dtype):
+        for wrap in (SymmetricMatrix.from_array, RectMatrix.from_array):
+            arr = wrap(np.eye(2, dtype=dtype)).array
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr, np.eye(2))
 
 
 class TestDecompositions:

@@ -121,6 +121,16 @@ class TestReadProblem:
         with pytest.raises(StructureError, match="split index"):
             read_problem({"K": str(pk), "n": 3})
 
+    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_rel_tol_is_checked_before_the_structure(self, tmp_path, rel_tol):
+        p = gen_remark(0.5)
+        pk = tmp_path / "K.mtx"
+        write_matrix_market(pk, p.k_matrix, symmetric=True)
+        _, pa, pb = toy_files(tmp_path)
+        for source in ({"K": str(pk), "n": p.n}, {"A": pa, "B": pb}):
+            with pytest.raises(ParameterOutOfRangeError, match="^rel_tol must be"):
+                read_problem(source, rel_tol=rel_tol)
+
     def test_wraps_validation_failures(self, tmp_path):
         pa = tmp_path / "A.mtx"
         pb = tmp_path / "B.mtx"
