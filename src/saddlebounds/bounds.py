@@ -19,6 +19,8 @@ The bounds come in three flavors:
 
 A SaddleProblem decides the numerical rank of A once, in its summary;
 the bases of range(A) and ker(A) and every rank check read that number.
+``augmented_blocks`` alone forms A + gamma B^T B; one function builds the
+three angle bounds and, from them, the two optimal gammas.
 """
 
 import math
@@ -219,8 +221,8 @@ class SaddleProblem:
         nu = 2.0 * s.sigma_min * s.sigma_min / (mu + math.hypot(mu, 2.0 * s.sigma_min))
         if not nu > beta:
             return False
-        shifted = self.bt_b * (mu / smax2)
-        shifted += self.A.array
+        # its gamma check passes: nu > beta needs a finite R and sigma_min^2 > 0
+        shifted = self.augmented_blocks(mu / smax2)
         shifted.flat[:: self.n + 1] -= beta  # the diagonal
         try:
             factor = np.linalg.cholesky(shifted)
@@ -335,18 +337,18 @@ class SaddleProblem:
     def augmented_blocks(self, gammas):
         """A + gamma B^T B, stacked when ``gammas`` is an array: the one place
         it is formed and the one check of gamma, before any work. Each gamma
-        must be an integer or float (not a boolean), finite and >= 0, and so
-        must mu_max(A) + gamma sigma_max(B)^2 + sigma_max(B), a bound on every
-        |eigenvalue| of A_gamma and K_gamma (in Python floats, so the check
-        never overflows in numpy)."""
+        must be a real number, finite and >= 0, and so must mu_max(A) +
+        gamma sigma_max(B)^2 + sigma_max(B), a bound on every |eigenvalue| of
+        A_gamma and K_gamma (in Python floats: no overflow in numpy)."""
         s = self.summary
-        for gamma in np.ravel(_real(gammas, "gamma")).tolist():
+        g = _real(gammas, "gamma")
+        for gamma in g.ravel().tolist():
             if not math.isfinite(gamma) or gamma < 0:
                 raise ParameterOutOfRangeError(
                     f"scalar weight needs a finite gamma >= 0, got {gamma}")
             if not math.isfinite(s.mu_max + gamma * (s.sigma_max * s.sigma_max) + s.sigma_max):
                 raise ParameterOutOfRangeError(f"gamma = {gamma} overflows the augmented block")
-        blocks = np.multiply.outer(gammas, self.bt_b)
+        blocks = np.multiply.outer(g, self.bt_b)
         blocks += self.A.array  # a + gamma * bt_b: IEEE addition commutes
         return blocks
 
@@ -480,78 +482,72 @@ def rho_from_angles(angles):
     return 1.0 - float(angles.cosines[0]), float(angles.angles[0])
 
 
-def _angle_term(mu, sigma_min, rho):
-    """The angle formula min{mu * rho, sigma_min * sqrt(rho)} and its
-    active term, "mu" or "sigma"."""
-    arg_mu = mu * rho
-    arg_sigma = sigma_min * math.sqrt(rho)
-    return (arg_mu, "mu") if arg_mu <= arg_sigma else (arg_sigma, "sigma")
+# subspace pair of an angle bound -> (report name, details key of its angle)
+_ANGLE_BOUNDS = {
+    "range": ("lowest-rank", "theta_min"),
+    "kernel": ("kernel-angle", "psi_min"),
+    "split": ("general-rank", "theta_tilde_min"),
+}
 
 
-def _optimal_gamma(mu, sigma_min, ang, angle_tol, what):
-    """1 / the angle formula at the minimal angle of ``ang``."""
-    rho, theta_min = rho_from_angles(ang)
+def _angle_bound(problem, pair, angle_tol):
+    """The report of the angle bound min{mu * rho, sigma_min * sqrt(rho)} of
+    the subspace pair ``pair``, warning of a zero angle at or below
+    ``angle_tol``. "range" (range(A), range(B^T)) and "kernel" (ker(A),
+    ker(B)) take mu_min_plus and need rank(A) = n - m; "split" takes
+    mu_{n-m} and the split angles, for any rank(A) >= n - m."""
+    s = problem.summary
+    if pair == "split":
+        mu, angles, degenerate = problem.split_quantities
+        details = {"mu_n_minus_m": mu, "rank_a": s.rank_a}
+        warns = ("degenerate-split",) if degenerate else ()
+    else:
+        _require_lowest_rank(problem)
+        mu = s.mu_min_plus
+        angles = problem.range_angles if pair == "range" else problem.kernel_angles
+        details, warns = {"mu_min_plus": mu}, ()
+    name, angle_key = _ANGLE_BOUNDS[pair]
+    rho, theta_min = rho_from_angles(angles)
+    arg_mu, arg_sigma = mu * rho, s.sigma_min * math.sqrt(rho)
+    value, active = (arg_mu, "mu") if arg_mu <= arg_sigma else (arg_sigma, "sigma")
     if theta_min <= angle_tol:
+        warns = ("zero-angle",) + warns
+    details.update({angle_key: theta_min, "rho": rho, "sigma_min": s.sigma_min,
+                    "active": active, "angle_tol": angle_tol, "rel_tol": s.rel_tol})
+    return BoundReport(name, value, details, warns)
+
+
+def _optimal_gamma(problem, pair, angle_tol):
+    """1 / the angle bound of ``pair``; ZeroAngleError where that bound
+    warns of a zero angle, since no finite gamma matches it."""
+    report = _angle_bound(problem, pair, angle_tol)
+    if "zero-angle" in report.warnings:
+        what = "split" if pair == "split" else "principal"
+        theta_min = report.details[_ANGLE_BOUNDS[pair][1]]
         raise ZeroAngleError(
             f"minimal {what} angle {theta_min:.6e} is at or below "
             f"angle_tol = {angle_tol:g}; no finite optimal gamma"
         )
-    return 1.0 / _angle_term(mu, sigma_min, rho)[0]
+    return 1.0 / report.value
 
 
 def optimal_gamma(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """The gamma whose augmented bound matches the best angle bound:
     1/gamma = min{mu_min_plus * (1 - cos t), sigma_min * sqrt(1 - cos t)}."""
-    _require_lowest_rank(problem)
-    s = problem.summary
-    return _optimal_gamma(s.mu_min_plus, s.sigma_min, problem.range_angles, angle_tol,
-                          "principal")
-
-
-def _angle_bound_report(name, mu, sigma_min, rho, theta_min, angle_tol, extra, warns=()):
-    value, active = _angle_term(mu, sigma_min, rho)
-    if theta_min <= angle_tol:
-        warns = ("zero-angle",) + warns
-    details = dict(extra)
-    details.update(
-        {"rho": rho, "sigma_min": sigma_min, "active": active, "angle_tol": angle_tol}
-    )
-    return BoundReport(name, value, details, warns)
+    return _optimal_gamma(problem, "range", angle_tol)
 
 
 def lowest_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """Angle bound for rank(A) = n - m:
     min{mu_min_plus * (1 - cos t), sigma_min * sqrt(1 - cos t)} with t the
     minimal angle between range(A) and range(B^T)."""
-    _require_lowest_rank(problem)
-    rho, theta_min = rho_from_angles(problem.range_angles)
-    s = problem.summary
-    return _angle_bound_report(
-        "lowest-rank",
-        s.mu_min_plus,
-        s.sigma_min,
-        rho,
-        theta_min,
-        angle_tol,
-        {"theta_min": theta_min, "mu_min_plus": s.mu_min_plus, "rel_tol": s.rel_tol},
-    )
+    return _angle_bound(problem, "range", angle_tol)
 
 
 def kernel_angle_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """Same bound expressed through the minimal angle between ker(A) and
     ker(B); in the lowest-rank case the two formulations agree."""
-    _require_lowest_rank(problem)
-    rho, psi_min = rho_from_angles(problem.kernel_angles)
-    s = problem.summary
-    return _angle_bound_report(
-        "kernel-angle",
-        s.mu_min_plus,
-        s.sigma_min,
-        rho,
-        psi_min,
-        angle_tol,
-        {"psi_min": psi_min, "mu_min_plus": s.mu_min_plus, "rel_tol": s.rel_tol},
-    )
+    return _angle_bound(problem, "kernel", angle_tol)
 
 
 def general_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
@@ -563,31 +559,13 @@ def general_rank_bound(problem, angle_tol=DEFAULT_ANGLE_TOL):
     the report carries a zero-angle warning; the value is still a valid
     (vacuous) lower bound.
     """
-    mu_nm, ang, degenerate = problem.split_quantities
-    rho, theta_min = rho_from_angles(ang)
-    s = problem.summary
-    return _angle_bound_report(
-        "general-rank",
-        mu_nm,
-        s.sigma_min,
-        rho,
-        theta_min,
-        angle_tol,
-        {
-            "theta_tilde_min": theta_min,
-            "mu_n_minus_m": mu_nm,
-            "rank_a": s.rank_a,
-            "rel_tol": s.rel_tol,
-        },
-        ("degenerate-split",) if degenerate else (),
-    )
+    return _angle_bound(problem, "split", angle_tol)
 
 
 def general_rank_optimal_gamma(problem, angle_tol=DEFAULT_ANGLE_TOL):
     """Optimal gamma computed from the split quantities; this is the
     fallback when rank(A) > n - m rules out the lowest-rank formula."""
-    mu_nm, ang, _ = problem.split_quantities
-    return _optimal_gamma(mu_nm, problem.summary.sigma_min, ang, angle_tol, "split")
+    return _optimal_gamma(problem, "split", angle_tol)
 
 
 def agamma_bound(problem, gamma):

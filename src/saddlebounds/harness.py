@@ -23,7 +23,7 @@ from .bounds import (
     scalar_weight_bounds,
 )
 from .errors import AugmentedBlockSingularError, ParameterOutOfRangeError, SizeCapError
-from .linalg import _frozen, _real, lapack, numerically_singular
+from .linalg import _frozen, _integer, _real, _scalar, lapack, numerically_singular
 
 DEFAULT_CERT_SLACK = 1e-8
 DEFAULT_COND_CAP = 1e12
@@ -214,9 +214,12 @@ def inverse_identity_residual(problem, gamma):
 
 
 def log_gamma_grid(gamma_min, gamma_max, points):
-    """Logarithmically spaced gamma grid, endpoints included, of 2 to
-    MAX_GAMMA_POINTS points; refused, as ``gamma_sweep`` would refuse it,
-    when a point is not finite."""
+    """Logarithmically spaced gamma grid between two real numbers, endpoints
+    included, of an integer 2 to MAX_GAMMA_POINTS points; refused, as
+    ``gamma_sweep`` would refuse it, when a point is not finite."""
+    _scalar(gamma_min, "gamma_min")
+    _scalar(gamma_max, "gamma_max")
+    points = _integer(points, "points")
     if not 0 < gamma_min < gamma_max:
         raise ParameterOutOfRangeError(
             f"need 0 < gamma_min < gamma_max, got {gamma_min}, {gamma_max}"
@@ -236,7 +239,7 @@ def log_gamma_grid(gamma_min, gamma_max, points):
 def _checked_grid(grid):
     """``grid`` as a new float array, refused unless it is a nonempty 1-D
     array of finite, positive, strictly increasing real numbers."""
-    g = np.array(_real(grid, "each gamma grid point"), dtype=float)
+    g = np.array(_real(grid, "each gamma grid point"))
     if g.ndim != 1 or g.size == 0:
         raise ParameterOutOfRangeError("gamma grid must be a nonempty 1-D array")
     if not np.isfinite(g).all() or np.any(g <= 0):

@@ -1,5 +1,7 @@
 """Dense symmetric eigendecompositions, SVD, numerical rank, the
-orthonormal null-space basis of a rectangular matrix, principal angles.
+orthonormal null-space basis of a rectangular matrix, principal angles,
+and the rules for a caller's number: ``_real``, the one test of a real
+number, and ``_integer``, the one test of an integer.
 
 The decompositions take the validated SymmetricMatrix and RectMatrix
 wrappers, whose backing arrays are read-only. A subspace basis is a
@@ -32,9 +34,9 @@ def default_rank_tol(dim):
 
 
 def checked_rel_tol(rel_tol):
-    """``rel_tol`` as a float, refused unless it is positive and finite:
-    the one rule for a relative tolerance given by a caller."""
-    tol = float(rel_tol)
+    """``rel_tol`` as a float, refused unless it is one positive, finite
+    real number: the one rule for a relative tolerance given by a caller."""
+    tol = _scalar(rel_tol, "rel_tol")
     if not tol > 0:
         raise ParameterOutOfRangeError(f"rel_tol must be positive, got {rel_tol}")
     if tol == math.inf:
@@ -42,14 +44,49 @@ def checked_rel_tol(rel_tol):
     return tol
 
 
+def _unreal(value):
+    """What in ``value`` is not a real number, for a message, or None. Lists
+    and tuples are looked inside; an array must have an integer or float
+    dtype; anything else must be an int of any size or a float, not a bool."""
+    if isinstance(value, (list, tuple)):
+        return next(filter(None, map(_unreal, value)), None)
+    if isinstance(value, np.ndarray):
+        return None if value.dtype.kind in "iuf" else f"dtype {value.dtype}"
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return None
+    return type(value).__name__
+
+
 def _real(value, what):
-    """``value`` as an array, refused unless its dtype is integer or float:
-    a boolean, complex, string or object value is not a real number."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        got = f"dtype {arr.dtype}" if arr.ndim else type(value).__name__
-        raise ParameterOutOfRangeError(f"{what} must be a real number, got {got}")
-    return arr
+    """``value`` as a float64 array (0-d for one number): the one test of a
+    real number. What ``_unreal`` faults, or an int beyond the float range,
+    is refused with ParameterOutOfRangeError naming ``what``."""
+    got = _unreal(value)
+    if got is None:
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:
+            got = "an int beyond the float range"
+    raise ParameterOutOfRangeError(f"{what} must be a real number, got {got}")
+
+
+def _scalar(value, what):
+    """``value`` as a float: one real number, as ``_real`` judges it."""
+    out = _real(value, what)
+    if out.ndim:
+        raise ParameterOutOfRangeError(f"{what} must be one number, got shape {out.shape}")
+    return float(out)
+
+
+def _integer(value, what):
+    """``value`` as an int: an int of any size, or an integral float (3.0
+    reads as 3); refused as ``_scalar`` refuses it, or when not integral."""
+    if _unreal(value) is None and isinstance(value, (int, np.integer)):
+        return int(value)
+    out = _scalar(value, what)
+    if not out.is_integer():
+        raise ParameterOutOfRangeError(f"{what} must be an integer, got {value!r}")
+    return int(out)
 
 
 def _frozen(arr):
@@ -69,7 +106,7 @@ class SymmetricMatrix:
 
     @classmethod
     def from_array(cls, m):
-        arr = np.asarray(_real(m, "each matrix entry"), dtype=float)
+        arr = _real(m, "each matrix entry")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionMismatchError(
                 f"expected a nonempty square matrix, got shape {arr.shape}"
@@ -103,7 +140,7 @@ class RectMatrix:
     @classmethod
     def from_array(cls, m):
         # a copy: the caller keeps m
-        arr = np.array(_real(m, "each matrix entry"), dtype=float, order="C")
+        arr = np.array(_real(m, "each matrix entry"), order="C")
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise DimensionMismatchError(
                 f"expected a nonempty 2-D matrix, got shape {arr.shape}"

@@ -22,6 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError, StructureError
+from .linalg import _real
 
 _TOKEN = re.compile(r"\S+")
 
@@ -241,9 +242,9 @@ def _scan_columns(lines, idx, fmt, field, symmetry, rows, cols, count):
 
 
 def format_matrix_market(array, symmetric=False):
-    """Render a dense matrix in coordinate format; symmetric storage
-    keeps the lower triangle only."""
-    arr = np.asarray(array, dtype=float)
+    """Render a dense matrix of real numbers (``linalg._real``) in coordinate
+    format; symmetric storage keeps the lower triangle only."""
+    arr = _real(array, "each matrix entry")
     if arr.ndim != 2:
         raise StructureError(f"expected a 2-D matrix, got shape {arr.shape}")
     rows, cols = arr.shape

@@ -19,6 +19,7 @@ Five families:
   full-row-rank B.
 
 Identical specs (family, parameters, seed) yield bit-identical matrices.
+Parameters and seeds meet linalg's number rules before any work.
 """
 
 import json
@@ -30,6 +31,7 @@ import numpy as np
 
 from .bounds import SaddleProblem
 from .errors import GenerationFailedError, ParameterOutOfRangeError, ProblemValidationError
+from .linalg import _integer, _real, _scalar
 
 _NORM_TOL = 1e-12
 _ALPHA_MARGIN = 1e-12
@@ -52,40 +54,19 @@ class GeneratorSpec:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
-def _holds_bool(value):
-    """True for a bool or bool array, or a list or tuple holding one."""
-    if isinstance(value, (list, tuple)):
-        return any(_holds_bool(item) for item in value)
-    return np.asarray(value).dtype.kind == "b"
-
-
 def _converted(name, convert, value):
-    """``convert(value)``; a value that does not convert, or that holds
-    text or a bool (numpy would parse "12" and turn [1, True] into floats),
-    is an input error naming the parameter, not a crash."""
+    """``convert(value, name)``, a refusal by linalg's rules or by the
+    converter's own check restated as one of the parameter ``name``."""
     try:
-        if np.asarray(value).dtype.kind in "US":
-            raise TypeError("numbers must not be given as strings")
-        if _holds_bool(value):
-            raise TypeError("numbers must not be given as booleans")
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return convert(value, name)
+    except (ParameterOutOfRangeError, TypeError, ValueError) as exc:
         raise ParameterOutOfRangeError(f"parameter {name} = {value!r} is invalid: {exc}") from exc
 
 
-def _integer(value):
-    """int(value), refusing a float that int() would truncate."""
-    out = int(value)
-    if isinstance(value, float) and out != value:
-        raise ValueError("not an integer")
-    return out
-
-
-def _order(value):
-    """_integer(value), refusing an order n whose n x n matrix numpy cannot
-    allocate, before any work, as read_matrix_market refuses a size line
-    (np.empty reserves the memory without touching it)."""
-    n = _integer(value)
+def _order(value, what):
+    """``value`` as an integer order n, refused when numpy cannot allocate
+    its n x n matrix (np.empty reserves the memory without touching it)."""
+    n = _integer(value, what)
     if n > 0:
         try:
             np.empty((n, n))
@@ -94,16 +75,13 @@ def _order(value):
     return n
 
 
-def _seed(value):
-    """A numpy seed: an int >= 0; a float is refused, as numpy refuses it."""
-    out = operator.index(value)
+def _seed(value, what):
+    """A numpy seed: an int >= 0; a float, even 3.0, is refused as numpy refuses it."""
+    out = _integer(value, what)
+    operator.index(value)
     if out < 0:
         raise ValueError("a seed must be >= 0")
     return out
-
-
-def _float_array(value):
-    return np.asarray(value, dtype=float)
 
 
 def _orthogonal(rng, dim):
@@ -121,8 +99,8 @@ def gen_toy(b1, b2):
 
     Requires b1^2 + b2^2 = 1 with both entries strictly positive.
     """
-    b1 = _converted("b1", float, b1)
-    b2 = _converted("b2", float, b2)
+    b1 = _converted("b1", _scalar, b1)
+    b2 = _converted("b2", _scalar, b2)
     if not (math.isfinite(b1) and math.isfinite(b2)):
         raise ParameterOutOfRangeError("b1 and b2 must be finite")
     if abs(b1 * b1 + b2 * b2 - 1.0) > _NORM_TOL:
@@ -145,7 +123,7 @@ def gen_remark(alpha):
     of A. The upper end is enforced strictly at 1 - 1e-12 so the split
     boundary stays unambiguous.
     """
-    alpha = _converted("alpha", float, alpha)
+    alpha = _converted("alpha", _scalar, alpha)
     if not math.isfinite(alpha) or alpha <= 0 or alpha >= 1.0 - _ALPHA_MARGIN:
         raise ParameterOutOfRangeError(
             f"alpha must lie in (0, 1 - {_ALPHA_MARGIN:g}), got {alpha!r}"
@@ -171,9 +149,9 @@ def gen_prescribed_angles(n, m, a_eigs, b_sing_vals, thetas, seed=0):
     m = _converted("m", _integer, m)
     if m < 1 or n < 2 * m:
         raise ParameterOutOfRangeError(f"need n >= 2m with m >= 1, got n = {n}, m = {m}")
-    a_eigs = _converted("a_eigs", _float_array, a_eigs)
-    b_sing_vals = _converted("b_sing_vals", _float_array, b_sing_vals)
-    thetas = _converted("thetas", _float_array, thetas)
+    a_eigs = _converted("a_eigs", _real, a_eigs)
+    b_sing_vals = _converted("b_sing_vals", _real, b_sing_vals)
+    thetas = _converted("thetas", _real, thetas)
     if a_eigs.shape != (n - m,):
         raise ParameterOutOfRangeError(
             f"a_eigs must have length n - m = {n - m}, got {a_eigs.shape}"
@@ -226,7 +204,7 @@ def gen_ipm_like(n, m, delta, seed=0):
     m = _converted("m", _integer, m)
     if m < 1 or m >= n:
         raise ParameterOutOfRangeError(f"need 1 <= m < n, got n = {n}, m = {m}")
-    delta = _converted("delta", float, delta)
+    delta = _converted("delta", _scalar, delta)
     if not math.isfinite(delta) or delta < 0:
         raise ParameterOutOfRangeError(f"delta must be finite and >= 0, got {delta!r}")
     seed = _converted("seed", _seed, seed)

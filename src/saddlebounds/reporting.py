@@ -27,7 +27,7 @@ from .errors import (
     StructureError,
 )
 from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP, SWEEP_CSV_HEADER
-from .linalg import checked_rel_tol, default_rank_tol
+from .linalg import _integer, checked_rel_tol, default_rank_tol
 from .mmio import read_matrix_market, read_matrix_market_shape
 
 BOUNDS_CSV_HEADER = "name,value,assumptions_met,status,slack,warnings"
@@ -83,16 +83,17 @@ def read_problem(source, rel_tol=None):
     numerically zero and the off-diagonal blocks exact transposes, both
     within rel_tol * max|K| (rel_tol of None: (n + m) * machine epsilon).
     Structural failures raise StructureError naming the violated
-    invariant; a rel_tol that is not positive and finite is refused
+    invariant. A rel_tol that is not one positive, finite real number, and
+    a split index n that is not an integer (3.0 reads as 3), are refused
     first, with ParameterOutOfRangeError.
     """
     rel_tol = checked_rel_tol(rel_tol) if rel_tol is not None else None
     if "K" in source:
+        n = _integer(source["n"], "split index n")
         k = read_matrix_market(source["K"])
         order = k.shape[0]
         if k.shape[0] != k.shape[1]:
             raise StructureError(f"K file must be square, got shape {k.shape}")
-        n = int(source["n"])
         if not 0 < n < order:
             raise StructureError(f"split index n = {n} outside 1..{order - 1}")
         k_tol = rel_tol if rel_tol is not None else default_rank_tol(order)
@@ -125,12 +126,13 @@ def size_line_order(source):
     """The order n + m of K as the banner and size lines of the files in
     ``source`` give it, with no data read; None when those lines cannot
     be read or describe no saddle problem (``read_problem`` then reports
-    why)."""
+    why). A split index n is judged first, as ``read_problem`` judges it."""
+    n = _integer(source["n"], "split index n") if "K" in source else None
     try:
         if "K" in source:
             rows, cols = read_matrix_market_shape(source["K"])
-            m = rows - source["n"]
-            return rows if rows == cols and 0 < m < source["n"] else None
+            m = rows - n
+            return rows if rows == cols and 0 < m < n else None
         n, a_cols = read_matrix_market_shape(source["A"])
         m, b_cols = read_matrix_market_shape(source["B"])
     except (SaddleBoundsError, OSError):

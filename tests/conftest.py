@@ -95,6 +95,21 @@ def build_corpus():
     return members
 
 
+def _linalg_called(*args, **kwargs):
+    raise AssertionError("numpy.linalg was called")
+
+
+@pytest.fixture
+def stub_linalg(monkeypatch):
+    """A call that makes every numpy.linalg routine fail, for the rest of
+    the test: a refusal checked after it comes before any factorization."""
+    def stub():
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                monkeypatch.setattr(np.linalg, name, _linalg_called)
+    return stub
+
+
 @pytest.fixture(scope="session")
 def corpus():
     members = build_corpus()

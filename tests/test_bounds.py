@@ -368,14 +368,15 @@ class TestAugmentedAssembly:
 
     @pytest.mark.parametrize("gamma, name", [
         (True, "bool"), (np.True_, "bool"), (np.False_, "bool"), (1j, "complex"), ("1", "str"),
+        ([[1.0, True]], "bool"), (1 + 0j, "complex"), (np.complex128(1), "complex128"),
+        (np.array([1.0 + 0j]), "dtype complex128"), (object(), "object"),
     ])
-    def test_gamma_must_be_a_real_number(self, monkeypatch, gamma, name):
+    def test_gamma_must_be_a_real_number(self, stub_linalg, gamma, name):
         # every per-gamma entry point refuses it before any dense work; the
         # values kept for gamma = 1.0 do not answer for True
         p = toy()
         wbound(p, 1.0)
-        for routine in ("eigvalsh", "inv", "solve"):
-            monkeypatch.setattr(np.linalg, routine, None)
+        stub_linalg()
         checks = (wbound, agamma_bound, augmented_condition, inverse_identity_residual,
                   SaddleProblem.augmented_blocks,
                   SaddleProblem.augmented_eigs, SaddleProblem.augmented_saddle_abs_eigs,

@@ -54,7 +54,8 @@ class TestGenerate:
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         pa1, _, _ = generate_toy(tmp_path / "one")
         pa2, _, _ = generate_toy(tmp_path / "two")
-        assert open(pa1, "rb").read() == open(pa2, "rb").read()
+        with open(pa1, "rb") as one, open(pa2, "rb") as two:
+            assert one.read() == two.read()
 
     def test_bad_params_json(self, tmp_path, capsys):
         rc = cli.main(["generate", "--family", "toy", "--params", "{",

@@ -271,6 +271,21 @@ class TestSweep:
         with pytest.raises(ParameterOutOfRangeError, match="at most 10000 gamma grid points"):
             log_gamma_grid(1e-2, 1e2, MAX_GAMMA_POINTS + 1)
 
+    @pytest.mark.parametrize("args, refusal", [
+        ((1e-2, 10, 2.5), "^points must be an integer, got 2.5$"),
+        ((1e-2, 10, True), "^points must be a real number, got bool$"),
+        ((1e-2, 10, "3"), "^points must be a real number, got str$"),
+        ((True, 10, 3), "^gamma_min must be a real number, got bool$"),
+        ((1e-2, "10", 3), "^gamma_max must be a real number, got str$"),
+    ])
+    def test_grid_arguments_must_be_numbers(self, args, refusal):
+        with pytest.raises(ParameterOutOfRangeError, match=refusal):
+            log_gamma_grid(*args)
+
+    @pytest.mark.parametrize("points", [3.0, np.float64(3.0), np.int32(3)])
+    def test_integral_point_count_reads_as_an_integer(self, points):
+        assert log_gamma_grid(1e-2, 10, points).tolist() == log_gamma_grid(1e-2, 10, 3).tolist()
+
     @pytest.mark.parametrize("gamma_max", [np.inf, 1.7976931348623157e308])
     def test_non_finite_grid_is_refused_without_a_warning(self, gamma_max):
         # the last point of the second grid overflows to inf
@@ -393,8 +408,9 @@ class TestSweep:
         assert first.crossing_index == second.crossing_index
         assert first.rows == second.rows
 
-    def test_grid_validation(self):
+    def test_grid_validation(self, stub_linalg):
         p = toy()
+        stub_linalg()  # every grid is refused before any work
         with pytest.raises(ParameterOutOfRangeError):
             gamma_sweep(p, np.array([2.0, 1.0]))
         with pytest.raises(ParameterOutOfRangeError):
@@ -406,8 +422,12 @@ class TestSweep:
         # refused before any conversion: no ComplexWarning, no 1.0 for True
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for grid, got in (([1.0 + 1j, 2.0], "complex128"), ([True], "bool"), (["1"], "<U1")):
-                refusal = f"^each gamma grid point must be a real number, got dtype {got}$"
+            for grid, got in (([1.0 + 1j, 2.0], "complex"), ([True], "bool"), (["1"], "str"),
+                              ([0.1, True, 10], "bool"), ([[1.0, True]], "bool"),
+                              (1 + 0j, "complex"), (np.complex128(1), "complex128"),
+                              (np.array([1.0, 2.0], dtype=complex), "dtype complex128"),
+                              (object(), "object")):
+                refusal = f"^each gamma grid point must be a real number, got {got}$"
                 with pytest.raises(ParameterOutOfRangeError, match=refusal):
                     gamma_sweep(p, grid)
 

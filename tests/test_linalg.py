@@ -136,18 +136,21 @@ class TestMatrixWrappers:
         with pytest.raises(DimensionMismatchError):
             RectMatrix.from_array(np.zeros((0, 3)))
 
-    @pytest.mark.parametrize("entries, dtype", [
-        ([[1.0 + 1j, 0.0], [0.0, 1.0]], "complex128"),
-        ([["1", "0"], ["0", "1"]], "<U1"),
+    @pytest.mark.parametrize("entries, got", [
+        ([[1.0 + 1j, 0.0], [0.0, 1.0]], "complex"),
+        ([["1", "0"], ["0", "1"]], "str"),
         ([[True, False], [False, True]], "bool"),
-        (np.eye(2, dtype=object), "object"),
+        (np.eye(2, dtype=object), "dtype object"),
+        # numpy would read this list as float64, with 1.0 for True
+        ([[2.0, 0.0], [0.0, True]], "bool"),
+        (np.eye(2, dtype=complex), "dtype complex128"),
     ])
-    def test_entries_must_be_real_numbers(self, entries, dtype):
+    def test_entries_must_be_real_numbers(self, entries, got):
         # refused before any conversion, so a complex matrix warns of nothing
         for wrap in (SymmetricMatrix.from_array, RectMatrix.from_array):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                refusal = f"^each matrix entry must be a real number, got dtype {dtype}$"
+                refusal = f"^each matrix entry must be a real number, got {got}$"
                 with pytest.raises(ParameterOutOfRangeError, match=refusal):
                     wrap(entries)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,10 +209,15 @@ class TestGeneratorSpec:
         assert np.array_equal(p1.A.array, p2.A.array)
         assert np.array_equal(p1.B.array, p2.B.array)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 3.0, True, False])
+    @pytest.mark.parametrize("seed", [
+        -1, 1.5, 3.0, True, False, np.True_, [[1.0, True]], "1", 1 + 0j, np.complex128(1),
+        np.array([[1.0 + 0j]]), object(),
+    ])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
-    def test_seed_must_be_a_nonnegative_int(self, spec, seed):
-        with pytest.raises(ParameterOutOfRangeError, match=f"^parameter seed = {seed} is invalid"):
+    def test_seed_must_be_a_nonnegative_int(self, stub_linalg, spec, seed):
+        stub_linalg()  # refused before any work
+        with pytest.raises(ParameterOutOfRangeError,
+                           match=f"^parameter seed = {re.escape(repr(seed))} is invalid"):
             generate_problem(GeneratorSpec(spec.family, spec.parameters, seed))
 
     # orders whose n x n matrix fails before any memory is touched

@@ -20,6 +20,7 @@ from saddlebounds.reporting import (
     envelope_to_json,
     read_problem,
     report_envelope,
+    size_line_order,
     write_report,
 )
 
@@ -121,6 +122,28 @@ class TestReadProblem:
         with pytest.raises(StructureError, match="split index"):
             read_problem({"K": str(pk), "n": 3})
 
+    @pytest.mark.parametrize("n, refusal", [
+        (3.7, "must be an integer, got 3.7"),
+        ("3", "must be a real number, got str"),
+        (True, "must be a real number, got bool"),
+    ])
+    def test_split_index_must_be_an_integer(self, tmp_path, n, refusal):
+        # judged before the file is opened: it does not exist
+        source = {"K": str(tmp_path / "missing.mtx"), "n": n}
+        for judge in (read_problem, size_line_order):
+            with pytest.raises(ParameterOutOfRangeError, match=f"^split index n {refusal}$"):
+                judge(source)
+
+    @pytest.mark.parametrize("n", [3.0, np.float64(3.0), np.int32(3)])
+    def test_integral_split_index_reads_as_an_integer(self, tmp_path, n):
+        p = gen_remark(0.5)
+        pk = tmp_path / "K.mtx"
+        write_matrix_market(pk, p.k_matrix, symmetric=True)
+        q = read_problem({"K": str(pk), "n": n})
+        assert (q.n, q.m) == (3, 2)
+        assert np.array_equal(q.A.array, read_problem({"K": str(pk), "n": 3}).A.array)
+        assert size_line_order({"K": str(pk), "n": n}) == 5
+
     @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, float("inf"), float("nan")])
     def test_rel_tol_is_checked_before_the_structure(self, tmp_path, rel_tol):
         p = gen_remark(0.5)
@@ -211,7 +234,8 @@ class TestCsvAndFiles:
         w2 = write_report(str(d2), env, sweep=sw, output_format="csv")
         assert [p.rsplit("/", 1)[1] for p in w1] == ["report.json", "sweep.csv", "bounds.csv"]
         for a, b in zip(w1, w2):
-            assert open(a, "rb").read() == open(b, "rb").read()
+            with open(a, "rb") as one, open(b, "rb") as two:
+                assert one.read() == two.read()
 
     def test_write_report_json_only(self, tmp_path):
         env, _, _, _ = toy_envelope()
