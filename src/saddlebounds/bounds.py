@@ -46,6 +46,8 @@ from .linalg import (
     SymmetricMatrix,
     _frozen,
     _real,
+    _scalar,
+    _tolerance,
     checked_rel_tol,
     default_rank_tol,
     kernel_basis_rect,
@@ -216,9 +218,8 @@ class SaddleProblem:
         smax2 = s.sigma_max * s.sigma_max  # inf where B^T B would overflow
         if mu == 0.0 or not math.isfinite(smax2) or self.rel_tol < default_rank_tol(self.n):
             return False
-        r = 0.5 * (mu + math.hypot(mu, 2.0 * s.sigma_max))
+        nu, r = _rw_extremes(mu, s.sigma_min, s.sigma_max)
         beta = 4.0 * self.rel_tol * r
-        nu = 2.0 * s.sigma_min * s.sigma_min / (mu + math.hypot(mu, 2.0 * s.sigma_min))
         if not nu > beta:
             return False
         # its gamma check passes: nu > beta needs a finite R and sigma_min^2 > 0
@@ -354,10 +355,10 @@ class SaddleProblem:
 
     def _per_gamma_values(self, kind, gamma, compute):
         """The values ``compute`` gives at ``gamma``, computed once per
-        (kind, gamma). A boolean gamma is refused before the lookup: True
-        would find the values kept for 1.0."""
-        _real(gamma, "gamma")
-        key = (kind, gamma)
+        (kind, gamma), keyed on gamma as a float. What is not one real
+        number is refused before the lookup: True would find the values
+        kept for 1.0, and a list has no key."""
+        key = (kind, _scalar(gamma, "gamma"))
         if key not in self._per_gamma:
             self._per_gamma[key] = _frozen(compute())
         return self._per_gamma[key]
@@ -400,6 +401,19 @@ def _rw_root(x, y):
     expression."""
     root = math.sqrt(_square(x) + 4.0 * _square(y))
     return root if math.isfinite(root) else math.hypot(x, 2.0 * y)
+
+
+def _rw_extremes(mu_max, sigma_min, sigma_max):
+    """(nu, R) of a saddle matrix whose positive semidefinite leading block
+    has largest eigenvalue ``mu_max`` > 0 and whose constraint block has
+    extreme singular values ``sigma_min`` and ``sigma_max``: by the
+    Rusten-Winther intervals every negative eigenvalue is at most -nu,
+    nu = 2 sigma_min^2 / (mu_max + sqrt(mu_max^2 + 4 sigma_min^2)), and
+    every |eigenvalue| at most R = (mu_max + sqrt(mu_max^2 + 4 sigma_max^2)) / 2.
+    nu is the cancellation-free form of the negative upper end, and it is
+    formed without sigma_min^2, which may underflow where nu does not."""
+    nu = 2.0 * sigma_min * (sigma_min / (mu_max + math.hypot(mu_max, 2.0 * sigma_min)))
+    return nu, 0.5 * (mu_max + math.hypot(mu_max, 2.0 * sigma_max))
 
 
 def rusten_winther(summary):
@@ -495,7 +509,9 @@ def _angle_bound(problem, pair, angle_tol):
     the subspace pair ``pair``, warning of a zero angle at or below
     ``angle_tol``. "range" (range(A), range(B^T)) and "kernel" (ker(A),
     ker(B)) take mu_min_plus and need rank(A) = n - m; "split" takes
-    mu_{n-m} and the split angles, for any rank(A) >= n - m."""
+    mu_{n-m} and the split angles, for any rank(A) >= n - m. ``angle_tol``
+    is judged before any angle is computed."""
+    angle_tol = _tolerance(angle_tol, "angle_tol")
     s = problem.summary
     if pair == "split":
         mu, angles, degenerate = problem.split_quantities
@@ -575,10 +591,9 @@ def agamma_bound(problem, gamma):
     The inner term, details["augmented_estimate"], underestimates
     mu_min(A_gamma) when rank(A) = n - m, so this is never tighter than
     wbound at the same gamma, but it is certified from the angle data."""
-    _require_lowest_rank(problem)
-    _real(gamma, "gamma")
-    if not math.isfinite(gamma) or gamma <= 0:
+    if not 0 < _scalar(gamma, "gamma") < math.inf:
         raise ParameterOutOfRangeError(f"gamma must be positive, got {gamma}")
+    _require_lowest_rank(problem)
     rho, theta_min = rho_from_angles(problem.range_angles)
     s = problem.summary
     inner = rho * min(s.mu_min_plus, gamma * _square(s.sigma_min))
@@ -612,7 +627,9 @@ def scalar_weight_bounds(problem, gamma):
 
 def applicable_bounds(problem, gamma=None, angle_tol=DEFAULT_ANGLE_TOL):
     """Every bound whose assumptions the problem satisfies, in a fixed
-    deterministic order. ``gamma`` adds the scalar-weight reports, computed first."""
+    deterministic order. ``gamma`` adds the scalar-weight reports, computed
+    first, after ``angle_tol`` is judged."""
+    angle_tol = _tolerance(angle_tol, "angle_tol")
     weighted = scalar_weight_bounds(problem, gamma) if gamma is not None else []
     reports = [rusten_winther(problem.summary)]
     if problem.is_lowest_rank:

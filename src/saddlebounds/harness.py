@@ -7,8 +7,17 @@ The oracle is the ground truth every bound is checked against: a full
 dense eigensolve of K, capped by default at order 2000. It is the only
 reader of K's spectrum, which is eigensolved on the first oracle call
 and then kept on the problem; a refusal above the cap solves nothing.
+
+The augmented saddle matrix K_gamma = [[A + gamma B^T B, B^T], [B, 0]]
+is eigensolved only where it must be: its condition gate in
+``run_verification`` and its singular test in
+``inverse_identity_residual`` are decided from its Rusten-Winther
+intervals, built from the kept eigenvalues of A + gamma B^T B and the
+singular values of B, and from its own eigenvalues only where those
+intervals cannot decide.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +26,23 @@ from .bounds import (
     DEFAULT_ANGLE_TOL,
     DEFAULT_SIZE_CAP,
     _require_lowest_rank,
+    _rw_extremes,
     applicable_bounds,
     rho_from_angles,
     saddle_matrix,
     scalar_weight_bounds,
 )
 from .errors import AugmentedBlockSingularError, ParameterOutOfRangeError, SizeCapError
-from .linalg import _frozen, _integer, _real, _scalar, lapack, numerically_singular
+from .linalg import (
+    _frozen,
+    _integer,
+    _real,
+    _scalar,
+    _tolerance,
+    default_rank_tol,
+    lapack,
+    numerically_singular,
+)
 
 DEFAULT_CERT_SLACK = 1e-8
 DEFAULT_COND_CAP = 1e12
@@ -112,7 +131,11 @@ class SweepResult:
 
 
 def check_size_cap(order, size_cap=DEFAULT_SIZE_CAP):
-    """Raise SizeCapError when K's order is above the size cap."""
+    """Raise SizeCapError when K's order is above the size cap, an integer
+    >= 1 (else ParameterOutOfRangeError)."""
+    size_cap = _integer(size_cap, "size_cap")
+    if size_cap < 1:
+        raise ParameterOutOfRangeError(f"size_cap must be at least 1, got {size_cap}")
     if order > size_cap:
         raise SizeCapError(f"K has order {order}, above the size cap {size_cap}")
 
@@ -136,7 +159,9 @@ def oracle(problem, size_cap=DEFAULT_SIZE_CAP):
 
 
 def certify(report, oracle_result, slack_tol=DEFAULT_CERT_SLACK):
-    """Check one bound report against the oracle."""
+    """Check one bound report against the oracle, within ``slack_tol``, a
+    finite tolerance >= 0."""
+    slack_tol = _tolerance(slack_tol, "slack_tol")
     value = report.value
     slack = oracle_result.mu_min_plus - value
     if value <= 0.0:
@@ -151,7 +176,8 @@ def certify(report, oracle_result, slack_tol=DEFAULT_CERT_SLACK):
 def containment_violations(report, oracle_result, slack=DEFAULT_CERT_SLACK):
     """Eigenvalues of K outside the inclusion intervals of an interval
     report, allowing absolute slack at the endpoints. Empty means the
-    containment holds."""
+    containment holds. ``slack`` is a finite tolerance >= 0."""
+    slack = _tolerance(slack, "slack")
     if report.intervals is None:
         raise ParameterOutOfRangeError(f"report {report.name!r} carries no intervals")
     (neg_lo, neg_hi), (pos_lo, pos_hi) = report.intervals
@@ -159,6 +185,48 @@ def containment_violations(report, oracle_result, slack=DEFAULT_CERT_SLACK):
     in_neg = (eigs >= neg_lo - slack) & (eigs <= neg_hi + slack)
     in_pos = (eigs >= pos_lo - slack) & (eigs <= pos_hi + slack)
     return eigs[~(in_neg | in_pos)]
+
+
+def _k_gamma_certified(problem, gamma):
+    """True when the intervals of K_gamma prove what its eigensolve would
+    decide: that ``augmented_condition`` is at most DEFAULT_COND_CAP and
+    that K_gamma passes the singular test of ``inverse_identity_residual``.
+    False means undecided, never the opposite. Only kept values are read:
+    the eigenvalues of A_gamma and the singular values of B.
+
+    Let a_lo > 0 and a_hi be the smallest and largest kept eigenvalues of
+    A_gamma. The leading block of K_gamma is then positive definite, and
+    the Rusten-Winther intervals put every |eigenvalue| of K_gamma in
+    [min(a_lo, nu), R], (nu, R) = ``_rw_extremes(a_hi, sigma_min,
+    sigma_max)``; R is at least ||K_gamma||, a_hi and sigma_max.
+
+    The margin 3 (n + m) eps R covers rounding. min(a_lo, nu) and R move
+    by at most as much as a_hi, sigma_min and sigma_max do (no partial
+    derivative exceeds 1 in size). Those carry the backward errors of the
+    eigensolve of A_gamma and the SVD of B, and the skipped eigensolve of
+    K_gamma carries its own; each is taken to be at most
+    ``default_rank_tol`` of the operand's larger dimension (n, n and
+    n + m) times its norm, at most R. So every |eigenvalue| that
+    eigensolve would return lies in [lo, hi] = [min(a_lo, nu) - margin,
+    R + margin]. A pass needs hi <= DEFAULT_COND_CAP / 2 * lo, so the
+    condition number it would give is at most the cap and the identity is
+    not skipped; and lo > 2 rel_tol R >= rel_tol hi (the margin is below
+    R), so min |eig| > rel_tol max |eig| and K_gamma is not singular. The
+    factors of 2 left over absorb the rounding of the few operations
+    here. A lower end below the smallest normal float stays undecided,
+    since rounding there is no longer relative.
+    """
+    vals = problem.augmented_eigs(gamma)
+    a_lo = float(vals[0])
+    if not a_lo > 0.0:
+        return False
+    s = problem.summary
+    nu, r = _rw_extremes(float(vals[-1]), s.sigma_min, s.sigma_max)
+    margin = 3.0 * default_rank_tol(problem.n + problem.m) * r
+    lo = min(a_lo, nu) - margin
+    hi = r + margin
+    return (lo >= sys.float_info.min and lo > 2.0 * problem.rel_tol * r
+            and hi <= 0.5 * DEFAULT_COND_CAP * lo)
 
 
 def augmented_condition(problem, gamma):
@@ -181,15 +249,20 @@ def inverse_identity_residual(problem, gamma):
     is numerically nonsingular the Schur-form consequence is checked too:
     the trailing block of K^{-1} must equal W - (B A_W^{-1} B^T)^{-1}.
     The returned value is the larger of the residuals checked.
+
+    A numerically singular K_W raises AugmentedBlockSingularError. Its
+    intervals decide that test where they can; only where they cannot is
+    K_W eigensolved for it.
     """
     n = problem.n
     m = problem.m
-    kw_vals = problem.augmented_saddle_abs_eigs(gamma)
-    if numerically_singular(float(kw_vals.min()), float(kw_vals.max()), problem.rel_tol):
-        raise AugmentedBlockSingularError(
-            f"augmented saddle matrix is numerically singular: min |eig| = "
-            f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
-        )
+    if not _k_gamma_certified(problem, gamma):
+        kw_vals = problem.augmented_saddle_abs_eigs(gamma)
+        if numerically_singular(float(kw_vals.min()), float(kw_vals.max()), problem.rel_tol):
+            raise AugmentedBlockSingularError(
+                f"augmented saddle matrix is numerically singular: min |eig| = "
+                f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
+            )
     aw = problem.augmented_blocks(gamma)
     k_inv = problem.k_inverse
     # K^{-1} - K_W^{-1} - blockdiag(0, W), built in the one array inv returns
@@ -300,9 +373,14 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
     """Invariant suite shared by the verify subcommand and tests.
 
     Returns a list of failure descriptions; empty means everything held.
-    A refused gamma emits nothing: every report is built before the oracle.
+    A refused gamma or tolerance emits nothing: every report is built
+    before the oracle. The inverse identity at gamma is skipped when
+    cond(K_gamma) exceeds DEFAULT_COND_CAP; K_gamma's intervals decide
+    that gate where they can, and only where they cannot is K_gamma
+    eigensolved for its condition number.
     """
     failures = []
+    cert_slack = _tolerance(cert_slack, "cert_slack")
     check_size_cap(problem.n + problem.m, size_cap)
     reports = applicable_bounds(problem, angle_tol=angle_tol)
     for gamma in gammas:
@@ -334,10 +412,11 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
         emit(f"soundness {tag}: {outcome.status} (slack {outcome.slack:.3e})")
 
     for gamma in gammas:
-        cond = augmented_condition(problem, gamma)
-        if cond > DEFAULT_COND_CAP:
-            emit(f"inverse identity gamma={gamma:g}: skipped (condition {cond:.3e})")
-            continue
+        if not _k_gamma_certified(problem, gamma):
+            cond = augmented_condition(problem, gamma)
+            if cond > DEFAULT_COND_CAP:
+                emit(f"inverse identity gamma={gamma:g}: skipped (condition {cond:.3e})")
+                continue
         residual = inverse_identity_residual(problem, gamma)
         ok = residual <= _INVERSE_IDENTITY_TOL
         if not ok:

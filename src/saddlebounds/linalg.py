@@ -1,7 +1,8 @@
 """Dense symmetric eigendecompositions, SVD, numerical rank, the
 orthonormal null-space basis of a rectangular matrix, principal angles,
 and the rules for a caller's number: ``_real``, the one test of a real
-number, and ``_integer``, the one test of an integer.
+number, ``_integer``, the one test of an integer, and ``_tolerance``,
+the one test of a caller's absolute tolerance.
 
 The decompositions take the validated SymmetricMatrix and RectMatrix
 wrappers, whose backing arrays are read-only. A subspace basis is a
@@ -76,6 +77,15 @@ def _scalar(value, what):
     if out.ndim:
         raise ParameterOutOfRangeError(f"{what} must be one number, got shape {out.shape}")
     return float(out)
+
+
+def _tolerance(value, what):
+    """``value`` as a float: one real number, as ``_scalar`` judges it, that
+    is finite and >= 0, the rule for an absolute tolerance or an angle."""
+    out = _scalar(value, what)
+    if not (math.isfinite(out) and out >= 0):
+        raise ParameterOutOfRangeError(f"{what} must be finite and >= 0, got {value!r}")
+    return out
 
 
 def _integer(value, what):

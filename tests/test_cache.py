@@ -23,6 +23,7 @@ from saddlebounds.problems import (
     gen_ipm_like,
     gen_prescribed_angles,
     gen_random_lowest_rank,
+    gen_toy,
     generate_problem,
 )
 from test_harness import reference_augmented
@@ -83,9 +84,22 @@ class TestFactorizationCounts:
         failures = cli.run_verification(p, GAMMAS, emit=lambda line: None)
         assert failures == []
         counts = _classify(p, list(eigvalsh_operands))
-        # the stacked-basis check solves P^T P once, on lowest-rank problems only
+        # the stacked-basis check solves P^T P once, on lowest-rank problems
+        # only; the intervals of K_W decide its condition gate and singular
+        # test at every gamma here, so K_W is never eigensolved
         other = 1 if p.is_lowest_rank else 0
-        assert counts == {"K": 1, "A_W": 3, "K_W": 3, "other": other}
+        assert counts == {"K": 1, "A_W": 3, "K_W": 0, "other": other}
+
+    def test_verify_eigensolves_k_gamma_once_where_its_intervals_cannot_decide(
+            self, eigvalsh_operands):
+        # at gamma = 1e14 the toy's K_gamma has condition 1e28: its intervals
+        # cannot decide, so one eigensolve of K_gamma gives the skip
+        p = gen_toy(0.6, 0.8)
+        lines = []
+        assert cli.run_verification(p, (1e14,), emit=lines.append) == []
+        kw = saddle_matrix(reference_augmented(p, 1e14), p.B.array)
+        assert sum(np.array_equal(op, kw) for op in eigvalsh_operands) == 1
+        assert "inverse identity gamma=1e+14: skipped (condition 1.000e+28)" in lines
 
     def test_principal_angles_run_at_most_three_times(self, arrays, monkeypatch):
         calls = []

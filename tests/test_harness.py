@@ -1,4 +1,5 @@
-"""Oracle, certification, inverse identity, and the gamma sweep."""
+"""Oracle, certification, the inverse identity and the certificate of its
+K_gamma, and the gamma sweep."""
 
 import tracemalloc
 import warnings
@@ -6,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+import hard
+from saddlebounds import harness
 from saddlebounds.bounds import (
     BoundReport,
     SaddleProblem,
@@ -20,9 +23,12 @@ from saddlebounds.errors import (
     ConvergenceError,
     ParameterOutOfRangeError,
     RankAssumptionError,
+    SaddleBoundsError,
     SizeCapError,
 )
 from saddlebounds.harness import (
+    DEFAULT_COND_CAP,
+    DEFAULT_VERIFY_GAMMAS,
     MAX_GAMMA_POINTS,
     SWEEP_CSV_HEADER,
     SWEEP_STACK_BYTES,
@@ -35,6 +41,7 @@ from saddlebounds.harness import (
     log_gamma_grid,
     oracle,
     ptp_spectrum_deviation,
+    run_verification,
 )
 from saddlebounds.linalg import SymmetricMatrix, numerically_singular
 from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank, gen_remark, gen_toy
@@ -254,6 +261,63 @@ class TestInverseIdentity:
         harsh = augmented_condition(p, 1e14)
         assert mild < 1e3
         assert harsh > 1e12
+
+
+CERTIFICATE_GAMMAS = (1e-4, 0.1, 1.0, 10.0, 1e4, 1e14)
+
+
+def hard_problems():
+    """The distinct problems of tests/hard.py."""
+    members = {m.label: m for group in (hard.AUTO_GAMMA, hard.ANGLE_LADDER,
+                                        hard.SCALE_LADDER, hard.INVERSE_IDENTITY)
+               for m in group}
+    return [(label, SaddleProblem(*m.build())) for label, m in members.items()]
+
+
+class TestAugmentedCertificate:
+    """``harness._k_gamma_certified`` decides K_gamma's condition gate and
+    singular test from its intervals; a pass must never be contradicted by
+    the eigensolve it replaces."""
+
+    def test_a_pass_agrees_with_the_eigensolve(self, corpus):
+        decided = 0
+        for label, p in corpus + hard_problems():
+            for gamma in CERTIFICATE_GAMMAS:
+                try:
+                    certified = harness._k_gamma_certified(p, gamma)
+                except ParameterOutOfRangeError:  # gamma overflows this scale
+                    continue
+                if not certified:
+                    continue
+                decided += 1
+                assert augmented_condition(p, gamma) <= DEFAULT_COND_CAP, (label, gamma)
+                vals = p.augmented_saddle_abs_eigs(gamma)
+                assert not numerically_singular(float(vals.min()), float(vals.max()),
+                                                p.rel_tol), (label, gamma)
+        # every corpus member at the verify gammas, and more
+        assert decided >= 3 * len(corpus)
+
+    @pytest.mark.parametrize("gammas", [DEFAULT_VERIFY_GAMMAS, (1e10,)])
+    def test_verify_prints_the_same_without_it(self, corpus, monkeypatch, gammas):
+        def outcome(p):
+            lines = []
+            try:
+                return lines, run_verification(p, gammas, emit=lines.append)
+            except SaddleBoundsError as exc:
+                return lines, repr(exc)
+
+        with_certificate = [outcome(p) for _, p in corpus]
+        monkeypatch.setattr(harness, "_k_gamma_certified", lambda p, gamma: False)
+        assert [outcome(p) for _, p in corpus] == with_certificate
+
+    def test_undecided_where_the_augmented_block_is_singular(self):
+        # gamma = 0 leaves A_gamma = A, singular here, so the intervals say
+        # nothing; the eigensolve of K_0 = K finds it nonsingular
+        p = toy()
+        assert not harness._k_gamma_certified(p, 0.0)
+        assert inverse_identity_residual(p, 0.0) <= 1e-8
+        assert harness._k_gamma_certified(p, 1.0)
+        assert not harness._k_gamma_certified(p, 1e14)
 
 
 class TestSweep:

@@ -7,7 +7,9 @@ stubbed to fail while the refusals run. The per-gamma entry points and
 the gamma grid take the same values in tests/test_bounds.py and
 tests/test_harness.py, and ``generate_problem``'s seed in
 tests/test_problems.py. A second table pins what is still accepted, bit
-for bit.
+for bit. The last tables hold the per-gamma entry points, which take one
+number only, and the tolerances (finite, >= 0) and size caps (an integer
+>= 1) a library caller may pass.
 """
 
 import warnings
@@ -15,9 +17,28 @@ import warnings
 import numpy as np
 import pytest
 
-from saddlebounds.bounds import SaddleProblem, applicable_bounds, wbound
-from saddlebounds.errors import ParameterOutOfRangeError
-from saddlebounds.harness import gamma_sweep
+from saddlebounds.bounds import (
+    DEFAULT_ANGLE_TOL,
+    SaddleProblem,
+    agamma_bound,
+    applicable_bounds,
+    general_rank_bound,
+    kernel_angle_bound,
+    lowest_rank_bound,
+    optimal_gamma,
+    wbound,
+)
+from saddlebounds.errors import ParameterOutOfRangeError, SizeCapError
+from saddlebounds.harness import (
+    augmented_condition,
+    certify,
+    check_size_cap,
+    containment_violations,
+    gamma_sweep,
+    inverse_identity_residual,
+    oracle,
+    run_verification,
+)
 from saddlebounds.linalg import checked_rel_tol
 from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import (
@@ -136,3 +157,105 @@ def test_ints_are_accepted_as_gamma_grid_and_tolerance():
     assert gamma_sweep(p, [1, 2, 4]).rows == gamma_sweep(p, [1.0, 2.0, 4.0]).rows
     assert checked_rel_tol(2**70) == 2.0**70
     assert RunConfig(rel_tol=2**70).rel_tol == 2**70
+
+
+# per-gamma entry point -> call(problem, gamma); augmented_blocks alone
+# takes an array of gammas
+PER_GAMMA = {
+    "wbound": wbound,
+    "agamma_bound": agamma_bound,
+    "augmented_condition": augmented_condition,
+    "inverse_identity_residual": inverse_identity_residual,
+    "augmented_eigs": SaddleProblem.augmented_eigs,
+    "augmented_saddle_abs_eigs": SaddleProblem.augmented_saddle_abs_eigs,
+    "applicable_bounds": lambda p, g: applicable_bounds(p, gamma=g),
+}
+
+
+@pytest.mark.parametrize("gamma", [[2.0], (2.0,), np.array([2.0]), [[2.0]], []])
+@pytest.mark.parametrize("entry", PER_GAMMA)
+def test_a_gamma_that_is_not_one_number_is_refused_first(stub_linalg, entry, gamma):
+    p = SaddleProblem(A, B)
+    stub_linalg()
+    with pytest.raises(ParameterOutOfRangeError, match=r"^gamma must be one number, got shape "):
+        PER_GAMMA[entry](p, gamma)
+
+
+def test_one_gamma_keeps_its_bits_and_its_kept_values():
+    p = SaddleProblem(A, B)
+    kept = p.augmented_eigs(2.0)
+    for gamma in (2, np.float64(2.0), np.int64(2), np.array(2.0)):
+        assert p.augmented_eigs(gamma) is kept
+        assert wbound(p, gamma).value == wbound(p, 2.0).value
+        assert agamma_bound(p, gamma).value == agamma_bound(p, 2.0).value
+
+
+def _no_line(line):
+    raise AssertionError(f"a refused value emitted {line!r}")
+
+
+def _reports_and_oracle():
+    p = SaddleProblem(A, B)
+    return p, applicable_bounds(p), oracle(p)
+
+
+# tolerance -> call(value, problem, reports, oracle result)
+TOLERANCES = {
+    "applicable_bounds angle_tol": lambda v, p, r, o: applicable_bounds(p, 1.0, angle_tol=v),
+    "lowest_rank_bound angle_tol": lambda v, p, r, o: lowest_rank_bound(p, v),
+    "kernel_angle_bound angle_tol": lambda v, p, r, o: kernel_angle_bound(p, v),
+    "general_rank_bound angle_tol": lambda v, p, r, o: general_rank_bound(p, v),
+    "optimal_gamma angle_tol": lambda v, p, r, o: optimal_gamma(p, v),
+    "run_verification angle_tol": lambda v, p, r, o: run_verification(p, (1.0,), angle_tol=v,
+                                                                     emit=_no_line),
+    "run_verification cert_slack": lambda v, p, r, o: run_verification(p, (1.0,), cert_slack=v,
+                                                                      emit=_no_line),
+    "certify slack_tol": lambda v, p, r, o: certify(r[0], o, v),
+    "containment_violations slack": lambda v, p, r, o: containment_violations(r[0], o, v),
+}
+SIZE_CAPS = {
+    "check_size_cap size_cap": lambda v, p: check_size_cap(4, v),
+    "oracle size_cap": lambda v, p: oracle(p, v),
+    "gamma_sweep size_cap": lambda v, p: gamma_sweep(p, [1.0], v),
+    "run_verification size_cap": lambda v, p: run_verification(p, (1.0,), size_cap=v,
+                                                                 emit=_no_line),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "a real number, got bool"), ("1e-10", "a real number, got str"),
+    (float("nan"), "finite and >= 0, got nan"), (-1.0, "finite and >= 0, got -1.0"),
+    (float("inf"), "finite and >= 0, got inf"), ([1e-10], "one number, got shape"),
+])
+@pytest.mark.parametrize("entry", TOLERANCES)
+def test_a_tolerance_is_one_finite_number_at_least_zero(stub_linalg, entry, value, message):
+    p, reports, orc = _reports_and_oracle()
+    stub_linalg()
+    name = entry.split()[1]
+    with pytest.raises(ParameterOutOfRangeError, match=f"^{name} must be {message}"):
+        TOLERANCES[entry](value, p, reports, orc)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "a real number, got bool"), ("2000", "a real number, got str"),
+    (2.5, "an integer, got 2.5"), (float("inf"), "an integer, got inf"),
+    (0, "at least 1, got 0"), (-3, "at least 1, got -3"),
+])
+@pytest.mark.parametrize("entry", SIZE_CAPS)
+def test_a_size_cap_is_an_integer_at_least_one(stub_linalg, entry, value, message):
+    p = SaddleProblem(A, B)
+    stub_linalg()
+    with pytest.raises(ParameterOutOfRangeError, match=f"^size_cap must be {message}"):
+        SIZE_CAPS[entry](value, p)
+
+
+def test_tolerances_and_size_caps_keep_their_meaning():
+    p, reports, orc = _reports_and_oracle()
+    default = [r.value for r in applicable_bounds(p)]
+    for tol in (np.float64(DEFAULT_ANGLE_TOL), 0, 0.0):
+        assert [r.value for r in applicable_bounds(p, angle_tol=tol)] == default
+    assert certify(reports[0], orc, 0).status == certify(reports[0], orc, 0.0).status
+    for cap in (4, 4.0, np.int64(4), 2**70):
+        assert oracle(p, cap).mu_min_plus == orc.mu_min_plus
+    with pytest.raises(SizeCapError, match="above the size cap 3$"):
+        oracle(p, 3.0)
