@@ -2,19 +2,27 @@
 
 Handles coordinate and array formats with general or symmetric storage.
 The banner and size line are parsed by one function, which also serves
-``read_matrix_market_shape``: a file's shape with no data read.
-The reader hands the data section to numpy's C text reader. Whatever
-that reader declines (a malformed section, or syntax only Python's
-int() and float() accept, such as 1_0, interior % comments or an empty
-section) is scanned line by line: the scan returns the same columns,
-or raises a ParseError with the line and column of the first bad token.
+``read_matrix_market_shape``: a file's shape with no data read. Both
+read them from the lines ``str.splitlines`` gives on the whole text,
+split lazily from the open file.
+The reader hands the open file, after the size line, to numpy's C text
+reader, unless a byte scan in fixed-size chunks finds a character that
+``str.splitlines`` ends a line at and numpy reads as whitespace.
+Whatever that reader declines (a malformed section, or syntax only
+Python's int() and float() accept, such as 1_0, interior % comments or
+an empty section), and every file the byte scan flags, is re-read and
+scanned line by line: the scan returns the same columns, or raises a
+ParseError with the line and column of the first bad token.
 An ``integer`` file is always scanned, so that a value that is not an
 integer is refused; an integral value reads as float() reads it.
 Values are written with 17 significant digits so float64 entries
 round-trip exactly, and entries are emitted in a fixed column-major
-order so output bytes are stable; one ``%`` format call writes them all.
+order so output bytes are stable. The writer checks the matrix before
+it opens the file, then formats and writes ``WRITE_CHUNK_ENTRIES``
+entries at a time with one ``%`` format call each.
 """
 
+import io
 import re
 import warnings
 from itertools import chain
@@ -32,6 +40,14 @@ _FIELDS = ("real", "integer")
 _SYMMETRIES = ("general", "symmetric")
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+# str.splitlines() ends a line at each of these bytes; numpy's C text
+# reader takes them for whitespace, so a file holding one is scanned
+_WHITESPACE_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# bytes read at a time by the scan for them
+SCAN_CHUNK_BYTES = 64 * 1024
+# entries formatted, and written, at a time
+WRITE_CHUNK_ENTRIES = 4096
 
 
 def _tokens(line):
@@ -119,31 +135,66 @@ def _read_header(lines):
     return fmt, field, symmetry, rows, cols, count, idx
 
 
+def _open_text(path):
+    """``path`` opened as ASCII text; any other byte reads as U+FFFD."""
+    return open(path, "r", encoding="ascii", errors="replace")
+
+
+def _rereadable(fh):
+    """``fh``, or, when it cannot seek (a pipe), its text read whole into
+    memory, which can."""
+    if fh.seekable():
+        return fh
+    return io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding=fh.encoding, errors=fh.errors)
+
+
+def _split_lines(fh):
+    """The lines str.splitlines gives on the whole text of the open text
+    file ``fh``, split lazily one line of the file at a time."""
+    return chain.from_iterable(map(str.splitlines, fh))
+
+
+def _has_whitespace_line_breaks(raw):
+    """Whether the binary file ``raw`` holds a byte that str.splitlines
+    ends a line at and numpy's C text reader takes for whitespace, read
+    SCAN_CHUNK_BYTES at a time from where it stands."""
+    while chunk := raw.read(SCAN_CHUNK_BYTES):
+        if any(byte in chunk for byte in _WHITESPACE_BREAKS):
+            return True
+    return False
+
+
 def read_matrix_market_shape(path):
     """(rows, cols) of a Matrix Market file from its banner and size
     line, read and checked as ``read_matrix_market`` reads them; no line
     after the size line is read."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        # the lines str.splitlines gives on the whole text
-        _, _, _, rows, cols, _, _ = _read_header(chain.from_iterable(map(str.splitlines, fh)))
+    with _open_text(path) as fh:
+        _, _, _, rows, cols, _, _ = _read_header(_split_lines(fh))
     return rows, cols
 
 
 def read_matrix_market(path):
     """Read a Matrix Market file into a dense float array."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    fmt, field, symmetry, rows, cols, count, idx = _read_header(iter(lines))
-    try:
-        out = np.zeros((rows, cols))
-    except (MemoryError, ValueError):
-        raise ParseError(f"a {rows} x {cols} matrix does not fit in memory", idx + 1) from None
+    with _open_text(path) as opened:
+        fh = _rereadable(opened)
+        breaks = _has_whitespace_line_breaks(fh.buffer)
+        fh.seek(0)
+        fmt, field, symmetry, rows, cols, count, idx = _read_header(_split_lines(fh))
+        try:
+            out = np.zeros((rows, cols))
+        except (MemoryError, ValueError):
+            raise ParseError(f"a {rows} x {cols} matrix does not fit in memory", idx + 1) from None
+        # with none of those bytes the lines of the file are the lines
+        # str.splitlines gives, so numpy reads on after the size line
+        columns = None
+        if field == "real" and not breaks:
+            columns = _load_columns(fh, fmt, rows, cols, count)
+        if columns is None:
+            fh.seek(0)
+            lines = fh.read().splitlines()
+            columns = _scan_columns(lines, idx, fmt, field, symmetry, rows, cols, count)
 
     symmetric = symmetry == "symmetric"
-    columns = _load_columns(lines[idx + 1 :], fmt, rows, cols, count) if field == "real" else None
-    if columns is None:
-        columns = _scan_columns(lines, idx, fmt, field, symmetry, rows, cols, count)
-
     if fmt == "coordinate":
         i, j, v = columns
         i -= 1
@@ -152,9 +203,14 @@ def read_matrix_market(path):
             # both stores of each entry, entries in file order: np.put writes
             # in index order, so a later entry overwrites an earlier one
             # exactly as line-by-line stores do
-            i, j = np.column_stack((i, j)).ravel(), np.column_stack((j, i)).ravel()
-            v = np.repeat(v, 2)
-        np.put(out, i * cols + j, v)
+            flat = np.empty((len(v), 2), dtype=np.int64)
+            np.multiply(i, cols, out=flat[:, 0])
+            flat[:, 0] += j
+            np.multiply(j, cols, out=flat[:, 1])
+            flat[:, 1] += i
+            np.put(out, flat, np.repeat(v, 2))
+        else:
+            np.put(out, i * cols + j, v)
     elif symmetric:
         # lower triangle, column by column: column j holds rows j..n-1
         j, i = np.triu_indices(rows)
@@ -165,9 +221,10 @@ def read_matrix_market(path):
     return out
 
 
-def _load_columns(data, fmt, rows, cols, count):
-    """The columns of the data lines ``data`` as read by np.loadtxt, or
-    None when it declines them: any error or warning (which includes an
+def _load_columns(fh, fmt, rows, cols, count):
+    """The columns of the data section as np.loadtxt reads them from the
+    open text file ``fh``, which stands after the size line, or None
+    when it declines them: any error or warning (which includes an
     empty section), a wrong line count or shape, or an index outside the
     matrix. Comment lines are left to the line scan (comments=None), so
     a trailing ``% ...`` on a data line is never silently dropped."""
@@ -176,10 +233,10 @@ def _load_columns(data, fmt, rows, cols, count):
         warnings.simplefilter("error")
         try:
             if fmt == "coordinate":
-                table = np.loadtxt(data, dtype=_ENTRY, comments=None, ndmin=1)
+                table = np.loadtxt(fh, dtype=_ENTRY, comments=None, ndmin=1)
             else:
                 # ndmin=2 keeps the values of a single line in one row
-                table = np.loadtxt(data, dtype=np.float64, comments=None, ndmin=2)
+                table = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
         except (ValueError, Warning):
             return None
     if fmt == "array":
@@ -241,9 +298,10 @@ def _scan_columns(lines, idx, fmt, field, symmetry, rows, cols, count):
     return [np.array(values, dtype=np.float64)]
 
 
-def format_matrix_market(array, symmetric=False):
-    """Render a dense matrix of real numbers (``linalg._real``) in coordinate
-    format; symmetric storage keeps the lower triangle only."""
+def _coordinate_text(array, symmetric):
+    """Check ``array`` for coordinate output, then return the text of its
+    file as an iterator of strings: the header, then the entries
+    WRITE_CHUNK_ENTRIES at a time."""
     arr = _real(array, "each matrix entry")
     if arr.ndim != 2:
         raise StructureError(f"expected a 2-D matrix, got shape {arr.shape}")
@@ -258,17 +316,34 @@ def format_matrix_market(array, symmetric=False):
     if symmetric:
         nonzero = np.triu(nonzero)  # lower triangle of arr
     j, i = np.nonzero(nonzero)  # column-major order
-    count = i.size
-    entries = [None] * (3 * count)  # r1, c1, v1, r2, ... for one % call
+    header = f"%%MatrixMarket matrix coordinate real {kind}\n{rows} {cols} {i.size}\n"
+    chunks = (
+        _format_entries(arr, i[start : start + WRITE_CHUNK_ENTRIES],
+                        j[start : start + WRITE_CHUNK_ENTRIES])
+        for start in range(0, i.size, WRITE_CHUNK_ENTRIES)
+    )
+    return chain((header,), chunks)
+
+
+def _format_entries(arr, i, j):
+    """The lines of the entries arr[i, j], with 1-based indices."""
+    entries = [None] * (3 * i.size)  # r1, c1, v1, r2, ... for one % call
     entries[0::3] = (i + 1).tolist()
     entries[1::3] = (j + 1).tolist()
     entries[2::3] = arr[i, j].tolist()
-    header = f"%%MatrixMarket matrix coordinate real {kind}\n{rows} {cols} {count}\n"
-    return header + "%d %d %.17g\n" * count % tuple(entries)
+    return "%d %d %.17g\n" * i.size % tuple(entries)
+
+
+def format_matrix_market(array, symmetric=False):
+    """Render a dense matrix of real numbers (``linalg._real``) in coordinate
+    format; symmetric storage keeps the lower triangle only."""
+    return "".join(_coordinate_text(array, symmetric))
 
 
 def write_matrix_market(path, array, symmetric=False):
-    """Write a dense matrix to a coordinate-format Matrix Market file."""
-    text = format_matrix_market(array, symmetric=symmetric)
+    """Write a dense matrix to a coordinate-format Matrix Market file, as
+    ``format_matrix_market`` renders it. The matrix is checked before the
+    file is opened; the text is written as it is formatted."""
+    text = _coordinate_text(array, symmetric)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+        fh.writelines(text)

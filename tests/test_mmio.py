@@ -1,5 +1,9 @@
 """Matrix Market reader and writer, including error positions."""
 
+import math
+import os
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,18 +54,19 @@ def reference_read_data(text):
     """The line-by-line reader of a data section, kept as the reference for
     read_matrix_market: per line tokenize, parse, range-check and store.
     ``text`` has a well-formed banner on its first line and a well-formed
-    size line on its second."""
+    size line on the first line after it that is not a comment."""
     lines = text.splitlines()
     _, _, fmt, _, symmetry = lines[0].split()
-    size = [int(t) for t in lines[1].split()]
+    at = next(k for k in range(1, len(lines)) if not lines[k].lstrip().startswith("%"))
+    size = [int(t) for t in lines[at].split()]
     rows, cols = size[:2]
     out = np.zeros((rows, cols))
     data_lines = [
         (lineno, line)
-        for lineno, line in enumerate(lines[2:], start=3)
+        for lineno, line in enumerate(lines[at + 1 :], start=at + 2)
         if line.strip() and not line.lstrip().startswith("%")
     ]
-    last = data_lines[-1][0] if data_lines else 2
+    last = data_lines[-1][0] if data_lines else at + 1
     if fmt == "coordinate":
         if len(data_lines) != size[2]:
             raise ParseError(f"expected {size[2]} entries, found {len(data_lines)}", last)
@@ -356,6 +361,42 @@ class TestWriter:
         assert lines[2] == "2 1 1"
         assert lines[3] == "1 2 2"
 
+    @pytest.mark.parametrize("array, symmetric", [
+        (np.array([[1.0, 2.0], [3.0, 1.0]]), True),
+        (np.ones(3), False),
+    ], ids=["non-symmetric", "1-D"])
+    def test_refused_matrix_leaves_no_file(self, tmp_path, array, symmetric):
+        path = tmp_path / "m.mtx"
+        with pytest.raises(StructureError):
+            write_matrix_market(path, array, symmetric=symmetric)
+        assert not path.exists()
+
+    CHUNK = mmio.WRITE_CHUNK_ENTRIES
+
+    @pytest.mark.parametrize("nonzeros", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1],
+                             ids=["0", "1", "chunk", "chunk+1", "2chunks+1"])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+    def test_chunks_join_to_one_format_call(self, tmp_path, nonzeros, symmetric):
+        # the first ``nonzeros`` stored places in column-major order hold
+        # values, the rest zeros; n(n + 1)/2 > 2 * CHUNK + 1
+        n = math.isqrt(4 * self.CHUNK) + 2
+        places = [(i, j) for j in range(n) for i in range(j if symmetric else 0, n)]
+        values = np.random.default_rng(nonzeros).standard_normal(nonzeros).tolist()
+        arr = np.zeros((n, n))
+        entries = []
+        for (i, j), v in zip(places, values):
+            arr[i, j] = v
+            if symmetric:
+                arr[j, i] = v
+            entries += [i + 1, j + 1, v]
+        kind = "symmetric" if symmetric else "general"
+        want = (f"%%MatrixMarket matrix coordinate real {kind}\n{n} {n} {nonzeros}\n"
+                + "%d %d %.17g\n" * nonzeros % tuple(entries))
+        assert format_matrix_market(arr, symmetric=symmetric) == want
+        path = tmp_path / "m.mtx"
+        write_matrix_market(path, arr, symmetric=symmetric)
+        assert path.read_text(encoding="ascii") == want
+
 
 def assert_same_outcome(got, want):
     if isinstance(want, tuple):
@@ -374,8 +415,9 @@ def coordinate_text(entries, rows=100, cols=100, symmetry="general"):
 JUNK_TOKENS = ["0", "1", "2", "+1", "1_0", "-1", "1.0", "1e0", "x", "2.5", "-0.0",
                "nan", "-nan", "1e400", "9" * 20, "%", "%c", "1_0.5", "2.5\x00", "1\x00"]
 
-# str.splitlines() breaks a line at \x0b, \x0c and \x1c; \x1f only separates
-SEPARATORS = [" ", " ", " ", "   ", "\t", " \t\t", "\x1f", "\x0b", "\x0c", "\x1c", "\x00"]
+# str.splitlines() breaks a line at \x0b, \x0c and \x1c to \x1e; \x1f only separates
+SEPARATORS = [" ", " ", " ", "   ", "\t", " \t\t", "\x1f", "\x0b", "\x0c", "\x1c", "\x1d",
+              "\x1e", "\x00"]
 
 
 @st.composite
@@ -431,6 +473,13 @@ class TestBulkReader:
         text = coordinate_text(big_entries)
         path = write_text(tmp_path / "big.mtx", text)
         assert_same_outcome(read_matrix_market(path), reference_read_data(text))
+
+    def test_line_break_past_the_first_scan_chunk(self, tmp_path, big_entries):
+        big_entries[4997] = "3 4\x0c0.5"  # file line 5000: two lines to the reference
+        text = coordinate_text(big_entries)
+        assert text.index("\x0c") > mmio.SCAN_CHUNK_BYTES
+        path = write_text(tmp_path / "big.mtx", text)
+        assert_same_outcome(outcome(read_matrix_market, path), outcome(reference_read_data, text))
 
     @pytest.mark.parametrize(
         "bad, column, message",
@@ -558,23 +607,53 @@ class TestTextReaderPaths:
             write_matrix_market(path, array, symmetric=symmetric)
             assert np.array_equal(read_matrix_market(path), array), name
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     @pytest.mark.parametrize("sep", ["\x1f", "  ", "\t", " \t \t", "\x1f \t"])
-    def test_separators(self, tmp_path, monkeypatch, sep):
+    @pytest.mark.parametrize("fmt", ["coordinate", "array"])
+    def test_separators(self, tmp_path, monkeypatch, fmt, sep, newline):
         monkeypatch.setattr(mmio, "_scan_columns", scan_must_not_run)
-        entries = [sep.join(["1", "2", "0.5"]), sep + sep.join(["2", "1", "-1.5"]) + sep]
-        np.testing.assert_array_equal(read_text(tmp_path, coordinate_text(entries, 2, 2)),
+        if fmt == "coordinate":
+            size, data = "2 2 2", [["1", "2", "0.5"], ["2", "1", "-1.5"]]
+        else:
+            size, data = "2 2", [["0.0"], ["-1.5"], ["0.5"], ["0.0"]]
+        lines = [f"%%MatrixMarket matrix {fmt} real general", "% comment", size,
+                 sep.join(data[0]), *(sep + sep.join(d) + sep for d in data[1:])]
+        np.testing.assert_array_equal(read_text(tmp_path, newline.join(lines) + newline),
                                       [[0.0, 0.5], [-1.5, 0.0]])
 
-    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c"])
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    @pytest.mark.parametrize("where", ["entry", "header comment", "after the last entry"])
     @pytest.mark.parametrize("fmt", ["coordinate", "array"])
-    def test_line_breaking_characters(self, tmp_path, char, fmt):
-        # str.splitlines() ends a line at each of these, as the reference does
+    def test_line_breaking_characters(self, tmp_path, char, where, fmt):
+        # str.splitlines() ends a line at each of these, as the reference
+        # does; numpy's C reader would take it for whitespace
+        comment = f"% note{char}% more\n" if where == "header comment" else ""
+        end = char if where == "after the last entry" else ""
         if fmt == "coordinate":
-            text = coordinate_text([f"1 1{char}2.0", "2 2 3.0"], 2, 2)
+            first = f"1 1{char}2.0" if where == "entry" else "1 1 2.0"
+            size, data = "2 2 2", f"{first}\n2 2 3.0{end}\n"
         else:
-            text = f"%%MatrixMarket matrix array real general\n2 1\n1.0{char}2.0\n"
+            size = "2 1"
+            data = f"1.0{char}2.0\n" if where == "entry" else f"1.0\n2.0{end}\n"
+        text = f"%%MatrixMarket matrix {fmt} real general\n{comment}{size}\n{data}"
         path = write_text(tmp_path / "b.mtx", text)
         assert_same_outcome(outcome(read_matrix_market, path), outcome(reference_read_data, text))
+
+    @pytest.mark.parametrize("entries", [["1 1 0.5", "2 1 -1.5"], ["1 1 0.5", "% c\n2 1 1_5"]],
+                             ids=["C reader", "line scan"])
+    def test_pipe(self, tmp_path, entries):
+        # a stream that cannot seek is read once, into memory
+        text = coordinate_text(entries, 2, 2, "symmetric")
+        path = tmp_path / "p.mtx"
+        os.mkfifo(path)
+        feeder = threading.Thread(target=write_text, args=(path, text))
+        feeder.start()
+        try:
+            out = read_matrix_market(path)
+        finally:
+            feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert_same_outcome(out, reference_read_data(text))
 
     @pytest.mark.parametrize(
         "raw, message, column",
@@ -652,3 +731,41 @@ class TestWriterReference:
         # -0.0 is not stored, so it reads back as +0.0
         assert np.array_equal(back, arr, equal_nan=True)
         assert not np.signbit(back[arr == 0.0]).any()
+
+
+def traced_peak(call, *args, **kwargs):
+    """(result, peak bytes traced by tracemalloc during the call)."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestWorkingSet:
+    """Reading and writing hold a few words per stored entry: no Python
+    object per token, line or entry, and no copy of the whole text."""
+
+    # bytes per stored entry; the matrix read takes 8 of them when it is
+    # general, 16 when it is symmetric
+    WRITE_BYTES_PER_ENTRY = 40
+    READ_BYTES_PER_ENTRY = 96
+
+    @pytest.mark.parametrize("shape, symmetric, entries", [
+        ((400, 400), True, 80_200),
+        ((160, 400), False, 64_000),
+    ], ids=["symmetric", "general"])
+    def test_peak_per_stored_entry(self, tmp_path, shape, symmetric, entries):
+        arr = np.random.default_rng(5).standard_normal(shape)
+        if symmetric:
+            arr = arr + arr.T
+        path = tmp_path / "m.mtx"
+        _, write_peak = traced_peak(write_matrix_market, path, arr, symmetric=symmetric)
+        back, read_peak = traced_peak(read_matrix_market, path)
+        assert np.array_equal(back, arr)
+        size_line = path.read_text(encoding="ascii").splitlines()[1]
+        assert size_line == f"{shape[0]} {shape[1]} {entries}"
+        assert write_peak <= self.WRITE_BYTES_PER_ENTRY * entries
+        assert read_peak <= self.READ_BYTES_PER_ENTRY * entries
