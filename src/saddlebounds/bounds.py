@@ -131,16 +131,15 @@ class SaddleProblem:
     A and B are kept as copies, so the caller's arrays may change later.
     Every quantity that several bounds and checks share is computed on
     first use and then kept, read-only, so its factorization runs once
-    per problem: the eigenvalues of K (read by the oracle), B^T B,
-    K^{-1} (one LAPACK inverse), the principal angles of (range(A),
-    range(B^T)), of (ker(A), ker(B)) and of the split basis; and once
-    per gamma: the eigenvalues of A + gamma B^T B and the
-    |eigenvalues| of the augmented saddle matrix K_gamma. The weight is
-    always the scalar gamma * I, checked by ``augmented_blocks`` before
-    any work; the general-W identity is checked by the tests. K itself is
-    not kept: ``k_matrix`` assembles it on each read. Per gamma only
-    value vectors are kept, never A_gamma, K_gamma or their inverses, so
-    memory stays flat however many gammas are checked.
+    per problem: the eigenvalues of K (read by the oracle), B^T B, the
+    principal angles of (range(A), range(B^T)), of (ker(A), ker(B)) and
+    of the split basis; and once per gamma: the eigenvalues of
+    A + gamma B^T B. The weight is always the scalar gamma * I, checked
+    by ``augmented_blocks`` before any work; the general-W identity is
+    checked by the tests. K itself is not kept: ``k_matrix`` assembles it
+    on each read. Per gamma only the eigenvalues of A_gamma are kept,
+    never A_gamma itself, so memory stays flat however many gammas are
+    checked.
     """
 
     def __init__(self, a, b, rel_tol=None):
@@ -182,7 +181,7 @@ class SaddleProblem:
             )
         self.svd_b = sdec
 
-        self._per_gamma = {}  # (kind, gamma) -> read-only value vector
+        self._augmented_eigs = {}  # gamma -> eigenvalues of A + gamma B^T B
         if not self._k_certified_nonsingular():
             if n + m > DEFAULT_SIZE_CAP:
                 raise SizeCapError(
@@ -235,7 +234,7 @@ class SaddleProblem:
     @property
     def k_matrix(self):
         """The saddle matrix K, read-only, assembled anew on each read:
-        only the eigensolve and the inverse of K read it, each once."""
+        only its eigensolve, once, and the inverse-identity check read it."""
         return _frozen(saddle_matrix(self.A.array, self.B.array))
 
     @cached_property
@@ -294,12 +293,6 @@ class SaddleProblem:
         return kernel_basis_rect(self.B, self.rel_tol)
 
     @cached_property
-    def k_inverse(self):
-        """K^{-1}, read-only, from one LAPACK inverse (gesv against the
-        identity, so the bits of a solve with the identity)."""
-        return _frozen(lapack("inv", "inverse of the saddle matrix", self.k_matrix))
-
-    @cached_property
     def bt_b(self):
         """B^T B, read-only and exactly symmetric, so the augmented blocks are."""
         b = self.B.array
@@ -353,33 +346,16 @@ class SaddleProblem:
         blocks += self.A.array  # a + gamma * bt_b: IEEE addition commutes
         return blocks
 
-    def _per_gamma_values(self, kind, gamma, compute):
-        """The values ``compute`` gives at ``gamma``, computed once per
-        (kind, gamma), keyed on gamma as a float. What is not one real
+    def augmented_eigs(self, gamma):
+        """Eigenvalues of A + gamma B^T B, ascending, read-only; computed
+        once per gamma, keyed on gamma as a float. What is not one real
         number is refused before the lookup: True would find the values
         kept for 1.0, and a list has no key."""
-        key = (kind, _scalar(gamma, "gamma"))
-        if key not in self._per_gamma:
-            self._per_gamma[key] = _frozen(compute())
-        return self._per_gamma[key]
-
-    def augmented_eigs(self, gamma):
-        """Eigenvalues of A + gamma B^T B, ascending; once per gamma."""
-        return self._per_gamma_values(
-            "augmented", gamma,
-            lambda: lapack("eigvalsh", "eigensolve of the augmented block",
-                           self.augmented_blocks(gamma)),
-        )
-
-    def augmented_saddle_abs_eigs(self, gamma):
-        """|eigenvalues| of [[A + gamma B^T B, B^T], [B, 0]]; once per gamma."""
-        return self._per_gamma_values(
-            "augmented-saddle", gamma,
-            lambda: np.abs(lapack(
-                "eigvalsh", "eigensolve of the augmented saddle matrix",
-                saddle_matrix(self.augmented_blocks(gamma), self.B.array),
-            )),
-        )
+        key = _scalar(gamma, "gamma")
+        if key not in self._augmented_eigs:
+            self._augmented_eigs[key] = _frozen(lapack(
+                "eigvalsh", "eigensolve of the augmented block", self.augmented_blocks(gamma)))
+        return self._augmented_eigs[key]
 
     @property
     def is_lowest_rank(self):

@@ -35,8 +35,9 @@ class SingularKError(ProblemValidationError):
 
 class AugmentedBlockSingularError(SaddleBoundsError):
     """The scalar weight gamma * I fails to regularize A: A + gamma B^T B
-    is not positive definite, or the augmented saddle matrix is
-    numerically singular, so the inverse identity is undefined at gamma."""
+    is not positive definite, so ``wbound`` has no value at gamma; or, in
+    the inverse-identity check, the augmented saddle matrix is
+    numerically singular, so the identity is undefined at gamma."""
 
 
 class RankAssumptionError(SaddleBoundsError):

@@ -1,23 +1,23 @@
 """Certification harness: dense eigenvalue oracle, soundness checks for
-bound reports, the augmented-inverse identity residual, the sweep of
-the scalar-weight bound over a gamma grid, and the ``verify`` suite,
-``run_verification``, with every tolerance and default its checks use.
+bound reports, the sweep of the scalar-weight bound over a gamma grid,
+and the ``verify`` suite, ``run_verification``, with every tolerance and
+default its checks use.
 
 The oracle is the ground truth every bound is checked against: a full
 dense eigensolve of K, capped by default at order 2000. It is the only
 reader of K's spectrum, which is eigensolved on the first oracle call
 and then kept on the problem; a refusal above the cap solves nothing.
 
-The augmented saddle matrix K_gamma = [[A + gamma B^T B, B^T], [B, 0]]
-is eigensolved only where it must be: its condition gate in
-``run_verification`` and its singular test in
-``inverse_identity_residual`` are decided from its Rusten-Winther
-intervals, built from the kept eigenvalues of A + gamma B^T B and the
-singular values of B, and from its own eigenvalues only where those
-intervals cannot decide.
+``verify`` checks the bounds against the oracle and nothing else:
+inertia, interval containment, soundness and, on lowest-rank problems,
+the stacked-basis spectrum the angle bounds read. The augmented saddle
+matrix K_gamma = [[A + gamma B^T B, B^T], [B, 0]] is never formed there.
+``augmented_condition`` and ``inverse_identity_residual`` are library
+checks of K_gamma for the tests: each eigensolves K_gamma, and the
+residual inverts K, on every call; neither keeps K_gamma's values or
+K^{-1} on the problem.
 """
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,6 @@ from .bounds import (
     DEFAULT_ANGLE_TOL,
     DEFAULT_SIZE_CAP,
     _require_lowest_rank,
-    _rw_extremes,
     applicable_bounds,
     rho_from_angles,
     saddle_matrix,
@@ -39,17 +38,14 @@ from .linalg import (
     _real,
     _scalar,
     _tolerance,
-    default_rank_tol,
     lapack,
     numerically_singular,
 )
 
 DEFAULT_CERT_SLACK = 1e-8
-DEFAULT_COND_CAP = 1e12
-# the verify suite: its gammas, and the absolute tolerances of the
-# inverse-identity residual and of the stacked-basis deviations
+# the verify suite: its gammas, and the absolute tolerance of the
+# stacked-basis deviations
 DEFAULT_VERIFY_GAMMAS = (0.1, 1.0, 10.0)
-_INVERSE_IDENTITY_TOL = 1e-8
 _PTP_TOL = 1e-8
 
 SWEEP_CSV_HEADER = "gamma,inv_gamma,mu_min_A_gamma,predicted_bound,actual_min_pos_eig"
@@ -187,52 +183,17 @@ def containment_violations(report, oracle_result, slack=DEFAULT_CERT_SLACK):
     return eigs[~(in_neg | in_pos)]
 
 
-def _k_gamma_certified(problem, gamma):
-    """True when the intervals of K_gamma prove what its eigensolve would
-    decide: that ``augmented_condition`` is at most DEFAULT_COND_CAP and
-    that K_gamma passes the singular test of ``inverse_identity_residual``.
-    False means undecided, never the opposite. Only kept values are read:
-    the eigenvalues of A_gamma and the singular values of B.
-
-    Let a_lo > 0 and a_hi be the smallest and largest kept eigenvalues of
-    A_gamma. The leading block of K_gamma is then positive definite, and
-    the Rusten-Winther intervals put every |eigenvalue| of K_gamma in
-    [min(a_lo, nu), R], (nu, R) = ``_rw_extremes(a_hi, sigma_min,
-    sigma_max)``; R is at least ||K_gamma||, a_hi and sigma_max.
-
-    The margin 3 (n + m) eps R covers rounding. min(a_lo, nu) and R move
-    by at most as much as a_hi, sigma_min and sigma_max do (no partial
-    derivative exceeds 1 in size). Those carry the backward errors of the
-    eigensolve of A_gamma and the SVD of B, and the skipped eigensolve of
-    K_gamma carries its own; each is taken to be at most
-    ``default_rank_tol`` of the operand's larger dimension (n, n and
-    n + m) times its norm, at most R. So every |eigenvalue| that
-    eigensolve would return lies in [lo, hi] = [min(a_lo, nu) - margin,
-    R + margin]. A pass needs hi <= DEFAULT_COND_CAP / 2 * lo, so the
-    condition number it would give is at most the cap and the identity is
-    not skipped; and lo > 2 rel_tol R >= rel_tol hi (the margin is below
-    R), so min |eig| > rel_tol max |eig| and K_gamma is not singular. The
-    factors of 2 left over absorb the rounding of the few operations
-    here. A lower end below the smallest normal float stays undecided,
-    since rounding there is no longer relative.
-    """
-    vals = problem.augmented_eigs(gamma)
-    a_lo = float(vals[0])
-    if not a_lo > 0.0:
-        return False
-    s = problem.summary
-    nu, r = _rw_extremes(float(vals[-1]), s.sigma_min, s.sigma_max)
-    margin = 3.0 * default_rank_tol(problem.n + problem.m) * r
-    lo = min(a_lo, nu) - margin
-    hi = r + margin
-    return (lo >= sys.float_info.min and lo > 2.0 * problem.rel_tol * r
-            and hi <= 0.5 * DEFAULT_COND_CAP * lo)
+def _k_gamma_abs_eigs(problem, gamma):
+    """|eigenvalues| of the augmented saddle matrix K_gamma at a gamma
+    already judged one real number, from one eigensolve."""
+    return np.abs(lapack("eigvalsh", "eigensolve of the augmented saddle matrix",
+                         saddle_matrix(problem.augmented_blocks(gamma), problem.B.array)))
 
 
 def augmented_condition(problem, gamma):
     """Spectral condition number of the augmented saddle matrix K_gamma;
     +inf when it is exactly singular."""
-    vals = problem.augmented_saddle_abs_eigs(gamma)
+    vals = _k_gamma_abs_eigs(problem, _scalar(gamma, "gamma"))
     lo = float(vals.min())
     hi = float(vals.max())
     if lo == 0.0:
@@ -250,24 +211,23 @@ def inverse_identity_residual(problem, gamma):
     the trailing block of K^{-1} must equal W - (B A_W^{-1} B^T)^{-1}.
     The returned value is the larger of the residuals checked.
 
-    A numerically singular K_W raises AugmentedBlockSingularError. Its
-    intervals decide that test where they can; only where they cannot is
-    K_W eigensolved for it.
+    A numerically singular K_W raises AugmentedBlockSingularError. Each
+    call eigensolves K_W and inverts K and K_W, in that order.
     """
+    gamma = _scalar(gamma, "gamma")
     n = problem.n
     m = problem.m
-    if not _k_gamma_certified(problem, gamma):
-        kw_vals = problem.augmented_saddle_abs_eigs(gamma)
-        if numerically_singular(float(kw_vals.min()), float(kw_vals.max()), problem.rel_tol):
-            raise AugmentedBlockSingularError(
-                f"augmented saddle matrix is numerically singular: min |eig| = "
-                f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
-            )
-    aw = problem.augmented_blocks(gamma)
-    k_inv = problem.k_inverse
+    kw_vals = _k_gamma_abs_eigs(problem, gamma)
+    if numerically_singular(float(kw_vals.min()), float(kw_vals.max()), problem.rel_tol):
+        raise AugmentedBlockSingularError(
+            f"augmented saddle matrix is numerically singular: min |eig| = "
+            f"{kw_vals.min():.6e} vs rel_tol * max = {problem.rel_tol * kw_vals.max():.6e}"
+        )
+    b = problem.B.array
+    k_inv = lapack("inv", "inverse of the saddle matrix", problem.k_matrix)
     # K^{-1} - K_W^{-1} - blockdiag(0, W), built in the one array inv returns
     diff = lapack("inv", "inverse of the augmented saddle matrix",
-                  saddle_matrix(aw, problem.B.array))
+                  saddle_matrix(problem.augmented_blocks(gamma), b))
     np.subtract(k_inv, diff, out=diff)
     w_dense = gamma * np.eye(m)
     diff[n:, n:] -= w_dense
@@ -277,7 +237,7 @@ def inverse_identity_residual(problem, gamma):
 
     aw_vals = problem.augmented_eigs(gamma)
     if not numerically_singular(float(aw_vals[0]), float(aw_vals[-1]), problem.rel_tol):
-        b = problem.B.array
+        aw = problem.augmented_blocks(gamma)
         s_w = b @ lapack("solve", "solve with the augmented block", aw, b.T)
         s_w_inv = lapack("inv", "inverse of the Schur complement", s_w)
         trailing = k_inv[n:, n:]
@@ -374,10 +334,9 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
 
     Returns a list of failure descriptions; empty means everything held.
     A refused gamma or tolerance emits nothing: every report is built
-    before the oracle. The inverse identity at gamma is skipped when
-    cond(K_gamma) exceeds DEFAULT_COND_CAP; K_gamma's intervals decide
-    that gate where they can, and only where they cannot is K_gamma
-    eigensolved for its condition number.
+    before the oracle. The checks are inertia, interval containment, the
+    soundness of every report and, on lowest-rank problems, the
+    stacked-basis spectrum; none factors K_gamma or inverts anything.
     """
     failures = []
     cert_slack = _tolerance(cert_slack, "cert_slack")
@@ -410,21 +369,6 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
         if "gamma" in report.details:
             tag = f"{report.name} (gamma={report.details['gamma']:g})"
         emit(f"soundness {tag}: {outcome.status} (slack {outcome.slack:.3e})")
-
-    for gamma in gammas:
-        if not _k_gamma_certified(problem, gamma):
-            cond = augmented_condition(problem, gamma)
-            if cond > DEFAULT_COND_CAP:
-                emit(f"inverse identity gamma={gamma:g}: skipped (condition {cond:.3e})")
-                continue
-        residual = inverse_identity_residual(problem, gamma)
-        ok = residual <= _INVERSE_IDENTITY_TOL
-        if not ok:
-            failures.append(
-                f"inverse identity at gamma={gamma:g}: residual {residual:.3e}"
-            )
-        emit(f"inverse identity gamma={gamma:g}: {'ok' if ok else 'FAIL'} "
-             f"(residual {residual:.3e})")
 
     if problem.is_lowest_rank:
         dev_spec, dev_inv = ptp_spectrum_deviation(problem)

@@ -358,7 +358,7 @@ class TestAugmentedAssembly:
             monkeypatch.setattr(np.linalg, routine, None)
         checks = (wbound, augmented_condition, inverse_identity_residual,
                   SaddleProblem.augmented_blocks,
-                  SaddleProblem.augmented_eigs, SaddleProblem.augmented_saddle_abs_eigs,
+                  SaddleProblem.augmented_eigs,
                   lambda q, g: applicable_bounds(q, gamma=g))
         for gamma, text in ((-1.0, "-1.0"), (float("nan"), "nan"), (float("inf"), "inf")):
             for check in checks:
@@ -379,7 +379,7 @@ class TestAugmentedAssembly:
         stub_linalg()
         checks = (wbound, agamma_bound, augmented_condition, inverse_identity_residual,
                   SaddleProblem.augmented_blocks,
-                  SaddleProblem.augmented_eigs, SaddleProblem.augmented_saddle_abs_eigs,
+                  SaddleProblem.augmented_eigs,
                   lambda q, g: applicable_bounds(q, gamma=g))
         for check in checks:
             with pytest.raises(ParameterOutOfRangeError,
@@ -397,7 +397,7 @@ class TestAugmentedAssembly:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for check in (wbound, SaddleProblem.augmented_blocks,
-                          SaddleProblem.augmented_saddle_abs_eigs,
+                          augmented_condition, inverse_identity_residual,
                           lambda q, g: q.augmented_blocks(np.array([1.0, g]))):
                 with pytest.raises(ParameterOutOfRangeError,
                                    match=re.escape(f"gamma = {gamma} overflows")):

@@ -16,7 +16,7 @@ from saddlebounds.bounds import (
     wbound,
 )
 from saddlebounds.errors import SizeCapError
-from saddlebounds.harness import augmented_condition, inverse_identity_residual, oracle
+from saddlebounds.harness import oracle
 from saddlebounds.linalg import principal_angles
 from saddlebounds.problems import (
     GeneratorSpec,
@@ -47,6 +47,21 @@ def arrays(request):
 
 
 @pytest.fixture
+def inverse_calls(monkeypatch):
+    """The names of numpy.linalg's inv and solve, once per call while active."""
+    seen = []
+    for routine in ("inv", "solve"):
+        original = getattr(np.linalg, routine)
+
+        def counting(*args, _routine=routine, _original=original, **kwargs):
+            seen.append(_routine)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, routine, counting)
+    return seen
+
+
+@pytest.fixture
 def eigvalsh_operands(monkeypatch):
     """Copies of every matrix passed to numpy.linalg.eigvalsh while active."""
     seen = []
@@ -60,10 +75,10 @@ def eigvalsh_operands(monkeypatch):
     return seen
 
 
-def _classify(problem, operands):
+def _classify(problem, operands, gammas=GAMMAS):
     counts = {"K": 0, "A_W": 0, "K_W": 0, "other": 0}
     blocks = []
-    for g in GAMMAS:
+    for g in gammas:
         aw = reference_augmented(problem, g)
         blocks.append(("A_W", aw))
         blocks.append(("K_W", saddle_matrix(aw, problem.B.array)))
@@ -85,21 +100,23 @@ class TestFactorizationCounts:
         assert failures == []
         counts = _classify(p, list(eigvalsh_operands))
         # the stacked-basis check solves P^T P once, on lowest-rank problems
-        # only; the intervals of K_W decide its condition gate and singular
-        # test at every gamma here, so K_W is never eigensolved
+        # only; K_W is never eigensolved
         other = 1 if p.is_lowest_rank else 0
         assert counts == {"K": 1, "A_W": 3, "K_W": 0, "other": other}
 
-    def test_verify_eigensolves_k_gamma_once_where_its_intervals_cannot_decide(
-            self, eigvalsh_operands):
-        # at gamma = 1e14 the toy's K_gamma has condition 1e28: its intervals
-        # cannot decide, so one eigensolve of K_gamma gives the skip
-        p = gen_toy(0.6, 0.8)
-        lines = []
-        assert cli.run_verification(p, (1e14,), emit=lines.append) == []
-        kw = saddle_matrix(reference_augmented(p, 1e14), p.B.array)
-        assert sum(np.array_equal(op, kw) for op in eigvalsh_operands) == 1
-        assert "inverse identity gamma=1e+14: skipped (condition 1.000e+28)" in lines
+    @pytest.mark.parametrize("case", ["lowest-rank", "general-rank", "toy-1e14"])
+    def test_verify_inverts_nothing_and_eigensolves_no_k_gamma(
+            self, case, eigvalsh_operands, inverse_calls):
+        # the default gammas, and gamma = 1e14, where the toy's K_gamma has
+        # condition 1e28
+        if case == "toy-1e14":
+            p, gammas = gen_toy(0.6, 0.8), (1e14,)
+        else:
+            p, gammas = SaddleProblem(*(lowest_rank_arrays() if case == "lowest-rank"
+                                        else general_rank_arrays())), GAMMAS
+        assert cli.run_verification(p, gammas, emit=lambda line: None) == []
+        assert inverse_calls == []
+        assert _classify(p, list(eigvalsh_operands), gammas)["K_W"] == 0
 
     def test_principal_angles_run_at_most_three_times(self, arrays, monkeypatch):
         calls = []
@@ -187,9 +204,7 @@ class TestCachedValues:
         ]
         for g in GAMMAS:
             aw = reference_augmented(p, g)
-            kw = saddle_matrix(aw, p.B.array)
             expected.append((p.augmented_eigs(g), np.linalg.eigvalsh(aw)))
-            expected.append((p.augmented_saddle_abs_eigs(g), np.abs(np.linalg.eigvalsh(kw))))
         for cached, fresh in expected:
             if isinstance(cached, linalg.PrincipalAngles):
                 pairs = [(cached.cosines, fresh.cosines), (cached.angles, fresh.angles)]
@@ -210,11 +225,10 @@ class TestCachedValues:
         cli.run_verification(p, GAMMAS, emit=lambda line: None)
 
         def kept():
-            values = [p.A.array, p.B.array, p.k_matrix, p.k_eigs, p.k_inverse, p.bt_b,
+            values = [p.A.array, p.B.array, p.k_matrix, p.k_eigs, p.bt_b,
                       p.a_values, p.range_a, p.kernel_a, p.kernel_b,
                       p.range_angles.cosines, p.kernel_angles.cosines]
-            for g in GAMMAS:
-                values += [p.augmented_eigs(g), p.augmented_saddle_abs_eigs(g)]
+            values += [p.augmented_eigs(g) for g in GAMMAS]
             return [np.array(v) for v in values]
 
         before = kept()
@@ -242,27 +256,23 @@ class TestCachedValues:
         cli.run_verification(p, GAMMAS, emit=second.append)
         cli.run_verification(SaddleProblem(a, b), GAMMAS, emit=fresh.append)
         assert first == second == fresh
-        assert len(first) > 3 * len(GAMMAS)
+        assert sum(line.startswith("soundness wbound (gamma=") for line in first) == len(GAMMAS)
 
 
 class TestOneSolvePerGamma:
     def test_each_block_is_solved_once_per_gamma(self, eigvalsh_operands):
-        # wbound, the condition number and the inverse identity share one
-        # eigensolve of A_gamma and one of K_gamma per gamma, however often
-        # they run
+        # wbound, however often it runs, and verify at the same gammas share
+        # one eigensolve of A_gamma per gamma
         a, b = lowest_rank_arrays()
         p = SaddleProblem(a, b)
         del eigvalsh_operands[:]
         for gamma in (2.0, 3.0, 2.0, 3.0):
             first = wbound(p, gamma)
-            augmented_condition(p, gamma)
-            inverse_identity_residual(p, gamma)
             assert wbound(p, gamma).details == first.details
-        blocks = []
-        for gamma in (2.0, 3.0):
-            aw = reference_augmented(p, gamma)
-            blocks += [aw, saddle_matrix(aw, p.B.array)]
-        assert len(eigvalsh_operands) == len(blocks)
+        cli.run_verification(p, (2.0, 3.0), emit=lambda line: None)
+        blocks = [reference_augmented(p, gamma) for gamma in (2.0, 3.0)]
+        # and verify eigensolves K and the stacked-basis Gram matrix once each
+        assert len(eigvalsh_operands) == len(blocks) + 2
         for block in blocks:
             assert sum(op.shape == block.shape and np.array_equal(op, block)
                        for op in eigvalsh_operands) == 1

@@ -547,23 +547,58 @@ class TestVerify:
         assert {name for name, _ in seen} == {"containment_violations", "certify"}
         assert all(slack == (1e-6,) for _, slack in seen)
 
+    @staticmethod
+    def toy_lines(gamma_tag, weighted_slack):
+        """Every line verify prints on the toy at one gamma, in order."""
+        return [
+            "inertia counts: ok",
+            "interval containment: ok",
+            "soundness rusten-winther: vacuous (slack 5.121e-01)",
+            "soundness lowest-rank: sound (slack 1.121e-01)",
+            "soundness kernel-angle: sound (slack 1.121e-01)",
+            "soundness general-rank: sound (slack 1.121e-01)",
+            f"soundness wbound (gamma={gamma_tag}): sound (slack {weighted_slack})",
+            f"soundness agamma (gamma={gamma_tag}): sound (slack {weighted_slack})",
+            "stacked-basis spectrum: ok",
+        ]
+
     def test_run_verification_reports_each_check(self, tmp_path):
+        # the checks of the bounds, and no inverse-identity line
         p = gen_toy(0.6, 0.8)
         lines = []
         failures = cli.run_verification(p, (1.0,), emit=lines.append)
         assert failures == []
-        joined = "\n".join(lines)
-        assert "inertia counts: ok" in joined
-        assert "interval containment: ok" in joined
-        assert "soundness wbound (gamma=1)" in joined
-        assert "inverse identity gamma=1: ok" in joined
+        assert lines == self.toy_lines("1", "1.121e-01")
 
-    def test_skips_identity_when_condition_explodes(self):
+    def test_holds_where_the_augmented_condition_explodes(self):
+        # at gamma = 1e14 the toy's K_gamma has condition 1e28; verify
+        # reads only A_gamma there, and every check holds
         p = gen_toy(0.6, 0.8)
         lines = []
         failures = cli.run_verification(p, (1e14,), emit=lines.append)
         assert failures == []
-        assert any("skipped (condition" in line for line in lines)
+        assert lines == self.toy_lines("1e+14", "5.121e-01")
+
+    def test_ill_conditioned_gamma_on_the_readme_problem(self, tmp_path, capsys):
+        # the console smoke test's call: K_gamma is ill-conditioned at 1e10
+        files = readme_problem(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["verify", *files, "--gamma", "1e10"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "soundness wbound (gamma=1e+10): sound" in out
+        assert "inverse identity" not in out
+        assert out.endswith("stacked-basis spectrum: ok\nall invariants hold\n")
+
+    def test_exits_0_where_only_the_inverse_identity_failed(self, tmp_path, capsys):
+        # a valid problem whose inverse-identity residual, 4.8e-8 at
+        # gamma = 10, is above 1e-8: verify checks the bounds, not LAPACK's
+        # inverses
+        out = tmp_path / "prob"
+        assert cli.main(["generate", "--family", "random", "--params",
+                         '{"n": 200, "m": 80}', "--seed", "103", "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["verify", "--A", str(out / "A.mtx"), "--B", str(out / "B.mtx")]) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith("all invariants hold\n")
 
 
 def readme_problem(tmp_path):

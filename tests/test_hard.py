@@ -15,8 +15,17 @@ from saddlebounds.bounds import (
     rho_from_angles,
     wbound,
 )
-from saddlebounds.harness import DEFAULT_VERIFY_GAMMAS, certify, oracle, run_verification
+from saddlebounds.harness import (
+    DEFAULT_VERIFY_GAMMAS,
+    certify,
+    inverse_identity_residual,
+    oracle,
+    run_verification,
+)
 from saddlebounds.mmio import write_matrix_market
+
+# absolute tolerance of the inverse-identity residual
+INVERSE_IDENTITY_TOL = 1e-8
 
 
 def problem_of(member):
@@ -56,5 +65,13 @@ def test_verify_holds_at_every_scale(member, tmp_path, capsys):
 
 @pytest.mark.parametrize("member", [m.param() for m in hard.INVERSE_IDENTITY])
 def test_inverse_identity_holds(member):
+    p = problem_of(member)
+    for gamma in DEFAULT_VERIFY_GAMMAS:
+        assert inverse_identity_residual(p, gamma) <= INVERSE_IDENTITY_TOL, gamma
+
+
+@pytest.mark.parametrize("member", [pytest.param(m, id=m.label) for m in hard.INVERSE_IDENTITY])
+def test_verify_holds_where_only_the_inverse_identity_fails(member):
+    # verify checks the bounds against the oracle, not the identity
     p = problem_of(member)
     assert run_verification(p, DEFAULT_VERIFY_GAMMAS, emit=lambda line: None) == []

@@ -1,5 +1,4 @@
-"""Oracle, certification, the inverse identity and the certificate of its
-K_gamma, and the gamma sweep."""
+"""Oracle, certification, the inverse identity and the gamma sweep."""
 
 import tracemalloc
 import warnings
@@ -7,8 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-import hard
-from saddlebounds import harness
 from saddlebounds.bounds import (
     BoundReport,
     SaddleProblem,
@@ -23,12 +20,9 @@ from saddlebounds.errors import (
     ConvergenceError,
     ParameterOutOfRangeError,
     RankAssumptionError,
-    SaddleBoundsError,
     SizeCapError,
 )
 from saddlebounds.harness import (
-    DEFAULT_COND_CAP,
-    DEFAULT_VERIFY_GAMMAS,
     MAX_GAMMA_POINTS,
     SWEEP_CSV_HEADER,
     SWEEP_STACK_BYTES,
@@ -41,7 +35,6 @@ from saddlebounds.harness import (
     log_gamma_grid,
     oracle,
     ptp_spectrum_deviation,
-    run_verification,
 )
 from saddlebounds.linalg import SymmetricMatrix, numerically_singular
 from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank, gen_remark, gen_toy
@@ -205,16 +198,15 @@ class TestInverseIdentity:
     def test_residual_holds_at_most_three_order_n_plus_m_squares(self):
         p = gen_random_lowest_rank(80, 32, seed=1)
         # the kept values the residual reads
-        p.k_inverse
         p.augmented_eigs(1.0)
-        p.augmented_saddle_abs_eigs(1.0)
         tracemalloc.start()
         try:
             inverse_identity_residual(p, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * (p.n + p.m) ** 2 * 8
+        # K^{-1}, formed by the call itself, and three squares beyond it
+        assert peak <= (1 + 3) * (p.n + p.m) ** 2 * 8
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
     def test_toy_residual_tiny(self, gamma):
@@ -244,12 +236,29 @@ class TestInverseIdentity:
         p = SaddleProblem(np.eye(3), np.array([[1.0, 0.0, 0.0]]))
         assert inverse_identity_residual(p, 0.0) <= 1e-12
 
-    def test_k_inverse_is_solved_once_and_read_only(self):
+    def test_zero_weight_on_singular_block(self):
+        # gamma = 0 leaves A_gamma = A, singular here, so only the full
+        # identity is checked: K_0 = K is nonsingular
+        assert inverse_identity_residual(toy(), 0.0) <= 1e-8
+
+    def test_each_call_factors_anew(self, monkeypatch):
+        # each call eigensolves K_gamma and inverts K again
         p = gen_random_lowest_rank(10, 3, seed=4)
-        k_inv = p.k_inverse
-        assert p.k_inverse is k_inv
-        assert not k_inv.flags.writeable
-        assert np.array_equal(k_inv, np.linalg.solve(p.k_matrix, np.eye(13)))
+        calls = {"eigvalsh": 0, "inv": 0}
+        for routine in calls:
+            original = getattr(np.linalg, routine)
+
+            def counting(a, *args, _routine=routine, _original=original, **kwargs):
+                if a.shape == (p.n + p.m, p.n + p.m):
+                    calls[_routine] += 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, routine, counting)
+        first = inverse_identity_residual(p, 1.0)
+        augmented_condition(p, 1.0)
+        assert inverse_identity_residual(p, 1.0) == first
+        # K_gamma three times; K and K_gamma inverted by each residual
+        assert calls == {"eigvalsh": 3, "inv": 4}
 
     def test_detects_singular_augmented_matrix(self):
         with pytest.raises(AugmentedBlockSingularError):
@@ -261,63 +270,6 @@ class TestInverseIdentity:
         harsh = augmented_condition(p, 1e14)
         assert mild < 1e3
         assert harsh > 1e12
-
-
-CERTIFICATE_GAMMAS = (1e-4, 0.1, 1.0, 10.0, 1e4, 1e14)
-
-
-def hard_problems():
-    """The distinct problems of tests/hard.py."""
-    members = {m.label: m for group in (hard.AUTO_GAMMA, hard.ANGLE_LADDER,
-                                        hard.SCALE_LADDER, hard.INVERSE_IDENTITY)
-               for m in group}
-    return [(label, SaddleProblem(*m.build())) for label, m in members.items()]
-
-
-class TestAugmentedCertificate:
-    """``harness._k_gamma_certified`` decides K_gamma's condition gate and
-    singular test from its intervals; a pass must never be contradicted by
-    the eigensolve it replaces."""
-
-    def test_a_pass_agrees_with_the_eigensolve(self, corpus):
-        decided = 0
-        for label, p in corpus + hard_problems():
-            for gamma in CERTIFICATE_GAMMAS:
-                try:
-                    certified = harness._k_gamma_certified(p, gamma)
-                except ParameterOutOfRangeError:  # gamma overflows this scale
-                    continue
-                if not certified:
-                    continue
-                decided += 1
-                assert augmented_condition(p, gamma) <= DEFAULT_COND_CAP, (label, gamma)
-                vals = p.augmented_saddle_abs_eigs(gamma)
-                assert not numerically_singular(float(vals.min()), float(vals.max()),
-                                                p.rel_tol), (label, gamma)
-        # every corpus member at the verify gammas, and more
-        assert decided >= 3 * len(corpus)
-
-    @pytest.mark.parametrize("gammas", [DEFAULT_VERIFY_GAMMAS, (1e10,)])
-    def test_verify_prints_the_same_without_it(self, corpus, monkeypatch, gammas):
-        def outcome(p):
-            lines = []
-            try:
-                return lines, run_verification(p, gammas, emit=lines.append)
-            except SaddleBoundsError as exc:
-                return lines, repr(exc)
-
-        with_certificate = [outcome(p) for _, p in corpus]
-        monkeypatch.setattr(harness, "_k_gamma_certified", lambda p, gamma: False)
-        assert [outcome(p) for _, p in corpus] == with_certificate
-
-    def test_undecided_where_the_augmented_block_is_singular(self):
-        # gamma = 0 leaves A_gamma = A, singular here, so the intervals say
-        # nothing; the eigensolve of K_0 = K finds it nonsingular
-        p = toy()
-        assert not harness._k_gamma_certified(p, 0.0)
-        assert inverse_identity_residual(p, 0.0) <= 1e-8
-        assert harness._k_gamma_certified(p, 1.0)
-        assert not harness._k_gamma_certified(p, 1e14)
 
 
 class TestSweep:
@@ -528,30 +480,31 @@ class TestLapackFailures:
     """A LinAlgError from any dense routine of the checks is a
     ConvergenceError naming the failed step."""
 
-    @pytest.mark.parametrize("routine, m_by_m_only, check, what", [
-        ("inv", False, lambda p: p.k_inverse, "inverse of the saddle matrix"),
-        ("inv", False, lambda p: inverse_identity_residual(p, 1.0),
-         "inverse of the augmented saddle matrix"),
-        # K_W is inverted first, so only the m-by-m operand may fail
-        ("inv", True, lambda p: inverse_identity_residual(p, 1.0),
+    @pytest.mark.parametrize("routine, fails, check, what", [
+        ("inv", lambda p, a: True, lambda p: inverse_identity_residual(p, 1.0),
+         "inverse of the saddle matrix"),
+        # K is inverted before K_W, so only the operand that is not K may fail
+        ("inv", lambda p, a: not np.array_equal(a, p.k_matrix),
+         lambda p: inverse_identity_residual(p, 1.0), "inverse of the augmented saddle matrix"),
+        # and the m-by-m Schur complement after both
+        ("inv", lambda p, a: a.shape == (p.m, p.m), lambda p: inverse_identity_residual(p, 1.0),
          "inverse of the Schur complement"),
-        ("eigvalsh", False, ptp_spectrum_deviation,
+        ("eigvalsh", lambda p, a: True, lambda p: augmented_condition(p, 1.0),
+         "eigensolve of the augmented saddle matrix"),
+        ("eigvalsh", lambda p, a: True, ptp_spectrum_deviation,
          "eigensolve of the stacked-basis Gram matrix"),
-        ("eigvalsh", False, lambda p: gamma_sweep(p, [1.0, 2.0]),
+        ("eigvalsh", lambda p, a: True, lambda p: gamma_sweep(p, [1.0, 2.0]),
          "eigensolve of the augmented blocks"),
-    ], ids=["k-inverse", "kw-solve", "schur-inverse", "gram", "sweep"])
-    def test_failure_names_the_step(self, monkeypatch, routine, m_by_m_only, check, what):
+    ], ids=["k-inverse", "kw-solve", "schur-inverse", "kw-eigensolve", "gram", "sweep"])
+    def test_failure_names_the_step(self, monkeypatch, routine, fails, check, what):
         p = gen_random_lowest_rank(12, 5, seed=3)
-        # the cached steps before the one under test
+        # the kept values the checks read
         oracle(p)
-        if what != "inverse of the saddle matrix":
-            p.k_inverse
         p.augmented_eigs(1.0)
-        p.augmented_saddle_abs_eigs(1.0)
         original = getattr(np.linalg, routine)
 
         def failing(a, *args, **kwargs):
-            if m_by_m_only and a.shape != (p.m, p.m):
+            if not fails(p, a):
                 return original(a, *args, **kwargs)
             raise np.linalg.LinAlgError("stubbed")
 

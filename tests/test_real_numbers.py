@@ -167,7 +167,6 @@ PER_GAMMA = {
     "augmented_condition": augmented_condition,
     "inverse_identity_residual": inverse_identity_residual,
     "augmented_eigs": SaddleProblem.augmented_eigs,
-    "augmented_saddle_abs_eigs": SaddleProblem.augmented_saddle_abs_eigs,
     "applicable_bounds": lambda p, g: applicable_bounds(p, gamma=g),
 }
 
