@@ -47,14 +47,11 @@ from .harness import (
     CertificationOutcome,
     OracleResult,
     SweepResult,
-    augmented_condition,
     certify,
     containment_violations,
     gamma_sweep,
-    inverse_identity_residual,
     log_gamma_grid,
     oracle,
-    ptp_spectrum_deviation,
 )
 from .linalg import (
     EigDecomposition,

@@ -9,13 +9,14 @@ reader of K's spectrum, which is eigensolved on the first oracle call
 and then kept on the problem; a refusal above the cap solves nothing.
 
 ``verify`` checks the bounds against the oracle and nothing else:
-inertia, interval containment, soundness and, on lowest-rank problems,
-the stacked-basis spectrum the angle bounds read. The augmented saddle
+inertia, interval containment and soundness. The augmented saddle
 matrix K_gamma = [[A + gamma B^T B, B^T], [B, 0]] is never formed there.
-``augmented_condition`` and ``inverse_identity_residual`` are library
-checks of K_gamma for the tests: each eigensolves K_gamma, and the
-residual inverts K, on every call; neither keeps K_gamma's values or
-K^{-1} on the problem.
+``augmented_condition``, ``inverse_identity_residual`` and
+``ptp_spectrum_deviation`` measure LAPACK, not a bound: the condition
+of K_gamma, and two identities that hold by algebra. Only the tests
+call them, and the package does not export them. The first two
+eigensolve K_gamma, and the residual inverts K, on every call; neither
+keeps K_gamma's values or K^{-1} on the problem.
 """
 
 from dataclasses import dataclass
@@ -43,10 +44,7 @@ from .linalg import (
 )
 
 DEFAULT_CERT_SLACK = 1e-8
-# the verify suite: its gammas, and the absolute tolerance of the
-# stacked-basis deviations
 DEFAULT_VERIFY_GAMMAS = (0.1, 1.0, 10.0)
-_PTP_TOL = 1e-8
 
 SWEEP_CSV_HEADER = "gamma,inv_gamma,mu_min_A_gamma,predicted_bound,actual_min_pos_eig"
 _SWEEP_CSV_ROW = ",".join(["%.17g"] * 5) + "\n"
@@ -334,9 +332,9 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
 
     Returns a list of failure descriptions; empty means everything held.
     A refused gamma or tolerance emits nothing: every report is built
-    before the oracle. The checks are inertia, interval containment, the
-    soundness of every report and, on lowest-rank problems, the
-    stacked-basis spectrum; none factors K_gamma or inverts anything.
+    before the oracle. The checks are inertia, interval containment and
+    the soundness of every report, each against the oracle; none factors
+    K_gamma or inverts anything.
     """
     failures = []
     cert_slack = _tolerance(cert_slack, "cert_slack")
@@ -369,13 +367,4 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
         if "gamma" in report.details:
             tag = f"{report.name} (gamma={report.details['gamma']:g})"
         emit(f"soundness {tag}: {outcome.status} (slack {outcome.slack:.3e})")
-
-    if problem.is_lowest_rank:
-        dev_spec, dev_inv = ptp_spectrum_deviation(problem)
-        ok = dev_spec <= _PTP_TOL and dev_inv <= _PTP_TOL
-        if not ok:
-            failures.append(
-                f"stacked-basis spectrum: deviations {dev_spec:.3e}, {dev_inv:.3e}"
-            )
-        emit(f"stacked-basis spectrum: {'ok' if ok else 'FAIL'}")
     return failures

@@ -48,6 +48,8 @@ _WHITESPACE_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 SCAN_CHUNK_BYTES = 64 * 1024
 # entries formatted, and written, at a time
 WRITE_CHUNK_ENTRIES = 4096
+# entries of a symmetric coordinate file placed at a time
+PLACE_CHUNK_ENTRIES = 4096
 
 
 def _tokens(line):
@@ -200,15 +202,13 @@ def read_matrix_market(path):
         i -= 1
         j -= 1
         if symmetric:
-            # both stores of each entry, entries in file order: np.put writes
-            # in index order, so a later entry overwrites an earlier one
-            # exactly as line-by-line stores do
-            flat = np.empty((len(v), 2), dtype=np.int64)
-            np.multiply(i, cols, out=flat[:, 0])
-            flat[:, 0] += j
-            np.multiply(j, cols, out=flat[:, 1])
-            flat[:, 1] += i
-            np.put(out, flat, np.repeat(v, 2))
+            # both stores of each entry, a slice of entries at a time in
+            # file order: np.put writes in index order, so a later entry
+            # overwrites an earlier one exactly as line-by-line stores do
+            for start in range(0, len(v), PLACE_CHUNK_ENTRIES):
+                si, sj, sv = (x[start:start + PLACE_CHUNK_ENTRIES] for x in (i, j, v))
+                np.put(out, np.column_stack((si * cols + sj, sj * cols + si)),
+                       np.column_stack((sv, sv)))
         else:
             np.put(out, i * cols + j, v)
     elif symmetric:

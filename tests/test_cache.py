@@ -99,10 +99,9 @@ class TestFactorizationCounts:
         failures = cli.run_verification(p, GAMMAS, emit=lambda line: None)
         assert failures == []
         counts = _classify(p, list(eigvalsh_operands))
-        # the stacked-basis check solves P^T P once, on lowest-rank problems
-        # only; K_W is never eigensolved
-        other = 1 if p.is_lowest_rank else 0
-        assert counts == {"K": 1, "A_W": 3, "K_W": 0, "other": other}
+        # K once and each A_W once, on lowest- and general-rank problems
+        # alike; K_W and no other matrix are eigensolved
+        assert counts == {"K": 1, "A_W": 3, "K_W": 0, "other": 0}
 
     @pytest.mark.parametrize("case", ["lowest-rank", "general-rank", "toy-1e14"])
     def test_verify_inverts_nothing_and_eigensolves_no_k_gamma(
@@ -271,8 +270,8 @@ class TestOneSolvePerGamma:
             assert wbound(p, gamma).details == first.details
         cli.run_verification(p, (2.0, 3.0), emit=lambda line: None)
         blocks = [reference_augmented(p, gamma) for gamma in (2.0, 3.0)]
-        # and verify eigensolves K and the stacked-basis Gram matrix once each
-        assert len(eigvalsh_operands) == len(blocks) + 2
+        # and verify eigensolves K once, and no other matrix
+        assert len(eigvalsh_operands) == len(blocks) + 1
         for block in blocks:
             assert sum(op.shape == block.shape and np.array_equal(op, block)
                        for op in eigvalsh_operands) == 1

@@ -496,13 +496,25 @@ def huge_problem(tmp_path):
 
 class TestVerify:
     def test_toy_passes(self, tmp_path, capsys):
+        # the toy is lowest-rank: every line at the default gammas, and no
+        # stacked-basis line
         pa, pb, _ = generate_toy(tmp_path)
         capsys.readouterr()
         rc = cli.main(["verify", "--A", pa, "--B", pb])
         assert rc == cli.EXIT_OK
         out = capsys.readouterr().out
-        assert "all invariants hold" in out
-        assert "stacked-basis spectrum: ok" in out
+        assert out.splitlines() == [
+            *self.TOY_HEAD,
+            "soundness wbound (gamma=0.1): sound (slack 4.504e-01)",
+            "soundness agamma (gamma=0.1): sound (slack 4.721e-01)",
+            "soundness wbound (gamma=1): sound (slack 1.121e-01)",
+            "soundness agamma (gamma=1): sound (slack 1.121e-01)",
+            "soundness wbound (gamma=10): sound (slack 4.121e-01)",
+            "soundness agamma (gamma=10): sound (slack 4.121e-01)",
+            "all invariants hold",
+        ]
+        assert not any(line.startswith("stacked-basis") for line in out.splitlines())
+        assert out.endswith("(slack 4.121e-01)\nall invariants hold\n")
 
     def test_single_gamma(self, tmp_path, capsys):
         pa, pb, _ = generate_toy(tmp_path)
@@ -547,28 +559,35 @@ class TestVerify:
         assert {name for name, _ in seen} == {"containment_violations", "certify"}
         assert all(slack == (1e-6,) for _, slack in seen)
 
-    @staticmethod
-    def toy_lines(gamma_tag, weighted_slack):
-        """Every line verify prints on the toy at one gamma, in order."""
+    # the lines verify prints on the toy before those of its gammas
+    TOY_HEAD = [
+        "inertia counts: ok",
+        "interval containment: ok",
+        "soundness rusten-winther: vacuous (slack 5.121e-01)",
+        "soundness lowest-rank: sound (slack 1.121e-01)",
+        "soundness kernel-angle: sound (slack 1.121e-01)",
+        "soundness general-rank: sound (slack 1.121e-01)",
+    ]
+
+    @classmethod
+    def toy_lines(cls, gamma_tag, weighted_slack):
+        """Every line verify prints on the toy at one gamma, in order; the
+        toy is lowest-rank, and no line is the stacked-basis check's."""
         return [
-            "inertia counts: ok",
-            "interval containment: ok",
-            "soundness rusten-winther: vacuous (slack 5.121e-01)",
-            "soundness lowest-rank: sound (slack 1.121e-01)",
-            "soundness kernel-angle: sound (slack 1.121e-01)",
-            "soundness general-rank: sound (slack 1.121e-01)",
+            *cls.TOY_HEAD,
             f"soundness wbound (gamma={gamma_tag}): sound (slack {weighted_slack})",
             f"soundness agamma (gamma={gamma_tag}): sound (slack {weighted_slack})",
-            "stacked-basis spectrum: ok",
         ]
 
     def test_run_verification_reports_each_check(self, tmp_path):
-        # the checks of the bounds, and no inverse-identity line
+        # the checks of the bounds against the oracle, and no line of a
+        # check of LAPACK: neither the inverse identity nor the stacked basis
         p = gen_toy(0.6, 0.8)
         lines = []
         failures = cli.run_verification(p, (1.0,), emit=lines.append)
         assert failures == []
         assert lines == self.toy_lines("1", "1.121e-01")
+        assert not any(line.startswith("stacked-basis") for line in lines)
 
     def test_holds_where_the_augmented_condition_explodes(self):
         # at gamma = 1e14 the toy's K_gamma has condition 1e28; verify
@@ -578,6 +597,7 @@ class TestVerify:
         failures = cli.run_verification(p, (1e14,), emit=lines.append)
         assert failures == []
         assert lines == self.toy_lines("1e+14", "5.121e-01")
+        assert not any(line.startswith("stacked-basis") for line in lines)
 
     def test_ill_conditioned_gamma_on_the_readme_problem(self, tmp_path, capsys):
         # the console smoke test's call: K_gamma is ill-conditioned at 1e10
@@ -585,9 +605,20 @@ class TestVerify:
         capsys.readouterr()
         assert cli.main(["verify", *files, "--gamma", "1e10"]) == cli.EXIT_OK
         out = capsys.readouterr().out
-        assert "soundness wbound (gamma=1e+10): sound" in out
-        assert "inverse identity" not in out
-        assert out.endswith("stacked-basis spectrum: ok\nall invariants hold\n")
+        # the problem is lowest-rank, and verify prints no stacked-basis line
+        assert out.splitlines() == [
+            "inertia counts: ok",
+            "interval containment: ok",
+            "soundness rusten-winther: vacuous (slack 3.106e-01)",
+            "soundness lowest-rank: sound (slack 2.244e-01)",
+            "soundness kernel-angle: sound (slack 2.244e-01)",
+            "soundness general-rank: sound (slack 2.244e-01)",
+            "soundness wbound (gamma=1e+10): sound (slack 3.106e-01)",
+            "soundness agamma (gamma=1e+10): sound (slack 3.106e-01)",
+            "all invariants hold",
+        ]
+        assert not any(line.startswith("stacked-basis") for line in out.splitlines())
+        assert out.endswith("(slack 3.106e-01)\nall invariants hold\n")
 
     def test_exits_0_where_only_the_inverse_identity_failed(self, tmp_path, capsys):
         # a valid problem whose inverse-identity residual, 4.8e-8 at

@@ -474,6 +474,18 @@ class TestBulkReader:
         path = write_text(tmp_path / "big.mtx", text)
         assert_same_outcome(read_matrix_market(path), reference_read_data(text))
 
+    def test_large_symmetric_file_matches_reference(self, tmp_path, big_entries):
+        # the entries are placed a slice at a time: an entry in a later
+        # slice still overwrites an earlier one, and its mirror
+        assert len(big_entries) > mmio.PLACE_CHUNK_ENTRIES
+        big_entries[10] = "3 4 1.5"
+        big_entries[5000] = "4 3 -2.5"
+        text = coordinate_text(big_entries, symmetry="symmetric")
+        path = write_text(tmp_path / "big.mtx", text)
+        got = read_matrix_market(path)
+        assert_same_outcome(got, reference_read_data(text))
+        assert got[2, 3] == got[3, 2] == -2.5
+
     def test_line_break_past_the_first_scan_chunk(self, tmp_path, big_entries):
         big_entries[4997] = "3 4\x0c0.5"  # file line 5000: two lines to the reference
         text = coordinate_text(big_entries)
@@ -769,3 +781,21 @@ class TestWorkingSet:
         assert size_line == f"{shape[0]} {shape[1]} {entries}"
         assert write_peak <= self.WRITE_BYTES_PER_ENTRY * entries
         assert read_peak <= self.READ_BYTES_PER_ENTRY * entries
+
+    def test_symmetric_read_peaks_no_higher_per_entry_than_general(self, tmp_path):
+        # placing the symmetric entries in slices holds no index array over
+        # the whole section; a general read peaks at about 48 B per stored
+        # entry at any of these sizes
+        rng = np.random.default_rng(5)
+        sym = rng.standard_normal((400, 400))
+        sym = sym + sym.T
+        per_entry = []
+        for arr, symmetric, entries in ((sym, True, 80_200),
+                                        (rng.standard_normal((100, 401)), False, 40_100)):
+            path = tmp_path / f"{'symmetric' if symmetric else 'general'}.mtx"
+            write_matrix_market(path, arr, symmetric=symmetric)
+            back, peak = traced_peak(read_matrix_market, path)
+            assert np.array_equal(back, arr)
+            assert path.read_text(encoding="ascii").splitlines()[1].endswith(f" {entries}")
+            per_entry.append(peak / entries)
+        assert per_entry[0] <= per_entry[1]
