@@ -19,8 +19,9 @@ The bounds come in three flavors:
 
 A SaddleProblem decides the numerical rank of A once, in its summary;
 the bases of range(A) and ker(A) and every rank check read that number.
-``augmented_blocks`` alone forms A + gamma B^T B; one function builds the
-three angle bounds and, from them, the two optimal gammas.
+``augmented_blocks`` alone forms A + gamma B^T B and ``augmented_extremes``
+alone eigensolves it; one function builds the three angle bounds and,
+from them, the two optimal gammas.
 """
 
 import math
@@ -63,6 +64,9 @@ from .linalg import (
 DEFAULT_ANGLE_TOL = 1e-10
 # largest order of K that is eigensolved densely
 DEFAULT_SIZE_CAP = 2000
+# bytes of one stacked eigvalsh operand in augmented_extremes; an n-by-n
+# block larger than this is still solved on its own
+STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -133,13 +137,12 @@ class SaddleProblem:
     first use and then kept, read-only, so its factorization runs once
     per problem: the eigenvalues of K (read by the oracle), B^T B, the
     principal angles of (range(A), range(B^T)), of (ker(A), ker(B)) and
-    of the split basis; and once per gamma: the eigenvalues of
-    A + gamma B^T B. The weight is always the scalar gamma * I, checked
-    by ``augmented_blocks`` before any work; the general-W identity is
-    checked by the tests. K itself is not kept: ``k_matrix`` assembles it
-    on each read. Per gamma only the eigenvalues of A_gamma are kept,
-    never A_gamma itself, so memory stays flat however many gammas are
-    checked.
+    of the split basis. Nothing is kept per gamma: each command solves
+    each A + gamma B^T B once, through ``augmented_extremes``, so memory
+    stays flat however many gammas are checked. The weight is always the
+    scalar gamma * I, checked by ``augmented_blocks`` before any work;
+    the general-W identity is checked by the tests. K itself is not
+    kept: ``k_matrix`` assembles it on each read.
     """
 
     def __init__(self, a, b, rel_tol=None):
@@ -181,7 +184,6 @@ class SaddleProblem:
             )
         self.svd_b = sdec
 
-        self._augmented_eigs = {}  # gamma -> eigenvalues of A + gamma B^T B
         if not self._k_certified_nonsingular():
             if n + m > DEFAULT_SIZE_CAP:
                 raise SizeCapError(
@@ -346,16 +348,24 @@ class SaddleProblem:
         blocks += self.A.array  # a + gamma * bt_b: IEEE addition commutes
         return blocks
 
-    def augmented_eigs(self, gamma):
-        """Eigenvalues of A + gamma B^T B, ascending, read-only; computed
-        once per gamma, keyed on gamma as a float. What is not one real
-        number is refused before the lookup: True would find the values
-        kept for 1.0, and a list has no key."""
-        key = _scalar(gamma, "gamma")
-        if key not in self._augmented_eigs:
-            self._augmented_eigs[key] = _frozen(lapack(
-                "eigvalsh", "eigensolve of the augmented block", self.augmented_blocks(gamma)))
-        return self._augmented_eigs[key]
+    def augmented_extremes(self, gammas):
+        """(mu_min, mu_max) of A + gamma B^T B, one row per gamma of the 1-D
+        array ``gammas``: the one eigensolve of the augmented blocks. They
+        are solved in stacks of at most STACK_BYTES (at least one block per
+        call), the last gammas first, so a grid whose top overflows is
+        refused before any eigensolve; a block solved in a stack has the
+        same bits as one solved alone. Nothing is kept."""
+        g = _real(gammas, "gamma")
+        if g.ndim != 1:
+            raise ParameterOutOfRangeError(f"gamma must be a 1-D array, got shape {g.shape}")
+        # A's bytes, not B^T B's: the same size, but read before gamma is checked
+        per_call = max(1, STACK_BYTES // self.A.array.nbytes)
+        out = np.empty((g.size, 2))
+        for start in reversed(range(0, g.size, per_call)):
+            vals = lapack("eigvalsh", "eigensolve of the augmented blocks",
+                          self.augmented_blocks(g[start:start + per_call]))
+            out[start:start + per_call] = vals[:, [0, -1]]
+        return out
 
     @property
     def is_lowest_rank(self):
@@ -433,9 +443,7 @@ def wbound(problem, gamma):
     leaving mu_min(A) alone; that case needs A itself to be positive
     definite.
     """
-    vals = problem.augmented_eigs(gamma)
-    mu_min_aw = float(vals[0])
-    mu_max_aw = float(vals[-1])
+    mu_min_aw, mu_max_aw = problem.augmented_extremes([_scalar(gamma, "gamma")])[0].tolist()
     if numerically_singular(mu_min_aw, mu_max_aw, problem.rel_tol):
         raise AugmentedBlockSingularError(
             f"augmented block is not positive definite: mu_min = {mu_min_aw:.6e} "

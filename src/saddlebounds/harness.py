@@ -49,9 +49,6 @@ DEFAULT_VERIFY_GAMMAS = (0.1, 1.0, 10.0)
 SWEEP_CSV_HEADER = "gamma,inv_gamma,mu_min_A_gamma,predicted_bound,actual_min_pos_eig"
 _SWEEP_CSV_ROW = ",".join(["%.17g"] * 5) + "\n"
 
-# bytes of one stacked eigvalsh operand in gamma_sweep; an n-by-n block
-# larger than this is still solved on its own
-SWEEP_STACK_BYTES = 256 * 1024
 # most points log_gamma_grid builds: 400 times the CLI's default of 25,
 # about 1 MB of sweep.csv
 MAX_GAMMA_POINTS = 10_000
@@ -233,8 +230,8 @@ def inverse_identity_residual(problem, gamma):
     residual = float(np.linalg.norm(diff, "fro")) / scale
     del diff
 
-    aw_vals = problem.augmented_eigs(gamma)
-    if not numerically_singular(float(aw_vals[0]), float(aw_vals[-1]), problem.rel_tol):
+    aw_lo, aw_hi = problem.augmented_extremes([gamma])[0].tolist()
+    if not numerically_singular(aw_lo, aw_hi, problem.rel_tol):
         aw = problem.augmented_blocks(gamma)
         s_w = b @ lapack("solve", "solve with the augmented block", aw, b.T)
         s_w_inv = lapack("inv", "inverse of the Schur complement", s_w)
@@ -284,20 +281,13 @@ def gamma_sweep(problem, grid, size_cap=DEFAULT_SIZE_CAP):
     """Evaluate min{1/gamma, mu_min(A_gamma)} over a gamma grid.
 
     The result keeps a read-only copy of the grid, so the caller's array
-    stays as it was. The augmented blocks A + gamma B^T B are eigensolved
-    in stacks of at most SWEEP_STACK_BYTES (at least one block per call);
-    each block in a stack has the same bits as when it is formed on its
-    own, so the measured column does too.
+    stays as it was. The measured column is the first of
+    ``SaddleProblem.augmented_extremes``, which solves the largest gammas
+    first: an overflowing grid is refused before any eigensolve.
     """
     g = _frozen(_checked_grid(grid))
     check_size_cap(problem.n + problem.m, size_cap)
-    per_call = max(1, SWEEP_STACK_BYTES // problem.bt_b.nbytes)
-    mu_mins = np.empty(g.size)
-    # largest gammas first: an overflowing grid is refused before any eigensolve
-    for start in reversed(range(0, g.size, per_call)):
-        stack = problem.augmented_blocks(g[start:start + per_call])
-        vals = lapack("eigvalsh", "eigensolve of the augmented blocks", stack)
-        mu_mins[start:start + per_call] = vals[:, 0]
+    mu_mins = problem.augmented_extremes(g)[:, 0]
     return SweepResult(g, _frozen(mu_mins), oracle(problem, size_cap).mu_min_plus)
 
 

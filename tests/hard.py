@@ -1,6 +1,6 @@
 """Hard problems for the tier-1 suite: named members built from the
-generators and their seeds, each checked by ``test_hard.py`` for the
-outcome a correct system gives.
+generators and their seeds, each checked by ``test_hard.py`` or
+``test_exact.py`` for the outcome a correct system gives.
 
 The members are kept apart from ``conftest.build_corpus``, so the
 acceptance corpus and its bytes stay as they are. A member that fails
@@ -8,6 +8,7 @@ today is a strict xfail naming the error its check raises: a fix that
 makes it pass fails the run until its mark is removed.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,3 +109,57 @@ INVERSE_IDENTITY = [
                   why="the residual exceeds the absolute 1e-8 tolerance")
     for seed in (3, 14, 17)
 ]
+
+
+def wide_range_draw(index):
+    """(A, B) of draw ``index`` of the wide-range prescribed-angles stream:
+    rng seed 12345, and per draw n in [3, 10], m in [1, n // 2], A's
+    eigenvalues 10^U(-4, 4), B's singular values 10^U(-3, 3) and the sorted
+    angles 10^U(-4, log10(pi / 2)); the generator seed is the draw index."""
+    rng = np.random.default_rng(12345)
+    for _ in range(index + 1):
+        n = rng.integers(3, 11)
+        m = rng.integers(1, n // 2 + 1)
+        a_eigs = 10 ** rng.uniform(-4, 4, n - m)
+        b_sing = 10 ** rng.uniform(-3, 3, m)
+        thetas = np.sort(10 ** rng.uniform(-4, math.log10(math.pi / 2), m))
+    return _arrays(gen_prescribed_angles(n, m, a_eigs, b_sing, thetas, seed=index))
+
+
+# wbound at gamma = 1, its leading-block term active, is proven by the
+# exact referee. Exact bisection puts mu_min_plus(K) below the reported
+# value by 6.9e-14 relative on draw 0 (an eigenvector of A lies in ker B,
+# so mu_min_plus(K) is an eigenvalue of A), and by 2.3e-4, 8.5e-4 and
+# 4.2e-5 on draws 23, 46 and 96
+FIXED_GAMMA_WBOUND = [
+    Member(f"wide-range-draw-{i}", lambda i=i: wide_range_draw(i), today=AssertionError,
+           why="the leading-block value is a floating eigenvalue of A_gamma, "
+               "above mu_min_plus(K) by rounding")
+    for i in (0, 23, 46, 96)
+]
+
+
+def _right_angle_member(label, a_eigs, theta_min):
+    """prescribed-angles, m = 1, B's singular value 1, seed 2."""
+    return Member(label, lambda: _arrays(gen_prescribed_angles(
+        len(a_eigs) + 1, 1, np.array(a_eigs), np.ones(1), np.array([theta_min]), 2)),
+        today=AssertionError, theta_min=theta_min,
+        why="near a right angle the angle bounds come within rounding of mu_min_plus(K)")
+
+
+# the largest bound at the auto-gamma gamma is proven by the exact referee.
+# At theta_min = pi/2 the angle bound equals mu_min_plus(K) in exact
+# arithmetic, and the floating sigma_min(B) rounds one ulp above it; at
+# pi/2 - 1e-8 the bound's slack, about 1e-8 relative, is below the error of
+# the angle between range(A) and range(B^T) that A's spread spectrum
+# allows, and the bound exceeds mu_min_plus(K) by 7.8e-9 relative
+RIGHT_ANGLE = [
+    _right_angle_member("right-angle-5x1", [1.0, 1.0, 1.0, 10.0], math.pi / 2),
+    _right_angle_member("near-right-angle-4x1", [1e-4, 1e4, 1e4], math.pi / 2 - 1e-8),
+]
+
+
+def members(labels):
+    """The members named ``labels``, in that order, from the lists above."""
+    every = {m.label: m for m in AUTO_GAMMA + ANGLE_LADDER + SCALE_LADDER + INVERSE_IDENTITY}
+    return [every[label] for label in labels]

@@ -358,7 +358,7 @@ class TestAugmentedAssembly:
             monkeypatch.setattr(np.linalg, routine, None)
         checks = (wbound, augmented_condition, inverse_identity_residual,
                   SaddleProblem.augmented_blocks,
-                  SaddleProblem.augmented_eigs,
+                  lambda q, g: q.augmented_extremes([g]),
                   lambda q, g: applicable_bounds(q, gamma=g))
         for gamma, text in ((-1.0, "-1.0"), (float("nan"), "nan"), (float("inf"), "inf")):
             for check in checks:
@@ -372,37 +372,40 @@ class TestAugmentedAssembly:
         (np.array([1.0 + 0j]), "dtype complex128"), (object(), "object"),
     ])
     def test_gamma_must_be_a_real_number(self, stub_linalg, gamma, name):
-        # every per-gamma entry point refuses it before any dense work; the
-        # values kept for gamma = 1.0 do not answer for True
+        # every per-gamma entry point, and both that take an array of
+        # gammas, refuse it before any dense work
         p = toy()
-        wbound(p, 1.0)
         stub_linalg()
         checks = (wbound, agamma_bound, augmented_condition, inverse_identity_residual,
                   SaddleProblem.augmented_blocks,
-                  SaddleProblem.augmented_eigs,
+                  SaddleProblem.augmented_extremes,
                   lambda q, g: applicable_bounds(q, gamma=g))
         for check in checks:
             with pytest.raises(ParameterOutOfRangeError,
                                match=f"^gamma must be a real number, got {name}$"):
                 check(p, gamma)
-        with pytest.raises(ParameterOutOfRangeError,
-                           match="^gamma must be a real number, got dtype bool$"):
-            p.augmented_blocks(np.array([False, True]))
+        for stacked in (SaddleProblem.augmented_blocks, SaddleProblem.augmented_extremes):
+            with pytest.raises(ParameterOutOfRangeError,
+                               match="^gamma must be a real number, got dtype bool$"):
+                stacked(p, np.array([False, True]))
 
     @pytest.mark.parametrize("gamma", [1e308, 1e307])
-    def test_overflowing_gamma_is_refused_without_a_warning(self, gamma):
+    def test_overflowing_gamma_is_refused_without_a_warning(self, gamma, monkeypatch):
         # sigma_max(B)^2 = 33.7 on this problem: mu_max(A) + gamma
-        # sigma_max(B)^2 is not finite, checked in Python floats
+        # sigma_max(B)^2 is not finite, checked in Python floats, before
+        # any eigensolve
         p = gen_random_lowest_rank(12, 5, seed=3)
+        assert p.augmented_blocks(1e306).shape == (p.n, p.n)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for check in (wbound, SaddleProblem.augmented_blocks,
                           augmented_condition, inverse_identity_residual,
-                          lambda q, g: q.augmented_blocks(np.array([1.0, g]))):
+                          lambda q, g: q.augmented_blocks(np.array([1.0, g])),
+                          lambda q, g: q.augmented_extremes(np.array([1.0, g]))):
                 with pytest.raises(ParameterOutOfRangeError,
                                    match=re.escape(f"gamma = {gamma} overflows")):
                     check(p, gamma)
-        assert p.augmented_blocks(1e306).shape == (p.n, p.n)
 
     def test_stacked_blocks_are_the_single_blocks(self):
         p = gen_random_lowest_rank(12, 5, seed=3)
@@ -428,7 +431,8 @@ class TestAugmentedAssembly:
             for gamma in (0.1, 1.0, 10.0):
                 ref = reference_augmented(p, gamma)
                 assert np.array_equal(p.augmented_blocks(gamma), ref), label
-                assert np.array_equal(p.augmented_eigs(gamma), np.linalg.eigvalsh(ref)), label
+                assert np.array_equal(p.augmented_extremes([gamma])[0],
+                                      np.linalg.eigvalsh(ref)[[0, -1]]), label
 
     def test_weight_mu_max(self):
         details = wbound(toy(), 2.5).details

@@ -1,6 +1,7 @@
 """Derived-quantity caches on SaddleProblem: each eigensolve and each set
-of principal angles runs once per problem (or once per gamma), and the
-cached values are read-only and bit-identical to a fresh computation."""
+of principal angles runs once per problem, the cached values are
+read-only and bit-identical to a fresh computation, and nothing is kept
+per gamma: each command solves each augmented block once."""
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from saddlebounds.bounds import (
     wbound,
 )
 from saddlebounds.errors import SizeCapError
-from saddlebounds.harness import oracle
+from saddlebounds.harness import log_gamma_grid, oracle
 from saddlebounds.linalg import principal_angles
+from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import (
     GeneratorSpec,
     gen_ipm_like,
@@ -26,6 +28,7 @@ from saddlebounds.problems import (
     gen_toy,
     generate_problem,
 )
+from saddlebounds.reporting import read_problem
 from test_harness import reference_augmented
 
 GAMMAS = (0.1, 1.0, 10.0)
@@ -75,6 +78,11 @@ def eigvalsh_operands(monkeypatch):
     return seen
 
 
+def _matrices(operands):
+    """Each matrix of each operand: the augmented blocks arrive stacked."""
+    return [mat for op in operands for mat in op.reshape(-1, *op.shape[-2:])]
+
+
 def _classify(problem, operands, gammas=GAMMAS):
     counts = {"K": 0, "A_W": 0, "K_W": 0, "other": 0}
     blocks = []
@@ -82,7 +90,7 @@ def _classify(problem, operands, gammas=GAMMAS):
         aw = reference_augmented(problem, g)
         blocks.append(("A_W", aw))
         blocks.append(("K_W", saddle_matrix(aw, problem.B.array)))
-    for op in operands:
+    for op in _matrices(operands):
         if op.shape == problem.k_matrix.shape and np.array_equal(op, problem.k_matrix):
             counts["K"] += 1
             continue
@@ -201,9 +209,6 @@ class TestCachedValues:
             (p.kernel_angles, principal_angles(p.kernel_a, p.kernel_b)),
             (p.split_quantities[1], principal_angles(split_basis, p.row_space_b)),
         ]
-        for g in GAMMAS:
-            aw = reference_augmented(p, g)
-            expected.append((p.augmented_eigs(g), np.linalg.eigvalsh(aw)))
         for cached, fresh in expected:
             if isinstance(cached, linalg.PrincipalAngles):
                 pairs = [(cached.cosines, fresh.cosines), (cached.angles, fresh.angles)]
@@ -214,8 +219,10 @@ class TestCachedValues:
                 assert np.array_equal(c, f)
                 with pytest.raises(ValueError):
                     c[0] = 1.0
-        assert p.augmented_eigs(1.0) is p.augmented_eigs(1.0)
         assert p.range_angles is p.range_angles
+        # the augmented extremes are computed anew, with the same bits
+        fresh = [np.linalg.eigvalsh(reference_augmented(p, g))[[0, -1]] for g in GAMMAS]
+        assert np.array_equal(p.augmented_extremes(GAMMAS), fresh)
 
     def test_caller_arrays_may_change_afterwards(self, arrays):
         # writable C-ordered float arrays, which np.asarray would pass through
@@ -227,7 +234,7 @@ class TestCachedValues:
             values = [p.A.array, p.B.array, p.k_matrix, p.k_eigs, p.bt_b,
                       p.a_values, p.range_a, p.kernel_a, p.kernel_b,
                       p.range_angles.cosines, p.kernel_angles.cosines]
-            values += [p.augmented_eigs(g) for g in GAMMAS]
+            values.append(p.augmented_extremes(GAMMAS))
             return [np.array(v) for v in values]
 
         before = kept()
@@ -259,19 +266,40 @@ class TestCachedValues:
 
 
 class TestOneSolvePerGamma:
-    def test_each_block_is_solved_once_per_gamma(self, eigvalsh_operands):
-        # wbound, however often it runs, and verify at the same gammas share
-        # one eigensolve of A_gamma per gamma
+    """Nothing is kept per gamma: each command eigensolves the augmented
+    block of each of its gammas once, and K once."""
+
+    @pytest.mark.parametrize("command, gammas", [
+        (["bound", "--gamma", "2.0"], [2.0]),
+        (["verify"], list(GAMMAS)),
+        (["sweep", "--gamma-min", "1e-2", "--gamma-max", "1e2", "--points", "5"],
+         log_gamma_grid(1e-2, 1e2, 5).tolist()),
+    ], ids=["bound", "verify", "sweep"])
+    def test_each_command_solves_each_gamma_once(self, tmp_path, eigvalsh_operands,
+                                                 command, gammas):
         a, b = lowest_rank_arrays()
-        p = SaddleProblem(a, b)
+        source = {"A": str(tmp_path / "A.mtx"), "B": str(tmp_path / "B.mtx")}
+        write_matrix_market(source["A"], a, symmetric=True)
+        write_matrix_market(source["B"], b)
+        argv = command + ["--A", source["A"], "--B", source["B"]]
+        if command[0] != "verify":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_OK
+        operands = list(eigvalsh_operands)
+        p = read_problem(source, None)
+        assert _classify(p, operands, gammas) == {
+            "K": 1, "A_W": len(gammas), "K_W": 0, "other": 0}
+        matrices = _matrices(operands)
+        for gamma in gammas:
+            block = reference_augmented(p, gamma)
+            assert sum(np.array_equal(mat, block) for mat in matrices) == 1, gamma
+
+    def test_repeated_wbound_calls_return_equal_details(self, eigvalsh_operands):
+        # each call solves its block again, to the same bits
+        p = SaddleProblem(*lowest_rank_arrays())
         del eigvalsh_operands[:]
         for gamma in (2.0, 3.0, 2.0, 3.0):
             first = wbound(p, gamma)
             assert wbound(p, gamma).details == first.details
-        cli.run_verification(p, (2.0, 3.0), emit=lambda line: None)
-        blocks = [reference_augmented(p, gamma) for gamma in (2.0, 3.0)]
-        # and verify eigensolves K once, and no other matrix
-        assert len(eigvalsh_operands) == len(blocks) + 1
-        for block in blocks:
-            assert sum(op.shape == block.shape and np.array_equal(op, block)
-                       for op in eigvalsh_operands) == 1
+        assert _classify(p, list(eigvalsh_operands), (2.0, 3.0)) == {
+            "K": 0, "A_W": 8, "K_W": 0, "other": 0}

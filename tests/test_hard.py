@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+import exact
 import hard
 from saddlebounds import cli
 from saddlebounds.bounds import (
@@ -15,10 +16,13 @@ from saddlebounds.bounds import (
     rho_from_angles,
     wbound,
 )
+from saddlebounds.errors import ParameterOutOfRangeError
 from saddlebounds.harness import (
     DEFAULT_VERIFY_GAMMAS,
     certify,
+    gamma_sweep,
     inverse_identity_residual,
+    log_gamma_grid,
     oracle,
     run_verification,
 )
@@ -63,6 +67,19 @@ def test_verify_holds_at_every_scale(member, tmp_path, capsys):
         assert cli.main(argv) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("member", hard.members(["random-30x12-s1-1e160", "diag-1e160"]),
+                         ids=lambda m: m.label)
+def test_an_overflowing_gamma_is_refused_without_a_warning(member):
+    # B^T B overflows at this scale; the gamma check refuses before it is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = problem_of(member)
+        for refused in (lambda: wbound(p, 1.0), lambda: p.augmented_extremes([1.0]),
+                        lambda: gamma_sweep(p, log_gamma_grid(1e-4, 1e4, 25))):
+            with pytest.raises(ParameterOutOfRangeError, match="overflows the augmented block"):
+                refused()
+
+
 @pytest.mark.parametrize("member", [m.param() for m in hard.INVERSE_IDENTITY])
 def test_inverse_identity_holds(member):
     p = problem_of(member)
@@ -75,3 +92,9 @@ def test_verify_holds_where_only_the_inverse_identity_fails(member):
     # verify checks the bounds against the oracle, not the identity
     p = problem_of(member)
     assert run_verification(p, DEFAULT_VERIFY_GAMMAS, emit=lambda line: None) == []
+
+
+@pytest.mark.parametrize("member", [m.param() for m in hard.FIXED_GAMMA_WBOUND])
+def test_fixed_gamma_wbound_is_proven(member):
+    a, b = member.build()
+    assert exact.proves_lower_bound(a, b, wbound(SaddleProblem(a, b), 1.0).value)

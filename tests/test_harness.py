@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from saddlebounds.bounds import (
+    STACK_BYTES,
     BoundReport,
     SaddleProblem,
     agamma_bound,
@@ -14,6 +15,7 @@ from saddlebounds.bounds import (
     optimal_gamma,
     rusten_winther,
     saddle_matrix,
+    wbound,
 )
 from saddlebounds.errors import (
     AugmentedBlockSingularError,
@@ -25,7 +27,6 @@ from saddlebounds.errors import (
 from saddlebounds.harness import (
     MAX_GAMMA_POINTS,
     SWEEP_CSV_HEADER,
-    SWEEP_STACK_BYTES,
     SweepResult,
     augmented_condition,
     certify,
@@ -197,8 +198,8 @@ class TestInverseIdentity:
 
     def test_residual_holds_at_most_three_order_n_plus_m_squares(self):
         p = gen_random_lowest_rank(80, 32, seed=1)
-        # the kept values the residual reads
-        p.augmented_eigs(1.0)
+        # the kept B^T B the residual reads
+        p.bt_b
         tracemalloc.start()
         try:
             inverse_identity_residual(p, 1.0)
@@ -355,10 +356,10 @@ class TestSweep:
             operands.clear()
             s = gamma_sweep(p, grid)
             block = p.n * p.n * 8
-            assert len(operands) == -(-len(grid) // max(1, SWEEP_STACK_BYTES // block))
+            assert len(operands) == -(-len(grid) // max(1, STACK_BYTES // block))
             for shape, nbytes in operands:
                 assert shape[-2:] == (p.n, p.n)
-                assert nbytes <= max(SWEEP_STACK_BYTES, block)
+                assert nbytes <= max(STACK_BYTES, block)
             for mu_min_a_gamma, gamma in zip(s.mu_min_a_gamma, grid):
                 a_g = p.A.array + gamma * (p.B.array.T @ p.B.array)
                 assert mu_min_a_gamma == float(original(a_g)[0])
@@ -495,12 +496,15 @@ class TestLapackFailures:
          "eigensolve of the stacked-basis Gram matrix"),
         ("eigvalsh", lambda p, a: True, lambda p: gamma_sweep(p, [1.0, 2.0]),
          "eigensolve of the augmented blocks"),
-    ], ids=["k-inverse", "kw-solve", "schur-inverse", "kw-eigensolve", "gram", "sweep"])
+        # wbound and the sweep share one eigensolve of the augmented blocks
+        ("eigvalsh", lambda p, a: True, lambda p: wbound(p, 1.0),
+         "eigensolve of the augmented blocks"),
+    ], ids=["k-inverse", "kw-solve", "schur-inverse", "kw-eigensolve", "gram", "sweep",
+            "wbound"])
     def test_failure_names_the_step(self, monkeypatch, routine, fails, check, what):
         p = gen_random_lowest_rank(12, 5, seed=3)
-        # the kept values the checks read
+        # the kept spectrum of K the checks read
         oracle(p)
-        p.augmented_eigs(1.0)
         original = getattr(np.linalg, routine)
 
         def failing(a, *args, **kwargs):

@@ -159,14 +159,13 @@ def test_ints_are_accepted_as_gamma_grid_and_tolerance():
     assert RunConfig(rel_tol=2**70).rel_tol == 2**70
 
 
-# per-gamma entry point -> call(problem, gamma); augmented_blocks alone
-# takes an array of gammas
+# per-gamma entry point -> call(problem, gamma); augmented_blocks and
+# augmented_extremes alone take an array of gammas
 PER_GAMMA = {
     "wbound": wbound,
     "agamma_bound": agamma_bound,
     "augmented_condition": augmented_condition,
     "inverse_identity_residual": inverse_identity_residual,
-    "augmented_eigs": SaddleProblem.augmented_eigs,
     "applicable_bounds": lambda p, g: applicable_bounds(p, gamma=g),
 }
 
@@ -180,11 +179,19 @@ def test_a_gamma_that_is_not_one_number_is_refused_first(stub_linalg, entry, gam
         PER_GAMMA[entry](p, gamma)
 
 
-def test_one_gamma_keeps_its_bits_and_its_kept_values():
+@pytest.mark.parametrize("gammas", [2.0, np.array(2.0), [[2.0]], np.ones((2, 1))])
+def test_augmented_extremes_takes_a_1d_array_only(stub_linalg, gammas):
     p = SaddleProblem(A, B)
-    kept = p.augmented_eigs(2.0)
+    stub_linalg()
+    with pytest.raises(ParameterOutOfRangeError, match=r"^gamma must be a 1-D array, got shape "):
+        p.augmented_extremes(gammas)
+
+
+def test_one_gamma_keeps_its_bits():
+    p = SaddleProblem(A, B)
+    extremes = p.augmented_extremes([2.0])
     for gamma in (2, np.float64(2.0), np.int64(2), np.array(2.0)):
-        assert p.augmented_eigs(gamma) is kept
+        assert np.array_equal(p.augmented_extremes([gamma]), extremes)
         assert wbound(p, gamma).value == wbound(p, 2.0).value
         assert agamma_bound(p, gamma).value == agamma_bound(p, 2.0).value
 
