@@ -20,7 +20,6 @@ from .bounds import (
     kernel_angle_bound,
     lowest_rank_bound,
     optimal_gamma,
-    rho_from_angles,
     rusten_winther,
     wbound,
 )
@@ -53,19 +52,7 @@ from .harness import (
     log_gamma_grid,
     oracle,
 )
-from .linalg import (
-    EigDecomposition,
-    PrincipalAngles,
-    RectMatrix,
-    SvdDecomposition,
-    SymmetricMatrix,
-    default_rank_tol,
-    kernel_basis_rect,
-    numerical_rank,
-    principal_angles,
-    svd,
-    sym_eig,
-)
+from .linalg import RectMatrix, SymmetricMatrix, kernel_basis_rect, numerical_rank
 from .mmio import read_matrix_market, write_matrix_market
 from .problems import (
     FAMILIES,

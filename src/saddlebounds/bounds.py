@@ -137,12 +137,13 @@ class SaddleProblem:
     first use and then kept, read-only, so its factorization runs once
     per problem: the eigenvalues of K (read by the oracle), B^T B, the
     principal angles of (range(A), range(B^T)), of (ker(A), ker(B)) and
-    of the split basis. Nothing is kept per gamma: each command solves
-    each A + gamma B^T B once, through ``augmented_extremes``, so memory
-    stays flat however many gammas are checked. The weight is always the
-    scalar gamma * I, checked by ``augmented_blocks`` before any work;
-    the general-W identity is checked by the tests. K itself is not
-    kept: ``k_matrix`` assembles it on each read.
+    of the split basis. ker(B), which only the kernel angles read, is
+    formed there and not kept. Nothing is kept per gamma: each command
+    solves each A + gamma B^T B once, through ``augmented_extremes``, so
+    memory stays flat however many gammas are checked. The weight is
+    always the scalar gamma * I, checked by ``augmented_blocks`` before
+    any work; the general-W identity is checked by the tests. K itself is
+    not kept: ``k_matrix`` assembles it on each read.
     """
 
     def __init__(self, a, b, rel_tol=None):
@@ -200,7 +201,8 @@ class SaddleProblem:
         min{mu_min(A + s B^T B), 1/s}, and every negative one is at most
         -nu, nu = 2 sigma_min^2 / (mu_max + sqrt(mu_max^2 + 4 sigma_min^2))
         (the Rusten-Winther upper end of the negative interval). R, the
-        upper end of the positive interval, is at least ||K||_2. So
+        upper end of the positive interval that ``rusten_winther`` reports,
+        is at least ||K||_2. So
         min |eig K| > beta = 4 rel_tol R follows from nu > beta and
         A + s B^T B - beta I positive definite: with s = mu_max / sigma_max^2,
         1/s >= sigma_min^2 / mu_max >= nu, so nu > beta gives 1/s > beta.
@@ -212,15 +214,18 @@ class SaddleProblem:
         then proves mu_min(A + s B^T B) > 2 rel_tol R, hence
         min |eig K| > 2 rel_tol ||K||. The remaining factor of 2 over the
         threshold rel_tol ||K|| of ``k_eigs`` absorbs that eigensolve's own
-        rounding, so a pass is never contradicted by the dense check.
+        rounding and the last-bit error of the reported R, so a pass is
+        never contradicted by the dense check.
         """
         s = self.summary
         mu = s.mu_max
         smax2 = s.sigma_max * s.sigma_max  # inf where B^T B would overflow
         if mu == 0.0 or not math.isfinite(smax2) or self.rel_tol < default_rank_tol(self.n):
             return False
-        nu, r = _rw_extremes(mu, s.sigma_min, s.sigma_max)
-        beta = 4.0 * self.rel_tol * r
+        # nu in its cancellation-free form, formed without sigma_min^2, which
+        # may underflow where nu does not
+        nu = 2.0 * s.sigma_min * (s.sigma_min / (mu + math.hypot(mu, 2.0 * s.sigma_min)))
+        beta = 4.0 * self.rel_tol * rusten_winther(s).intervals[1][1]
         if not nu > beta:
             return False
         # its gamma check passes: nu > beta needs a finite R and sigma_min^2 > 0
@@ -291,10 +296,6 @@ class SaddleProblem:
         return self.svd_b.right_vectors
 
     @cached_property
-    def kernel_b(self):
-        return kernel_basis_rect(self.B, self.rel_tol)
-
-    @cached_property
     def bt_b(self):
         """B^T B, read-only and exactly symmetric, so the augmented blocks are."""
         b = self.B.array
@@ -307,8 +308,9 @@ class SaddleProblem:
 
     @cached_property
     def kernel_angles(self):
-        """Principal angles between ker(A) and ker(B)."""
-        return principal_angles(self.kernel_a, self.kernel_b)
+        """Principal angles between ker(A) and ker(B); ker(B) is formed
+        here and not kept."""
+        return principal_angles(self.kernel_a, kernel_basis_rect(self.B, self.rel_tol))
 
     @cached_property
     def split_quantities(self):
@@ -389,19 +391,6 @@ def _rw_root(x, y):
     return root if math.isfinite(root) else math.hypot(x, 2.0 * y)
 
 
-def _rw_extremes(mu_max, sigma_min, sigma_max):
-    """(nu, R) of a saddle matrix whose positive semidefinite leading block
-    has largest eigenvalue ``mu_max`` > 0 and whose constraint block has
-    extreme singular values ``sigma_min`` and ``sigma_max``: by the
-    Rusten-Winther intervals every negative eigenvalue is at most -nu,
-    nu = 2 sigma_min^2 / (mu_max + sqrt(mu_max^2 + 4 sigma_min^2)), and
-    every |eigenvalue| at most R = (mu_max + sqrt(mu_max^2 + 4 sigma_max^2)) / 2.
-    nu is the cancellation-free form of the negative upper end, and it is
-    formed without sigma_min^2, which may underflow where nu does not."""
-    nu = 2.0 * sigma_min * (sigma_min / (mu_max + math.hypot(mu_max, 2.0 * sigma_min)))
-    return nu, 0.5 * (mu_max + math.hypot(mu_max, 2.0 * sigma_max))
-
-
 def rusten_winther(summary):
     """Classical inclusion intervals for the spectrum of K.
 
@@ -456,13 +445,9 @@ def wbound(problem, gamma):
         "rel_tol": problem.rel_tol,
         "gamma": gamma,
     }
-    if gamma == 0.0:
-        value = mu_min_aw
-        details["active"] = "leading-block"
-    else:
-        inv = 1.0 / gamma
-        value = min(mu_min_aw, inv)
-        details["active"] = "leading-block" if mu_min_aw <= inv else "weight-inverse"
+    inv = math.inf if gamma == 0.0 else 1.0 / gamma
+    value = min(mu_min_aw, inv)
+    details["active"] = "leading-block" if mu_min_aw <= inv else "weight-inverse"
     return BoundReport("wbound", value, details)
 
 

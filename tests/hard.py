@@ -9,7 +9,7 @@ makes it pass fails the run until its mark is removed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -136,6 +136,13 @@ FIXED_GAMMA_WBOUND = [
            why="the leading-block value is a floating eigenvalue of A_gamma, "
                "above mu_min_plus(K) by rounding")
     for i in (0, 23, 46, 96)
+]
+
+# every report that verify's certify calls sound is proven by the exact
+# referee
+VERIFY_SOUND = [
+    replace(m, why="certify's slack is an absolute 1e-8, so it calls a refuted value sound")
+    for m in FIXED_GAMMA_WBOUND
 ]
 
 

@@ -18,7 +18,7 @@ from saddlebounds.bounds import (
 )
 from saddlebounds.errors import SizeCapError
 from saddlebounds.harness import log_gamma_grid, oracle
-from saddlebounds.linalg import principal_angles
+from saddlebounds.linalg import kernel_basis_rect, principal_angles
 from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import (
     GeneratorSpec,
@@ -206,7 +206,8 @@ class TestCachedValues:
         expected = [
             (p.bt_b, p.B.array.T @ p.B.array),
             (p.range_angles, principal_angles(p.range_a, p.row_space_b)),
-            (p.kernel_angles, principal_angles(p.kernel_a, p.kernel_b)),
+            (p.kernel_angles,
+             principal_angles(p.kernel_a, kernel_basis_rect(p.B, p.rel_tol))),
             (p.split_quantities[1], principal_angles(split_basis, p.row_space_b)),
         ]
         for cached, fresh in expected:
@@ -232,7 +233,7 @@ class TestCachedValues:
 
         def kept():
             values = [p.A.array, p.B.array, p.k_matrix, p.k_eigs, p.bt_b,
-                      p.a_values, p.range_a, p.kernel_a, p.kernel_b,
+                      p.a_values, p.range_a, p.kernel_a, kernel_basis_rect(p.B, p.rel_tol),
                       p.range_angles.cosines, p.kernel_angles.cosines]
             values.append(p.augmented_extremes(GAMMAS))
             return [np.array(v) for v in values]

@@ -8,7 +8,7 @@ import pytest
 
 import exact
 import hard
-from saddlebounds import cli
+from saddlebounds import cli, harness
 from saddlebounds.bounds import (
     SaddleProblem,
     general_rank_optimal_gamma,
@@ -98,3 +98,32 @@ def test_verify_holds_where_only_the_inverse_identity_fails(member):
 def test_fixed_gamma_wbound_is_proven(member):
     a, b = member.build()
     assert exact.proves_lower_bound(a, b, wbound(SaddleProblem(a, b), 1.0).value)
+
+
+@pytest.mark.parametrize("member", [m.param() for m in hard.FIXED_GAMMA_WBOUND])
+def test_sweep_predicted_bound_is_proven(member):
+    a, b = member.build()
+    sweep = gamma_sweep(SaddleProblem(a, b), log_gamma_grid(1e-4, 1e4, 25))
+    # the predicted_bound column; a nonpositive value bounds nothing, and
+    # the referee refuses it
+    refuted = [i for i, row in enumerate(sweep.rows)
+               if row[3] > 0 and not exact.proves_lower_bound(a, b, row[3])]
+    assert refuted == []
+
+
+@pytest.mark.parametrize("member", [m.param() for m in hard.VERIFY_SOUND])
+def test_what_verify_calls_sound_is_proven(member, monkeypatch):
+    a, b = member.build()
+    sound = []
+
+    def recording_certify(report, oracle_result, slack_tol):
+        outcome = certify(report, oracle_result, slack_tol)
+        if outcome.status == "sound":
+            sound.append(report)
+        return outcome
+
+    monkeypatch.setattr(harness, "certify", recording_certify)
+    run_verification(SaddleProblem(a, b), DEFAULT_VERIFY_GAMMAS, emit=lambda line: None)
+    refuted = [(r.name, r.details.get("gamma")) for r in sound
+               if not exact.proves_lower_bound(a, b, r.value)]
+    assert refuted == []
