@@ -200,9 +200,9 @@ class SaddleProblem:
         With W = sI every positive eigenvalue of K is at least
         min{mu_min(A + s B^T B), 1/s}, and every negative one is at most
         -nu, nu = 2 sigma_min^2 / (mu_max + sqrt(mu_max^2 + 4 sigma_min^2))
-        (the Rusten-Winther upper end of the negative interval). R, the
-        upper end of the positive interval that ``rusten_winther`` reports,
-        is at least ||K||_2. So
+        (the Rusten-Winther upper end of the negative interval), and every
+        |eigenvalue| at most R = (mu_max + sqrt(mu_max^2 + 4 sigma_max^2)) / 2,
+        the upper end of the positive interval. So
         min |eig K| > beta = 4 rel_tol R follows from nu > beta and
         A + s B^T B - beta I positive definite: with s = mu_max / sigma_max^2,
         1/s >= sigma_min^2 / mu_max >= nu, so nu > beta gives 1/s > beta.
@@ -214,18 +214,24 @@ class SaddleProblem:
         then proves mu_min(A + s B^T B) > 2 rel_tol R, hence
         min |eig K| > 2 rel_tol ||K||. The remaining factor of 2 over the
         threshold rel_tol ||K|| of ``k_eigs`` absorbs that eigensolve's own
-        rounding and the last-bit error of the reported R, so a pass is
-        never contradicted by the dense check.
+        rounding, so a pass is never contradicted by the dense check.
+
+        nu and R are formed here with ``math.hypot``, not read from
+        ``rusten_winther``: its sqrt of squares underflows below about
+        1e-154, and an R that falls short of ||K||_2 would let a singular K
+        pass.
         """
         s = self.summary
         mu = s.mu_max
-        smax2 = s.sigma_max * s.sigma_max  # inf where B^T B would overflow
-        if mu == 0.0 or not math.isfinite(smax2) or self.rel_tol < default_rank_tol(self.n):
+        # 0 where it underflows, inf where B^T B would overflow
+        smax2 = s.sigma_max * s.sigma_max
+        if mu == 0.0 or not 0.0 < smax2 < math.inf or self.rel_tol < default_rank_tol(self.n):
             return False
         # nu in its cancellation-free form, formed without sigma_min^2, which
         # may underflow where nu does not
         nu = 2.0 * s.sigma_min * (s.sigma_min / (mu + math.hypot(mu, 2.0 * s.sigma_min)))
-        beta = 4.0 * self.rel_tol * rusten_winther(s).intervals[1][1]
+        r = 0.5 * (mu + math.hypot(mu, 2.0 * s.sigma_max))
+        beta = 4.0 * self.rel_tol * r
         if not nu > beta:
             return False
         # its gamma check passes: nu > beta needs a finite R and sigma_min^2 > 0

@@ -9,7 +9,7 @@ makes it pass fails the run until its mark is removed.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,10 +31,12 @@ class Member:
     why: str = ""
     theta_min: float = None
 
-    def param(self):
+    def param(self, why=None):
+        """The member as a pytest parameter; ``why``, where given, is the
+        xfail reason of a check that fails on it for another cause."""
         marks = ()
         if self.today is not None:
-            marks = pytest.mark.xfail(raises=self.today, strict=True, reason=self.why)
+            marks = pytest.mark.xfail(raises=self.today, strict=True, reason=why or self.why)
         return pytest.param(self, id=self.label, marks=marks)
 
 
@@ -136,13 +138,6 @@ FIXED_GAMMA_WBOUND = [
            why="the leading-block value is a floating eigenvalue of A_gamma, "
                "above mu_min_plus(K) by rounding")
     for i in (0, 23, 46, 96)
-]
-
-# every report that verify's certify calls sound is proven by the exact
-# referee
-VERIFY_SOUND = [
-    replace(m, why="certify's slack is an absolute 1e-8, so it calls a refuted value sound")
-    for m in FIXED_GAMMA_WBOUND
 ]
 
 

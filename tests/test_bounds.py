@@ -229,6 +229,24 @@ class TestNonsingularityCertificate:
         assert "bt_b" not in vars(p)
         assert "k_eigs" in vars(p)
 
+    @pytest.mark.parametrize("c", [1e-163, 1e-164, 1e-166])
+    def test_decision_where_squares_underflow(self, c):
+        # sigma_max(B)^2 is subnormal or 0: a pass is never contradicted by
+        # the dense check, on both sides of its threshold
+        outcomes = []
+        for t in (1e-7, 1e-6):
+            a, b = c * np.eye(3), c * np.array([[100.0, 0.0, 0.0], [0.0, t, 0.0]])
+            outcomes.append(construction_outcome(a, b)[0])
+            assert outcomes[-1] == dense_k_check(a, b)
+        assert outcomes[0] is not None and outcomes[1] is None
+
+    def test_underflowing_constraint_gram_falls_back(self):
+        # sigma_max(B)^2 rounds to 0 where nu > beta: the certificate is
+        # undecided instead of dividing by it
+        a, b = 1e-170 * np.eye(3), np.array([[1e-163, 0.0, 0.0], [0.0, 5e-164, 0.0]])
+        assert dense_k_check(a, b) is None
+        assert construction_outcome(a, b) == (None, 1)
+
     def test_certified_problem_runs_no_dense_check(self):
         p = toy()
         a, b = p.A.array, p.B.array

@@ -4,12 +4,14 @@ outcome a correct system gives; the ones that fail today are strict xfails."""
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 import exact
 import hard
-from saddlebounds import cli, harness
+from saddlebounds import cli
 from saddlebounds.bounds import (
+    BoundReport,
     SaddleProblem,
     general_rank_optimal_gamma,
     optimal_gamma,
@@ -111,19 +113,18 @@ def test_sweep_predicted_bound_is_proven(member):
     assert refuted == []
 
 
-@pytest.mark.parametrize("member", [m.param() for m in hard.VERIFY_SOUND])
-def test_what_verify_calls_sound_is_proven(member, monkeypatch):
+@pytest.mark.parametrize("member", [
+    m.param(why="certify's slack is an absolute 1e-8, so it calls a refuted value sound")
+    for m in hard.FIXED_GAMMA_WBOUND])
+def test_certify_calls_no_refuted_value_sound(member):
+    # wbound's values at verify's gammas, formed here from A + gamma B^T B,
+    # so that only a change to certify flips this test
     a, b = member.build()
-    sound = []
-
-    def recording_certify(report, oracle_result, slack_tol):
-        outcome = certify(report, oracle_result, slack_tol)
-        if outcome.status == "sound":
-            sound.append(report)
-        return outcome
-
-    monkeypatch.setattr(harness, "certify", recording_certify)
-    run_verification(SaddleProblem(a, b), DEFAULT_VERIFY_GAMMAS, emit=lambda line: None)
-    refuted = [(r.name, r.details.get("gamma")) for r in sound
-               if not exact.proves_lower_bound(a, b, r.value)]
+    p = SaddleProblem(a, b)
+    orc = oracle(p)
+    gammas = np.array(DEFAULT_VERIFY_GAMMAS)
+    values = np.minimum(p.augmented_extremes(gammas)[:, 0], 1.0 / gammas).tolist()
+    refuted = [g for g, v in zip(DEFAULT_VERIFY_GAMMAS, values)
+               if certify(BoundReport("wbound", v), orc).status == "sound"
+               and not exact.proves_lower_bound(a, b, v)]
     assert refuted == []
