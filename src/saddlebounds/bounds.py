@@ -438,7 +438,8 @@ def wbound(problem, gamma):
     leaving mu_min(A) alone; that case needs A itself to be positive
     definite.
     """
-    mu_min_aw, mu_max_aw = problem.augmented_extremes([_scalar(gamma, "gamma")])[0].tolist()
+    gamma = _scalar(gamma, "gamma")
+    mu_min_aw, mu_max_aw = problem.augmented_extremes([gamma])[0].tolist()
     if numerically_singular(mu_min_aw, mu_max_aw, problem.rel_tol):
         raise AugmentedBlockSingularError(
             f"augmented block is not positive definite: mu_min = {mu_min_aw:.6e} "
@@ -566,7 +567,8 @@ def agamma_bound(problem, gamma):
     The inner term, details["augmented_estimate"], underestimates
     mu_min(A_gamma) when rank(A) = n - m, so this is never tighter than
     wbound at the same gamma, but it is certified from the angle data."""
-    if not 0 < _scalar(gamma, "gamma") < math.inf:
+    gamma = _scalar(gamma, "gamma")
+    if not 0 < gamma < math.inf:
         raise ParameterOutOfRangeError(f"gamma must be positive, got {gamma}")
     _require_lowest_rank(problem)
     rho, theta_min = rho_from_angles(problem.range_angles)

@@ -108,9 +108,9 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="tabulate the scalar-weight bound over a gamma grid")
     _add_problem_args(p_sweep)
-    p_sweep.add_argument("--gamma-min", type=float, default=1e-4)
-    p_sweep.add_argument("--gamma-max", type=float, default=1e4)
-    p_sweep.add_argument("--points", type=int, default=25)
+    p_sweep.add_argument("--gamma-min", type=float, default=RunConfig.gamma_min)
+    p_sweep.add_argument("--gamma-max", type=float, default=RunConfig.gamma_max)
+    p_sweep.add_argument("--points", type=int, default=RunConfig.gamma_points)
     p_sweep.add_argument("--out", metavar="DIR", required=True,
                          help="directory for report files")
     p_sweep.set_defaults(func=cmd_sweep)

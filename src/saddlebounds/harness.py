@@ -245,8 +245,8 @@ def log_gamma_grid(gamma_min, gamma_max, points):
     """Logarithmically spaced gamma grid between two real numbers, endpoints
     included, of an integer 2 to MAX_GAMMA_POINTS points; refused, as
     ``gamma_sweep`` would refuse it, when a point is not finite."""
-    _scalar(gamma_min, "gamma_min")
-    _scalar(gamma_max, "gamma_max")
+    gamma_min = _scalar(gamma_min, "gamma_min")
+    gamma_max = _scalar(gamma_max, "gamma_max")
     points = _integer(points, "points")
     if not 0 < gamma_min < gamma_max:
         raise ParameterOutOfRangeError(

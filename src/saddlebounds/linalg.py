@@ -222,7 +222,7 @@ def numerical_rank(values, rel_tol):
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
         raise DimensionMismatchError("numerical_rank expects a 1-D value array")
-    checked_rel_tol(rel_tol)
+    rel_tol = checked_rel_tol(rel_tol)
     if vals.size == 0:
         return 0
     if not np.isfinite(vals).all():

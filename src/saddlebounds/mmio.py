@@ -1,18 +1,17 @@
 """Matrix Market reader and writer for dense real matrices.
 
 Handles coordinate and array formats with general or symmetric storage.
-The banner and size line are parsed by one function, which also serves
-``read_matrix_market_shape``: a file's shape with no data read. Both
-read them from the lines ``str.splitlines`` gives on the whole text,
-split lazily from the open file.
-The reader hands the open file, after the size line, to numpy's C text
-reader, unless a byte scan in fixed-size chunks finds a character that
-``str.splitlines`` ends a line at and numpy reads as whitespace.
-Whatever that reader declines (a malformed section, or syntax only
-Python's int() and float() accept, such as 1_0, interior % comments or
-an empty section), and every file the byte scan flags, is re-read and
-scanned line by line: the scan returns the same columns, or raises a
-ParseError with the line and column of the first bad token.
+A line ends only where the file's own lines end (``\n``, ``\r\n`` or
+``\r``, as universal newlines give them); any other whitespace,
+``\v``, ``\f`` and ``\x1c``-``\x1f`` included, separates tokens as a
+space does. The banner and size line are parsed by one function, which
+also serves ``read_matrix_market_shape``: a file's shape with no data
+read. The reader then hands the open file, after the size line, to
+numpy's C text reader. Whatever that reader declines (a malformed
+section, or syntax only Python's int() and float() accept, such as 1_0,
+interior % comments or an empty section) is re-read and scanned line by
+line: the scan returns the same columns, or raises a ParseError with the
+line and column of the first bad token.
 An ``integer`` file is always scanned, so that a value that is not an
 integer is refused; an integral value reads as float() reads it.
 Values are written with 17 significant digits so float64 entries
@@ -41,11 +40,6 @@ _SYMMETRIES = ("general", "symmetric")
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
-# str.splitlines() ends a line at each of these bytes; numpy's C text
-# reader takes them for whitespace, so a file holding one is scanned
-_WHITESPACE_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
-# bytes read at a time by the scan for them
-SCAN_CHUNK_BYTES = 64 * 1024
 # entries formatted, and written, at a time
 WRITE_CHUNK_ENTRIES = 4096
 # entries of a symmetric coordinate file placed at a time
@@ -150,28 +144,12 @@ def _rereadable(fh):
     return io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding=fh.encoding, errors=fh.errors)
 
 
-def _split_lines(fh):
-    """The lines str.splitlines gives on the whole text of the open text
-    file ``fh``, split lazily one line of the file at a time."""
-    return chain.from_iterable(map(str.splitlines, fh))
-
-
-def _has_whitespace_line_breaks(raw):
-    """Whether the binary file ``raw`` holds a byte that str.splitlines
-    ends a line at and numpy's C text reader takes for whitespace, read
-    SCAN_CHUNK_BYTES at a time from where it stands."""
-    while chunk := raw.read(SCAN_CHUNK_BYTES):
-        if any(byte in chunk for byte in _WHITESPACE_BREAKS):
-            return True
-    return False
-
-
 def read_matrix_market_shape(path):
     """(rows, cols) of a Matrix Market file from its banner and size
     line, read and checked as ``read_matrix_market`` reads them; no line
     after the size line is read."""
     with _open_text(path) as fh:
-        _, _, _, rows, cols, _, _ = _read_header(_split_lines(fh))
+        _, _, _, rows, cols, _, _ = _read_header(fh)
     return rows, cols
 
 
@@ -179,21 +157,17 @@ def read_matrix_market(path):
     """Read a Matrix Market file into a dense float array."""
     with _open_text(path) as opened:
         fh = _rereadable(opened)
-        breaks = _has_whitespace_line_breaks(fh.buffer)
-        fh.seek(0)
-        fmt, field, symmetry, rows, cols, count, idx = _read_header(_split_lines(fh))
+        fmt, field, symmetry, rows, cols, count, idx = _read_header(fh)
         try:
             out = np.zeros((rows, cols))
         except (MemoryError, ValueError):
             raise ParseError(f"a {rows} x {cols} matrix does not fit in memory", idx + 1) from None
-        # with none of those bytes the lines of the file are the lines
-        # str.splitlines gives, so numpy reads on after the size line
         columns = None
-        if field == "real" and not breaks:
+        if field == "real":
             columns = _load_columns(fh, fmt, rows, cols, count)
         if columns is None:
             fh.seek(0)
-            lines = fh.read().splitlines()
+            lines = fh.readlines()
             columns = _scan_columns(lines, idx, fmt, field, symmetry, rows, cols, count)
 
     symmetric = symmetry == "symmetric"
@@ -223,8 +197,8 @@ def read_matrix_market(path):
 
 def _load_columns(fh, fmt, rows, cols, count):
     """The columns of the data section as np.loadtxt reads them from the
-    open text file ``fh``, which stands after the size line, or None
-    when it declines them: any error or warning (which includes an
+    open text file ``fh``, which stands after the size line and ends its
+    lines where the file does, or None when it declines them: any error or warning (which includes an
     empty section), a wrong line count or shape, or an index outside the
     matrix. Comment lines are left to the line scan (comments=None), so
     a trailing ``% ...`` on a data line is never silently dropped."""

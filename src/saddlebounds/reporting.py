@@ -14,6 +14,7 @@ of any other type, which json.dumps would turn into text.
 """
 
 import os
+import stat
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import ClassVar
@@ -70,7 +71,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.rel_tol is not None:
-            checked_rel_tol(self.rel_tol)
+            # frozen: the checked float replaces the value given
+            object.__setattr__(self, "rel_tol", checked_rel_tol(self.rel_tol))
 
 
 def read_problem(source, rel_tol=None):
@@ -124,11 +126,17 @@ def read_problem(source, rel_tol=None):
 
 def size_line_order(source):
     """The order n + m of K as the banner and size lines of the files in
-    ``source`` give it, with no data read; None when those lines cannot
-    be read or describe no saddle problem (``read_problem`` then reports
-    why). A split index n is judged first, as ``read_problem`` judges it."""
+    ``source`` give it, with no data read; None when a file is not a
+    regular file (a stream can be read only once, so only ``read_problem``
+    reads it), or when those lines cannot be read or describe no saddle
+    problem (``read_problem`` then reports why). A split index n is
+    judged first, as ``read_problem`` judges it."""
     n = _integer(source["n"], "split index n") if "K" in source else None
+    paths = [source["K"]] if "K" in source else [source["A"], source["B"]]
     try:
+        # stat, not open: opening and closing a named pipe breaks its writer
+        if not all(stat.S_ISREG(os.stat(path).st_mode) for path in paths):
+            return None
         if "K" in source:
             rows, cols = read_matrix_market_shape(source["K"])
             m = rows - n

@@ -1,6 +1,9 @@
 """Command-line interface: subcommand flows and exit codes."""
 
+import contextlib
 import json
+import os
+import threading
 import time
 import warnings
 
@@ -734,6 +737,68 @@ class TestSizeLines:
         rc = cli.main(["verify"] + files["A/B"])
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@contextlib.contextmanager
+def piped(path):
+    """``/dev/fd/N`` of a pipe that a thread feeds with the bytes of
+    ``path``, as bash passes ``<(cat path)``."""
+    r, w = os.pipe()
+    data = path.read_bytes()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)  # a writer left blocked gets a broken pipe, not a hang
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
+
+
+class TestStreams:
+    """A stream is read once, by the read of the problem: sweep and verify
+    give what the regular file gives."""
+
+    @pytest.fixture
+    def prob(self, tmp_path):
+        out = tmp_path / "prob"
+        assert cli.main(["generate", "--family", "random", "--params", '{"n": 30, "m": 12}',
+                         "--seed", "3", "--out", str(out)]) == cli.EXIT_OK
+        return out
+
+    def test_verify(self, prob, capsys):
+        capsys.readouterr()
+        assert cli.main(["verify", "--A", str(prob / "A.mtx"), "--B", str(prob / "B.mtx")]) == 0
+        want = capsys.readouterr()
+        with piped(prob / "A.mtx") as pa:
+            assert cli.main(["verify", "--A", pa, "--B", str(prob / "B.mtx")]) == cli.EXIT_OK
+        assert capsys.readouterr() == want
+
+    def test_sweep(self, prob, tmp_path, capsys):
+        file_out, pipe_out = tmp_path / "file", tmp_path / "pipe"
+        assert cli.main(["sweep", "--A", str(prob / "A.mtx"), "--B", str(prob / "B.mtx"),
+                         "--out", str(file_out)]) == cli.EXIT_OK
+        with piped(prob / "A.mtx") as pa:
+            assert cli.main(["sweep", "--A", pa, "--B", str(prob / "B.mtx"),
+                             "--out", str(pipe_out)]) == cli.EXIT_OK
+        assert (pipe_out / "sweep.csv").read_bytes() == (file_out / "sweep.csv").read_bytes()
+        file_env, pipe_env = (json.loads((d / "report.json").read_text())
+                              for d in (file_out, pipe_out))
+        assert pipe_env["problem"].pop("source") == {"A": pa, "B": str(prob / "B.mtx")}
+        file_env["problem"].pop("source")
+        assert pipe_env == file_env
+
+    def test_over_cap_stream_is_refused_after_the_read(self, prob, capsys, monkeypatch):
+        monkeypatch.setattr(RunConfig, "size_cap", 40)
+        with piped(prob / "A.mtx") as pa:
+            rc = cli.main(["verify", "--A", pa, "--B", str(prob / "B.mtx")])
+        assert rc == cli.EXIT_SIZE_CAP
+        assert capsys.readouterr().err == "error: K has order 42, above the size cap 40\n"
 
 
 class TestUndecidedKAboveTheCap:

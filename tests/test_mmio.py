@@ -1,5 +1,6 @@
 """Matrix Market reader and writer, including error positions."""
 
+import io
 import math
 import os
 import threading
@@ -54,8 +55,9 @@ def reference_read_data(text):
     """The line-by-line reader of a data section, kept as the reference for
     read_matrix_market: per line tokenize, parse, range-check and store.
     ``text`` has a well-formed banner on its first line and a well-formed
-    size line on the first line after it that is not a comment."""
-    lines = text.splitlines()
+    size line on the first line after it that is not a comment. Lines end
+    where universal newlines end them."""
+    lines = io.StringIO(text, newline=None).readlines()
     _, _, fmt, _, symmetry = lines[0].split()
     at = next(k for k in range(1, len(lines)) if not lines[k].lstrip().startswith("%"))
     size = [int(t) for t in lines[at].split()]
@@ -304,8 +306,7 @@ class TestShape:
     @pytest.mark.parametrize("text, shape", [
         ("%%MatrixMarket matrix coordinate real symmetric\n% c\n3 3 1\n1 1 1.0\n", (3, 3)),
         ("%%MatrixMarket matrix array real general\n2 4\n" + "1.0\n" * 8, (2, 4)),
-        # line breaks other than \n split lines for both readers
-        ("%%MatrixMarket matrix coordinate real general\r\n% c\x0c2 3 0\r\n", (2, 3)),
+        ("%%MatrixMarket matrix coordinate real general\r\n% c\r2 3 0\r\n", (2, 3)),
     ])
     def test_agrees_with_the_full_read(self, tmp_path, text, shape):
         path = write_text(tmp_path / "m.mtx", text)
@@ -323,6 +324,8 @@ class TestShape:
         "%%MatrixMarket matrix coordinate\n",
         "%%MatrixMarket matrix coordinate complex general\n1 1 0\n",
         "%%MatrixMarket matrix coordinate real general\n% only comments\n",
+        # a form feed ends no line, so the size line stays in the comment
+        "%%MatrixMarket matrix coordinate real general\r\n% c\x0c2 3 0\r\n",
         "%%MatrixMarket matrix coordinate real general\n\n1 1 0\n",
         "%%MatrixMarket matrix coordinate real general\n2 2\n",
         "%%MatrixMarket matrix coordinate real general\n2 x 0\n",
@@ -415,7 +418,7 @@ def coordinate_text(entries, rows=100, cols=100, symmetry="general"):
 JUNK_TOKENS = ["0", "1", "2", "+1", "1_0", "-1", "1.0", "1e0", "x", "2.5", "-0.0",
                "nan", "-nan", "1e400", "9" * 20, "%", "%c", "1_0.5", "2.5\x00", "1\x00"]
 
-# str.splitlines() breaks a line at \x0b, \x0c and \x1c to \x1e; \x1f only separates
+# each separates tokens as a space does; \x0b, \x0c and \x1c to \x1f end no line
 SEPARATORS = [" ", " ", " ", "   ", "\t", " \t\t", "\x1f", "\x0b", "\x0c", "\x1c", "\x1d",
               "\x1e", "\x00"]
 
@@ -485,13 +488,6 @@ class TestBulkReader:
         got = read_matrix_market(path)
         assert_same_outcome(got, reference_read_data(text))
         assert got[2, 3] == got[3, 2] == -2.5
-
-    def test_line_break_past_the_first_scan_chunk(self, tmp_path, big_entries):
-        big_entries[4997] = "3 4\x0c0.5"  # file line 5000: two lines to the reference
-        text = coordinate_text(big_entries)
-        assert text.index("\x0c") > mmio.SCAN_CHUNK_BYTES
-        path = write_text(tmp_path / "big.mtx", text)
-        assert_same_outcome(outcome(read_matrix_market, path), outcome(reference_read_data, text))
 
     @pytest.mark.parametrize(
         "bad, column, message",
@@ -636,20 +632,29 @@ class TestTextReaderPaths:
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
     @pytest.mark.parametrize("where", ["entry", "header comment", "after the last entry"])
     @pytest.mark.parametrize("fmt", ["coordinate", "array"])
-    def test_line_breaking_characters(self, tmp_path, char, where, fmt):
-        # str.splitlines() ends a line at each of these, as the reference
-        # does; numpy's C reader would take it for whitespace
-        comment = f"% note{char}% more\n" if where == "header comment" else ""
+    @pytest.mark.parametrize("route", ["C reader", "line scan"])
+    def test_whitespace_that_ends_no_line(self, tmp_path, monkeypatch, route, char, where, fmt):
+        # str.splitlines() would end a line at each of these; the reader
+        # takes it for a separator, on both routes. The comment holds a
+        # size line that a line break would expose; an interior comment
+        # line sends the section to the line scan.
+        if route == "C reader":
+            monkeypatch.setattr(mmio, "_scan_columns", scan_must_not_run)
+        interior = "% interior\n" if route == "line scan" else ""
+        comment = f"% note{char}1 1 1\n" if where == "header comment" else ""
         end = char if where == "after the last entry" else ""
         if fmt == "coordinate":
-            first = f"1 1{char}2.0" if where == "entry" else "1 1 2.0"
-            size, data = "2 2 2", f"{first}\n2 2 3.0{end}\n"
+            first = f"1{char}1{char}2.0" if where == "entry" else "1 1 2.0"
+            size, data = "2 2 2", f"{first}\n{interior}2 2 3.0{end}\n"
+            want = [[2.0, 0.0], [0.0, 3.0]]
         else:
-            size = "2 1"
-            data = f"1.0{char}2.0\n" if where == "entry" else f"1.0\n2.0{end}\n"
+            first = f"{char}2.0{char}" if where == "entry" else "2.0"
+            size, data = "2 1", f"{first}\n{interior}3.0{end}\n"
+            want = [[2.0], [3.0]]
         text = f"%%MatrixMarket matrix {fmt} real general\n{comment}{size}\n{data}"
-        path = write_text(tmp_path / "b.mtx", text)
-        assert_same_outcome(outcome(read_matrix_market, path), outcome(reference_read_data, text))
+        out = read_text(tmp_path, text)
+        np.testing.assert_array_equal(out, want)
+        assert_same_outcome(out, reference_read_data(text))
 
     @pytest.mark.parametrize("entries", [["1 1 0.5", "2 1 -1.5"], ["1 1 0.5", "% c\n2 1 1_5"]],
                              ids=["C reader", "line scan"])

@@ -36,10 +36,11 @@ from saddlebounds.harness import (
     containment_violations,
     gamma_sweep,
     inverse_identity_residual,
+    log_gamma_grid,
     oracle,
     run_verification,
 )
-from saddlebounds.linalg import checked_rel_tol
+from saddlebounds.linalg import checked_rel_tol, numerical_rank
 from saddlebounds.mmio import write_matrix_market
 from saddlebounds.problems import (
     gen_ipm_like,
@@ -48,7 +49,7 @@ from saddlebounds.problems import (
     gen_remark,
     gen_toy,
 )
-from saddlebounds.reporting import RunConfig, read_problem
+from saddlebounds.reporting import RunConfig, envelope_to_json, read_problem, report_envelope
 
 A = np.diag([2.0, 1.0, 0.0])
 B = np.array([[0.0, 0.3, 1.0]])
@@ -159,6 +160,33 @@ def test_ints_are_accepted_as_gamma_grid_and_tolerance():
     assert RunConfig(rel_tol=2**70).rel_tol == 2**70
 
 
+def test_a_checked_number_is_the_number_used():
+    # each is computed with the float the check returns, not in float32
+    lo, hi, tol = np.float32(1e-4), np.float32(1e4), np.float32(0.1)
+    assert (log_gamma_grid(lo, hi, 5).tobytes()
+            == log_gamma_grid(float(lo), float(hi), 5).tobytes())
+    # float32(0.1) * 3 rounds above 0.30000001 in float32, not in float64
+    assert numerical_rank([3.0, 0.30000001], tol) == numerical_rank([3.0, 0.30000001],
+                                                                    float(tol)) == 2
+    for given in (np.float32(1e-10), np.int64(1)):
+        rel_tol = RunConfig(rel_tol=given).rel_tol
+        assert type(rel_tol) is float and rel_tol == float(given)
+
+
+@pytest.mark.parametrize("gamma, rel_tol, same_gamma, same_tol", [
+    (np.float32(0.1), np.float32(1e-10), float(np.float32(0.1)), float(np.float32(1e-10))),
+    (np.int64(2), np.int64(1), 2.0, 1.0),
+], ids=["float32", "int64"])
+def test_numpy_scalars_give_a_report_that_serializes(gamma, rel_tol, same_gamma, same_tol):
+    p = SaddleProblem(A, B)
+
+    def text(g, tol):
+        return envelope_to_json(report_envelope(p, RunConfig(rel_tol=tol),
+                                                applicable_bounds(p, gamma=g)))
+
+    assert text(gamma, rel_tol) == text(same_gamma, same_tol)
+
+
 # per-gamma entry point -> call(problem, gamma); augmented_blocks and
 # augmented_extremes alone take an array of gammas
 PER_GAMMA = {
@@ -189,11 +217,13 @@ def test_augmented_extremes_takes_a_1d_array_only(stub_linalg, gammas):
 
 def test_one_gamma_keeps_its_bits():
     p = SaddleProblem(A, B)
-    extremes = p.augmented_extremes([2.0])
-    for gamma in (2, np.float64(2.0), np.int64(2), np.array(2.0)):
-        assert np.array_equal(p.augmented_extremes([gamma]), extremes)
-        assert wbound(p, gamma).value == wbound(p, 2.0).value
-        assert agamma_bound(p, gamma).value == agamma_bound(p, 2.0).value
+    for gamma, same in ((2, 2.0), (np.float64(2.0), 2.0), (np.int64(2), 2.0),
+                        (np.array(2.0), 2.0), (np.float32(0.1), float(np.float32(0.1)))):
+        assert np.array_equal(p.augmented_extremes([gamma]), p.augmented_extremes([same]))
+        for bound in (wbound, agamma_bound):
+            got, want = bound(p, gamma), bound(p, same)
+            assert type(got.details["gamma"]) is float
+            assert (got.value, got.details) == (want.value, want.details)
 
 
 def _no_line(line):

@@ -314,9 +314,12 @@ class TestJsonWriter:
         assert envelope_to_json(value) == reference_json(value)
 
     def test_numpy_gamma_in_details_matches_json_dumps(self):
+        # the bounds report the float they checked gamma as, so a numpy
+        # gamma leaves no numpy value in the envelope
         p = gen_toy(0.6, 0.8)
         env = report_envelope(p, RunConfig(), applicable_bounds(p, gamma=np.float64(1.0)))
-        assert "$.bounds[5].details.gamma: float64" in non_json_values(env)  # wbound's gamma
+        assert type(env["bounds"][5]["details"]["gamma"]) is float  # wbound's gamma
+        assert non_json_values(env) == []
         assert envelope_to_json(env) == reference_json(env)
 
     # json.dumps writes these keys as text; no envelope holds one, and the
