@@ -87,6 +87,23 @@ def _read_under_cap(source, cfg):
     return read_problem(source, cfg.rel_tol)
 
 
+def _certified_envelope(problem, cfg, source, gamma=None, sweep=None, notes=()):
+    """The report envelope of the bounds at ``gamma``, each certified against
+    the oracle, or with a note saying why not when K is above the size cap."""
+    reports = applicable_bounds(problem, gamma=gamma, angle_tol=cfg.angle_tol)
+    try:
+        oracle_result = oracle(problem, cfg.size_cap)
+    except SizeCapError:
+        oracle_result = certifications = None
+        notes = [*notes, "certification skipped: problem exceeds the oracle size cap"]
+    else:
+        certifications = [certify(r, oracle_result, cfg.cert_slack) for r in reports]
+    return report_envelope(
+        problem, cfg, reports, certifications, sweep=sweep,
+        oracle_result=oracle_result, source=source, notes=notes,
+    )
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="saddlebounds",
@@ -149,18 +166,7 @@ def cmd_bound(args):
                 f"rank(A) = {problem.summary.rank_a} exceeds n - m = {problem.n - problem.m}"
             )
             print(f"warning: {notes[-1]}", file=sys.stderr)
-    reports = applicable_bounds(problem, gamma=gamma, angle_tol=cfg.angle_tol)
-    try:
-        oracle_result = oracle(problem, cfg.size_cap)
-    except SizeCapError:
-        oracle_result = certifications = None
-        notes.append("certification skipped: problem exceeds the oracle size cap")
-    else:
-        certifications = [certify(r, oracle_result, cfg.cert_slack) for r in reports]
-    envelope = report_envelope(
-        problem, cfg, reports, certifications,
-        oracle_result=oracle_result, source=source, notes=notes,
-    )
+    envelope = _certified_envelope(problem, cfg, source, gamma=gamma, notes=notes)
     if args.out:
         for path in write_report(args.out, envelope, output_format=fmt):
             print(path)
@@ -180,13 +186,7 @@ def cmd_sweep(args):
     source = _source(args)
     problem = _read_under_cap(source, cfg)
     sweep = gamma_sweep(problem, grid, size_cap=cfg.size_cap)
-    reports = applicable_bounds(problem, angle_tol=cfg.angle_tol)
-    oracle_result = oracle(problem, cfg.size_cap)
-    certifications = [certify(r, oracle_result, cfg.cert_slack) for r in reports]
-    envelope = report_envelope(
-        problem, cfg, reports, certifications, sweep=sweep,
-        oracle_result=oracle_result, source=source,
-    )
+    envelope = _certified_envelope(problem, cfg, source, sweep=sweep)
     for path in write_report(args.out, envelope, sweep=sweep):
         print(path)
     return EXIT_OK

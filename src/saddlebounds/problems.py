@@ -15,8 +15,9 @@ Five families:
 * ``ipm-like``: A = H + D with H a seeded PSD matrix of rank n - m and D
   a diagonal perturbation of size delta on a seeded index subset, the
   shape that barrier methods produce as they converge.
-* ``random-lowest-rank``: A = X X^T of exact rank n - m with a random
-  full-row-rank B.
+* ``random-lowest-rank``: ``ipm-like`` at delta = 0, A = X X^T of exact
+  rank n - m with a random full-row-rank B, redrawn with the next seed
+  when validation fails, up to 16 times.
 
 Identical specs (family, parameters, seed) yield bit-identical matrices.
 Parameters and seeds meet linalg's number rules before any work.
@@ -195,11 +196,11 @@ def gen_prescribed_angles(n, m, a_eigs, b_sing_vals, thetas, seed=0):
 
 
 def gen_ipm_like(n, m, delta, seed=0):
-    """A = H + D with H seeded PSD of rank n - m and D diagonal with a
-    seeded subset of entries equal to delta; B is a seeded dense
-    full-row-rank matrix. delta = 0 gives an exactly lowest-rank
-    problem, small positive delta the nearly-rank-deficient shape that
-    interior-point iterations approach."""
+    """A = H + D with H = X X^T of rank n - m for a seeded Gaussian X, and
+    D diagonal with a seeded subset of entries equal to delta; B is a
+    seeded Gaussian, full-row-rank matrix. delta = 0 gives an exactly
+    lowest-rank problem, small positive delta the nearly-rank-deficient
+    shape that interior-point iterations approach."""
     n = _converted("n", _order, n)
     m = _converted("m", _integer, m)
     if m < 1 or m >= n:
@@ -210,33 +211,22 @@ def gen_ipm_like(n, m, delta, seed=0):
     seed = _converted("seed", _seed, seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n - m))
-    h = x @ x.T
-    d = np.zeros(n)
+    a = x @ x.T
     if delta > 0:
         count = int(rng.integers(1, m + 1))
         idx = rng.choice(n, size=count, replace=False)
-        d[idx] = delta
-    a = h + np.diag(d)
+        a[idx, idx] += delta
     b = rng.standard_normal((m, n))
     return SaddleProblem(a, b)
 
 
 def gen_random_lowest_rank(n, m, seed=0):
-    """A = X X^T of exact rank n - m with seeded Gaussian X and B; if
+    """``gen_ipm_like(n, m, 0, seed)``: A = X X^T of exact rank n - m; if
     validation fails the seed is incremented, up to 16 attempts."""
-    n = _converted("n", _order, n)
-    m = _converted("m", _integer, m)
-    if m < 1 or m >= n:
-        raise ParameterOutOfRangeError(f"need 1 <= m < n, got n = {n}, m = {m}")
-    seed = _converted("seed", _seed, seed)
-    last = None
     for attempt in range(_MAX_RETRIES):
-        rng = np.random.default_rng(seed + attempt)
-        x = rng.standard_normal((n, n - m))
-        a = x @ x.T
-        b = rng.standard_normal((m, n))
         try:
-            return SaddleProblem(a, b)
+            # the caller's seed as given first, so that its checks judge it
+            return gen_ipm_like(n, m, 0.0, operator.index(seed) + attempt if attempt else seed)
         except ProblemValidationError as exc:
             last = exc
     raise GenerationFailedError(

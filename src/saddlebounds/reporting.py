@@ -28,7 +28,7 @@ from .errors import (
     StructureError,
 )
 from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP, SWEEP_CSV_HEADER
-from .linalg import _integer, checked_rel_tol, default_rank_tol
+from .linalg import _integer, _scalar, checked_rel_tol, default_rank_tol
 from .mmio import read_matrix_market, read_matrix_market_shape
 
 BOUNDS_CSV_HEADER = "name,value,assumptions_met,status,slack,warnings"
@@ -53,9 +53,10 @@ class RunConfig:
     """The CLI's run settings.
 
     ``rel_tol`` (None: each problem uses its own default n * machine
-    epsilon) and the sweep's gamma grid come from the command line;
-    ``log_gamma_grid`` checks the grid. The class-level values are fixed;
-    report.json records them all.
+    epsilon) and the sweep's gamma grid come from the command line. Each
+    is kept as the float or int that linalg's number rules give;
+    ``log_gamma_grid`` checks the grid's range. The class-level values are
+    fixed; report.json records them all.
     """
 
     angle_tol: ClassVar[float] = DEFAULT_ANGLE_TOL
@@ -70,9 +71,12 @@ class RunConfig:
     gamma_points: int = 25
 
     def __post_init__(self):
+        # frozen: each checked number replaces the value given
         if self.rel_tol is not None:
-            # frozen: the checked float replaces the value given
             object.__setattr__(self, "rel_tol", checked_rel_tol(self.rel_tol))
+        object.__setattr__(self, "gamma_min", _scalar(self.gamma_min, "gamma_min"))
+        object.__setattr__(self, "gamma_max", _scalar(self.gamma_max, "gamma_max"))
+        object.__setattr__(self, "gamma_points", _integer(self.gamma_points, "points"))
 
 
 def read_problem(source, rel_tol=None):

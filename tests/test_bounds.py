@@ -45,6 +45,7 @@ from saddlebounds.errors import (
 from saddlebounds.harness import (
     augmented_condition,
     certify,
+    containment_violations,
     inverse_identity_residual,
     oracle,
 )
@@ -349,6 +350,17 @@ class TestRustenWinther:
         r = rusten_winther(gen_random_lowest_rank(10, 3, 0).summary)
         (neg_lo, neg_hi), (pos_lo, pos_hi) = r.intervals
         assert neg_lo <= neg_hi < 0 <= pos_lo <= pos_hi
+
+    @pytest.mark.parametrize("scale", [
+        pytest.param(s, id=f"{s:g}", marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True,
+            reason="ROADMAP item 4: the squares under the Rusten-Winther roots underflow"))
+        for s in (1e-162, 1e-163)])
+    def test_intervals_hold_every_eigenvalue_at_a_tiny_scale(self, scale):
+        # A = s diag(2, 1, 0), B = s [0 0.3 1]: with zero slack, no
+        # eigenvalue of K may fall outside the intervals
+        p = SaddleProblem(scale * np.diag([2.0, 1.0, 0.0]), scale * np.array([[0.0, 0.3, 1.0]]))
+        assert containment_violations(rusten_winther(p.summary), oracle(p), 0.0).size == 0
 
 
 class TestAugmentedAssembly:

@@ -213,6 +213,18 @@ class TestBound:
         assert (out / "bounds.csv").read_text() == stdout_csv
         assert json.loads((out / "report.json").read_text())["problem"]["n"] == 2
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="ROADMAP item 4: report.json records output_format json "
+                              "under --csv")
+    def test_csv_to_directory_records_the_csv_format(self, tmp_path):
+        pa, pb = tmp_path / "A.mtx", tmp_path / "B.mtx"
+        write_matrix_market(pa, np.diag([2.0, 1.0, 0.0]), symmetric=True)
+        write_matrix_market(pb, np.array([[0.0, 0.3, 1.0]]))
+        out = tmp_path / "rep"
+        argv = ["bound", "--A", str(pa), "--B", str(pb), "--gamma", "1", "--csv", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads((out / "report.json").read_text())["config"]["output_format"] == "csv"
+
     def test_over_the_size_cap_certification_is_skipped(self, tmp_path, capsys, monkeypatch):
         pa, pb, _ = generate_toy(tmp_path)
         monkeypatch.setattr(RunConfig, "size_cap", 2)  # the toy K has order 3

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from saddlebounds import problems
 from saddlebounds.bounds import SaddleProblem
 from saddlebounds.errors import (
+    GenerationFailedError,
     ParameterOutOfRangeError,
+    RankDeficientError,
     SingularKError,
 )
 from saddlebounds.harness import oracle
@@ -186,6 +189,39 @@ class TestRandomLowestRank:
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ParameterOutOfRangeError, match="^parameter seed = -1 is invalid"):
             gen_random_lowest_rank(5, 2, seed=-1)
+
+    @pytest.mark.parametrize("n, m, seed", [(6, 2, 0), (13, 5, 7), (40, 13, 2)])
+    def test_is_ipm_like_at_zero_delta(self, n, m, seed):
+        p, q = gen_random_lowest_rank(n, m, seed), gen_ipm_like(n, m, 0.0, seed)
+        assert p.A.array.tobytes() == q.A.array.tobytes()
+        assert p.B.array.tobytes() == q.B.array.tobytes()
+
+    @staticmethod
+    def refusing(count, monkeypatch):
+        """SaddleProblem in ``problems`` refuses its first ``count`` problems."""
+        real, calls = problems.SaddleProblem, []
+
+        def validating(a, b):
+            calls.append(None)
+            if len(calls) <= count:
+                raise RankDeficientError("refused for the test")
+            return real(a, b)
+
+        monkeypatch.setattr(problems, "SaddleProblem", validating)
+
+    @pytest.mark.parametrize("seed", [5, np.int64(5)], ids=["int", "np.int64"])
+    def test_a_refused_draw_is_redrawn_with_the_next_seed(self, monkeypatch, seed):
+        self.refusing(3, monkeypatch)
+        p = gen_random_lowest_rank(8, 3, seed)
+        monkeypatch.undo()
+        assert p.A.array.tobytes() == gen_ipm_like(8, 3, 0.0, 8).A.array.tobytes()
+
+    def test_sixteen_refused_draws_fail(self, monkeypatch):
+        self.refusing(16, monkeypatch)
+        with pytest.raises(GenerationFailedError,
+                           match="^no valid problem after 16 seeds starting at 5$") as info:
+            gen_random_lowest_rank(8, 3, 5)
+        assert isinstance(info.value.__cause__, RankDeficientError)
 
 
 SPECS = [

@@ -83,7 +83,8 @@ ENTRY_POINTS = {
     "SaddleProblem rel_tol": lambda v, path: SaddleProblem(A, B, rel_tol=v),
     # the files are never opened: rel_tol is judged first
     "read_problem rel_tol": lambda v, path: read_problem({"A": path, "B": path}, v),
-    "RunConfig rel_tol": lambda v, path: RunConfig(rel_tol=v),
+    **{f"RunConfig {name}": _with(RunConfig, {}, name)
+       for name in ("rel_tol", "gamma_min", "gamma_max", "gamma_points")},
     "gen_toy b1": lambda v, path: gen_toy(v, 0.8),
     "gen_toy b2": lambda v, path: gen_toy(0.6, v),
     "gen_remark alpha": lambda v, path: gen_remark(v),
@@ -185,6 +186,21 @@ def test_numpy_scalars_give_a_report_that_serializes(gamma, rel_tol, same_gamma,
                                                 applicable_bounds(p, gamma=g)))
 
     assert text(gamma, rel_tol) == text(same_gamma, same_tol)
+
+
+@pytest.mark.parametrize("name, given, same", [
+    ("gamma_min", np.float32(1e-4), float(np.float32(1e-4))),
+    ("gamma_max", np.float32(1e4), float(np.float32(1e4))),
+    ("gamma_points", np.int64(25), 25),
+], ids=["float32-gamma_min", "float32-gamma_max", "int64-gamma_points"])
+def test_numpy_scalar_grid_settings_give_a_report_that_serializes(name, given, same):
+    # RunConfig keeps the float or int its check returns, as for rel_tol
+    p = SaddleProblem(A, B)
+    reports = applicable_bounds(p, gamma=1.0)
+    cfg = RunConfig(**{name: given})
+    assert type(getattr(cfg, name)) is type(same) and getattr(cfg, name) == same
+    assert (envelope_to_json(report_envelope(p, cfg, reports))
+            == envelope_to_json(report_envelope(p, RunConfig(**{name: same}), reports)))
 
 
 # per-gamma entry point -> call(problem, gamma); augmented_blocks and
