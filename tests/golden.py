@@ -4,7 +4,7 @@ any output names the member it moved.
 
 The members are the acceptance corpus (``conftest.build_corpus``) and the
 ``hard.py`` members, each run in process through the subcommands of
-``saddlebounds.cli`` with the problem handed over in memory, plus two
+``saddlebounds.cli``, which are handed one in-memory problem, plus two
 instances of the benchmark's files workload at n = 100, generated and
 run through ``cli.main`` on Matrix Market files. The commands are:
 
@@ -132,11 +132,9 @@ def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-
-
 def _run(call, argv, out="out", keep=False):
     """``call(argv)`` with stdout and stderr captured, and the files it
-    wrote in the directory ``out`` read back, then removed unless ``keep``."""
+    wrote in the directory ``out`` read back, then deleted unless ``keep``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     refusal = None
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -149,24 +147,12 @@ def _run(call, argv, out="out", keep=False):
     files = {}
     if os.path.isdir(out):
         for name in sorted(os.listdir(out)):
-            with open(os.path.join(out, name), encoding="ascii", newline="") as fh:
+            path = os.path.join(out, name)
+            with open(path, encoding="ascii", newline="") as fh:
                 files[name] = fh.read()
-        if not keep:
-            shutil.rmtree(out)
+            if not keep:
+                os.remove(path)
     return Run(code, refusal, stdout.getvalue(), stderr.getvalue(), files)
-
-
-_PARSED = {}
-
-
-def _subcommand(argv):
-    """The subcommand of ``argv`` itself, so that an error escapes with its
-    type; each argument list is parsed once."""
-    key = tuple(argv)
-    if key not in _PARSED:
-        _PARSED[key] = cli.build_parser().parse_args(argv)
-    args = _PARSED[key]
-    return args.func(args)
 
 
 def _commands(call, problem_args):
@@ -177,21 +163,32 @@ def _commands(call, problem_args):
 
 @contextlib.contextmanager
 def _reading(a, b):
-    """``cli`` reads (a, b) from any source, a fresh problem each time as
-    from a file, whose size lines give its order."""
+    """``cli`` reads the problem (a, b) from any source, one problem for
+    every command (none of them sets --relTol), whose size lines give its
+    order."""
+    problem = SaddleProblem(a, b)
     saved = cli.read_problem, cli.size_line_order
-    cli.read_problem = lambda source, rel_tol=None: SaddleProblem(a, b, rel_tol=rel_tol)
-    cli.size_line_order = lambda source: a.shape[0] + b.shape[0]
+    cli.read_problem = lambda source, rel_tol=None: problem
+    cli.size_line_order = lambda source: problem.n + problem.m
     try:
         yield
     finally:
         cli.read_problem, cli.size_line_order = saved
 
 
-def in_memory_runs(a, b):
-    """command -> its runs, in process, on the problem (a, b)."""
+def _subcommand(args):
+    """The subcommand of parsed ``args`` itself, so that an error escapes
+    with its type."""
+    return args.func(args)
+
+
+def in_memory_runs(a, b, parsed):
+    """command -> its runs, in process, on the problem (a, b); ``parsed``
+    maps each command to its argument lists as ``cli.build_parser()``
+    parses them."""
     with _reading(a, b):
-        return _commands(_subcommand, _PROBLEM)
+        return {command: [_run(_subcommand, args) for args in arglists]
+                for command, arglists in parsed.items()}
 
 
 def files_runs(family, params, seed):
@@ -236,7 +233,11 @@ def problems(corpus=None, large=False, small=True):
         out += [(label, (p.A.array, p.B.array)) for label, p in corpus]
     for label, member in hard_members().items():
         if (label in LARGE_HARD and large) or (label not in LARGE_HARD and small):
-            out.append((label, member.build()))
+            a, b = member.build()
+            if (len(a) + len(b) > MAX_ORDER) != (label in LARGE_HARD):
+                raise ValueError(f"LARGE_HARD must name the hard members above order "
+                                 f"{MAX_ORDER}, and {label} has order {len(a) + len(b)}")
+            out.append((label, (a, b)))
     return out
 
 
@@ -244,9 +245,12 @@ def results(corpus=None, large=False, small=True):
     """label -> command -> (digest, portable digest) of every member chosen
     as ``problems`` chooses them, plus the files instances when ``small``."""
     out = {}
+    parser = cli.build_parser()
+    parsed = {command: [parser.parse_args(argv + _PROBLEM) for argv in argvs]
+              for command, argvs in COMMANDS.items()}
     with _scratch_dir():
         for label, (a, b) in problems(corpus, large, small):
-            out[label] = in_memory_runs(a, b)
+            out[label] = in_memory_runs(a, b, parsed)
         if small:
             for label, (family, params, seed) in FILES.items():
                 out[label] = files_runs(family, params, seed)
@@ -324,9 +328,6 @@ def main(argv=None):
                              f"{MAX_ORDER}")
     args = parser.parse_args(argv)
     if args.write:
-        hard_orders = {label: sum(len(x) for x in m.build())
-                       for label, m in hard_members().items()}
-        assert sorted(k for k, n in hard_orders.items() if n > MAX_ORDER) == sorted(LARGE_HARD)
         write(results(large=True))
         print(f"wrote {GOLDEN}")
         return 0
