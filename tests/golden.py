@@ -265,7 +265,7 @@ def _blas():
     configuration, which names the CPU kernels it runs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:
+    except (TypeError, KeyError):
         # numpy < 1.26: show_config takes no mode; numpy.__config__ keeps
         # the build's library lists
         info = getattr(np.__config__, "blas_opt_info", {})
