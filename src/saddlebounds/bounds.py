@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     AugmentedBlockSingularError,
+    ConvergenceError,
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
@@ -238,8 +239,8 @@ class SaddleProblem:
         shifted = self.augmented_blocks(mu / smax2)
         shifted.flat[:: self.n + 1] -= beta  # the diagonal
         try:
-            factor = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
+            factor = lapack("cholesky", "Cholesky of the shifted augmented blocks", shifted)
+        except ConvergenceError:
             return False
         # LAPACK passes NaN and infinity through
         return bool(np.isfinite(factor).all())

@@ -341,7 +341,8 @@ def run_verification(problem, gammas, cert_slack=DEFAULT_CERT_SLACK,
         )
     emit(f"inertia counts: {'ok' if oracle_result.inertia_ok else 'FAIL'}")
 
-    outside = containment_violations(reports[0], oracle_result, cert_slack)  # rusten-winther
+    intervals = next(report for report in reports if report.intervals is not None)
+    outside = containment_violations(intervals, oracle_result, cert_slack)
     if outside.size:
         failures.append(f"containment: {outside.size} eigenvalues outside the intervals")
     emit(f"interval containment: {'ok' if not outside.size else 'FAIL'}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import SaddleProblem
 from .errors import GenerationFailedError, ParameterOutOfRangeError, ProblemValidationError
-from .linalg import _integer, _real, _scalar
+from .linalg import _integer, _real, _scalar, lapack
 
 _NORM_TOL = 1e-12
 _ALPHA_MARGIN = 1e-12
@@ -89,7 +89,7 @@ def _orthogonal(rng, dim):
     """Seeded Haar-like orthogonal factor: QR of a Gaussian matrix with
     the sign of R's diagonal fixed, so the result is deterministic."""
     g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
+    q, r = lapack("qr", "QR of the seeded Gaussian matrix", g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs

@@ -400,6 +400,7 @@ class TestAugmentedAssembly:
         (True, "bool"), (np.True_, "bool"), (np.False_, "bool"), (1j, "complex"), ("1", "str"),
         ([[1.0, True]], "bool"), (1 + 0j, "complex"), (np.complex128(1), "complex128"),
         (np.array([1.0 + 0j]), "dtype complex128"), (object(), "object"),
+        (10**400, "an int beyond the float range"),
     ])
     def test_gamma_must_be_a_real_number(self, stub_linalg, gamma, name):
         # every per-gamma entry point, and both that take an array of

@@ -6,6 +6,7 @@ import os
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,11 +61,34 @@ class TestGenerate:
         with open(pa1, "rb") as one, open(pa2, "rb") as two:
             assert one.read() == two.read()
 
-    def test_bad_params_json(self, tmp_path, capsys):
-        rc = cli.main(["generate", "--family", "toy", "--params", "{",
-                       "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("params, refusal", [
+        ("{", "error: --params is not valid JSON: "),
+        ("[1, 2]", "error: --params must be a JSON object\n"),
+    ], ids=["not-json", "not-an-object"])
+    def test_bad_params_json(self, tmp_path, capsys, params, refusal):
+        out = tmp_path / "x"
+        rc = cli.main(["generate", "--family", "toy", "--params", params, "--out", str(out)])
         assert rc == cli.EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(refusal)
+        assert not out.exists()
+
+    def test_failed_qr_is_an_input_error_naming_the_step(self, tmp_path, capsys, monkeypatch):
+        # the prescribed-angles family draws its orthogonal frames by QR
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("stubbed")
+
+        monkeypatch.setattr(np.linalg, "qr", failing)
+        out = tmp_path / "x"
+        rc = cli.main(["generate", "--family", "angles", "--params",
+                       json.dumps({"n": 6, "m": 2, "a_eigs": [1, 2, 3, 4], "b_sing_vals": [1, 1],
+                                   "thetas": [0.5, 1.0]}),
+                       "--seed", "2", "--out", str(out)])
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: QR of the seeded Gaussian matrix failed: "
+                                           "stubbed\n")
+        assert not out.exists()
 
     def test_missing_parameter(self, tmp_path, capsys):
         rc = cli.main(["generate", "--family", "toy", "--params", '{"b1": 0.6}',
@@ -603,6 +627,64 @@ class TestVerify:
         assert failures == []
         assert lines == self.toy_lines("1", "1.121e-01")
         assert not any(line.startswith("stacked-basis") for line in lines)
+
+    # the toy's oracle result doctored into each failure verify reports:
+    # the failures, and the line of the check that found them
+    DOCTORED = {
+        "inertia": (lambda o: replace(o, pos_count=1, neg_count=2, inertia_ok=False),
+                    ["inertia: expected 2 positive / 1 negative, got 1 / 2"],
+                    "inertia counts: FAIL"),
+        # 2 lies above the top 1.618 of the Rusten-Winther positive interval
+        "containment": (lambda o: replace(o, all_eigs=np.concatenate(([2.0], o.all_eigs[1:]))),
+                        ["containment: 1 eigenvalues outside the intervals"],
+                        "interval containment: FAIL"),
+        # every angle bound and both weighted bounds at gamma = 1 read 0.4
+        "soundness": (lambda o: replace(o, mu_min_plus=0.3),
+                      [f"soundness: {name} = 4.000000e-01 exceeds mu_min_plus(K) = 3.000000e-01"
+                       for name in ("lowest-rank", "kernel-angle", "general-rank", "wbound",
+                                    "agamma")],
+                      "soundness lowest-rank: violated (slack -1.000e-01)"),
+    }
+
+    @classmethod
+    def doctor(cls, monkeypatch, check):
+        """Make ``harness.oracle`` return its result doctored to fail ``check``."""
+        real = harness.oracle
+        monkeypatch.setattr(harness, "oracle",
+                            lambda *args: cls.DOCTORED[check][0](real(*args)))
+
+    @pytest.mark.parametrize("check", DOCTORED)
+    def test_each_failed_check_is_a_violation(self, tmp_path, capsys, monkeypatch, check):
+        _, failures, line = self.DOCTORED[check]
+        pa, pb, _ = generate_toy(tmp_path)
+        self.doctor(monkeypatch, check)
+        lines = []
+        assert cli.run_verification(gen_toy(0.6, 0.8), (1.0,), emit=lines.append) == failures
+        assert line in lines
+        capsys.readouterr()
+        # at the default gammas too, the failures are the same
+        rc = cli.main(["verify", "--A", pa, "--B", pb])
+        assert rc == cli.EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.err == "".join(f"violation: {failure}\n" for failure in failures)
+        assert line in captured.out.splitlines()
+        assert "all invariants hold" not in captured.out
+
+    def test_containment_reads_the_report_that_carries_intervals(self, monkeypatch):
+        # not the first report: with applicable_bounds' list reversed, the
+        # Rusten-Winther intervals are still the ones checked
+        listed = harness.applicable_bounds
+        monkeypatch.setattr(harness, "applicable_bounds",
+                            lambda *args, **kwargs: listed(*args, **kwargs)[::-1])
+        p = gen_toy(0.6, 0.8)
+        lines = []
+        assert cli.run_verification(p, (1.0,), emit=lines.append) == []
+        assert "interval containment: ok" in lines
+        self.doctor(monkeypatch, "containment")
+        _, failures, line = self.DOCTORED["containment"]
+        lines = []
+        assert cli.run_verification(p, (1.0,), emit=lines.append) == failures
+        assert line in lines
 
     def test_holds_where_the_augmented_condition_explodes(self):
         # at gamma = 1e14 the toy's K_gamma has condition 1e28; verify

@@ -38,7 +38,13 @@ from saddlebounds.harness import (
     ptp_spectrum_deviation,
 )
 from saddlebounds.linalg import SymmetricMatrix, numerically_singular
-from saddlebounds.problems import gen_ipm_like, gen_random_lowest_rank, gen_remark, gen_toy
+from saddlebounds.problems import (
+    gen_ipm_like,
+    gen_prescribed_angles,
+    gen_random_lowest_rank,
+    gen_remark,
+    gen_toy,
+)
 
 
 def toy(b1=0.6, b2=0.8):
@@ -478,8 +484,9 @@ class TestSweep:
 
 
 class TestLapackFailures:
-    """A LinAlgError from any dense routine of the checks is a
-    ConvergenceError naming the failed step."""
+    """A LinAlgError from any dense routine of the checks or of a generator
+    is a ConvergenceError naming the failed step; a failed Cholesky of the
+    nonsingularity certificate leaves K to its dense check."""
 
     @pytest.mark.parametrize("routine, fails, check, what", [
         ("inv", lambda p, a: True, lambda p: inverse_identity_residual(p, 1.0),
@@ -499,8 +506,12 @@ class TestLapackFailures:
         # wbound and the sweep share one eigensolve of the augmented blocks
         ("eigvalsh", lambda p, a: True, lambda p: wbound(p, 1.0),
          "eigensolve of the augmented blocks"),
+        # the prescribed-angles generator draws its orthogonal frames by QR
+        ("qr", lambda p, a: True,
+         lambda p: gen_prescribed_angles(6, 2, [1, 2, 3, 4], [1, 1], [0.5, 1.0], seed=2),
+         "QR of the seeded Gaussian matrix"),
     ], ids=["k-inverse", "kw-solve", "schur-inverse", "kw-eigensolve", "gram", "sweep",
-            "wbound"])
+            "wbound", "qr"])
     def test_failure_names_the_step(self, monkeypatch, routine, fails, check, what):
         p = gen_random_lowest_rank(12, 5, seed=3)
         # the kept spectrum of K the checks read
@@ -515,6 +526,30 @@ class TestLapackFailures:
         monkeypatch.setattr(np.linalg, routine, failing)
         with pytest.raises(ConvergenceError, match=f"^{what} failed: stubbed$"):
             check(p)
+
+    def test_failed_cholesky_falls_back_to_one_eigensolve_of_k(self, monkeypatch):
+        p = gen_random_lowest_rank(12, 5, seed=3)
+        order = p.n + p.m
+        eigvalsh = np.linalg.eigvalsh
+        factored = []
+        solved = []
+
+        def failing(a, *args, **kwargs):
+            factored.append(a.shape)
+            raise np.linalg.LinAlgError("stubbed")
+
+        def counting(a, *args, **kwargs):
+            solved.append(a.shape[-2:] == (order, order))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        q = SaddleProblem(p.A.array, p.B.array)
+        # the certificate tried its order-n factor, and K was solved once
+        assert factored == [(p.n, p.n)]
+        assert sum(solved) == 1
+        assert "k_eigs" in vars(q)
+        assert np.array_equal(q.k_eigs, eigvalsh(p.k_matrix))
 
 
 class TestStackedBasisSpectrum:

@@ -244,6 +244,15 @@ class TestParseErrors:
         text = "%%MatrixMarket matrix coordinate complex general\n1 1 0\n"
         self.check(tmp_path, text, line=1, column=34, fragment="complex")
 
+    def test_unsupported_object_points_at_token(self, tmp_path):
+        text = "%%MatrixMarket vector coordinate real general\n1 1 0\n"
+        self.check(tmp_path, text, line=1, column=16, fragment="unsupported object 'vector'")
+
+    def test_unsupported_symmetry_points_at_token(self, tmp_path):
+        text = "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 0\n"
+        self.check(tmp_path, text, line=1, column=39,
+                   fragment="unsupported symmetry 'skew-symmetric'")
+
     def test_unsupported_format(self, tmp_path):
         text = "%%MatrixMarket matrix sparse real general\n1 1 0\n"
         self.check(tmp_path, text, line=1, column=23, fragment="sparse")

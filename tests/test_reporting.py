@@ -122,6 +122,23 @@ class TestReadProblem:
         with pytest.raises(StructureError, match="split index"):
             read_problem({"K": str(pk), "n": 3})
 
+    def test_rejects_non_square_k(self, tmp_path):
+        pk = tmp_path / "K.mtx"
+        write_matrix_market(pk, np.ones((3, 4)))
+        with pytest.raises(StructureError, match=r"^K file must be square, got shape \(3, 4\)$"):
+            read_problem({"K": str(pk), "n": 2})
+        assert size_line_order({"K": str(pk), "n": 2}) is None
+
+    @pytest.mark.parametrize("missing", ["K", "A", "B"])
+    def test_size_line_order_of_a_missing_file_is_none(self, tmp_path, missing):
+        # read_problem then reports the missing file
+        _, pa, pb = toy_files(tmp_path)
+        gone = str(tmp_path / "missing.mtx")
+        source = {"K": gone, "n": 2} if missing == "K" else {"A": pa, "B": pb, missing: gone}
+        assert size_line_order(source) is None
+        with pytest.raises(FileNotFoundError):
+            read_problem(source)
+
     @pytest.mark.parametrize("n, refusal", [
         (3.7, "must be an integer, got 3.7"),
         ("3", "must be a real number, got str"),

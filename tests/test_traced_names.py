@@ -1,14 +1,18 @@
 """The benchmark's tracer rebinds package functions by name; every name it
-lists must still exist, or only a traced benchmark run would show it."""
+lists must still exist, or only a traced benchmark run would show it. It
+counts the LAPACK routines it rebinds on numpy.linalg, which the package
+calls through ``linalg.lapack`` alone."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
 
 import numpy as np
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "bench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "bench", "tracing.py")
 
 
 def _load_tracing():
@@ -30,3 +34,20 @@ def test_every_traced_name_resolves():
     missing += [f"numpy.linalg.{r}" for r in tracing.LAPACK_ROUTINES
                 if not callable(getattr(np.linalg, r, None))]
     assert missing == []
+
+
+def test_only_linalg_calls_a_lapack_routine():
+    # every other module goes through linalg.lapack, which names the failed
+    # step and looks the routine up at each call, as the tracer needs
+    routines = set(_load_tracing().LAPACK_ROUTINES)
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "saddlebounds", "*.py"))):
+        if os.path.basename(path) == "linalg.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in routines
+                    and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")):
+                found.append(f"{os.path.basename(path)}:{node.lineno} np.linalg.{node.attr}")
+    assert found == []
