@@ -26,9 +26,7 @@ from .bounds import (
 from .errors import (
     AugmentedBlockSingularError,
     ConvergenceError,
-    DimensionMismatchError,
     GenerationFailedError,
-    NonFiniteError,
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
     ParseError,

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import (
     AugmentedBlockSingularError,
     ConvergenceError,
-    DimensionMismatchError,
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
     RankAssumptionError,
@@ -41,6 +40,7 @@ from .errors import (
     RankTooLowError,
     SingularKError,
     SizeCapError,
+    StructureError,
     ZeroAngleError,
 )
 from .linalg import (
@@ -153,38 +153,40 @@ class SaddleProblem:
         n = self.A.order
         m, nb = self.B.array.shape
         if nb != n:
-            raise DimensionMismatchError(
+            raise StructureError(
                 f"constraint block is {m}x{nb} but the leading block has order {n}"
             )
         if m >= n:
-            raise DimensionMismatchError(
-                f"need m < n for a saddle problem, got m = {m}, n = {n}"
-            )
+            raise StructureError(f"need m < n for a saddle problem, got m = {m}, n = {n}")
         self.n = n
         self.m = m
         self.rel_tol = checked_rel_tol(rel_tol) if rel_tol is not None else default_rank_tol(n)
 
-        dec = sym_eig(self.A)
-        top = float(dec.values[0])
-        bottom = float(dec.values[-1])
+        raw, vectors = sym_eig(self.A)
+        top = float(raw[0])
+        bottom = float(raw[-1])
         if not numerically_semidefinite(bottom, top, self.rel_tol):
             raise NotPositiveSemidefiniteError(
                 f"leading block has eigenvalue {bottom:.6e} below "
                 f"-rel_tol * mu_max = {-self.rel_tol * max(top, 0.0):.6e}"
             )
-        self.eig_a = dec
-        # clamp the roundoff-negative tail so downstream summaries see >= 0
-        self.a_values = _frozen(np.maximum(dec.values, 0.0))
+        # A's eigenpairs, values descending; a_values clamps the
+        # roundoff-negative tail so downstream summaries see >= 0
+        self.a_raw_values = raw
+        self.a_vectors = vectors
+        self.a_values = _frozen(np.maximum(raw, 0.0))
 
-        sdec = svd(self.B)
-        smax = float(sdec.singular_values[0])
-        smin = float(sdec.singular_values[-1])
+        sing, right = svd(self.B)
+        smax = float(sing[0])
+        smin = float(sing[-1])
         if numerically_singular(smin, smax, self.rel_tol):
             raise RankDeficientError(
                 f"constraint block is not full row rank: sigma_min = {smin:.6e}, "
                 f"sigma_max = {smax:.6e}, rel_tol = {self.rel_tol:g}"
             )
-        self.svd_b = sdec
+        self.b_singular_values = sing
+        # B is full row rank, so all m right singular vectors span range(B^T)
+        self.row_space_b = right
 
         if not self._k_certified_nonsingular():
             if n + m > DEFAULT_SIZE_CAP:
@@ -271,7 +273,7 @@ class SaddleProblem:
         vals = self.a_values
         rank = numerical_rank(vals, self.rel_tol)
         mu_min_plus = float(vals[rank - 1]) if rank > 0 else 0.0
-        s = self.svd_b.singular_values
+        s = self.b_singular_values
         return SpectralSummary(
             mu_max=float(vals[0]),
             mu_min=float(vals[-1]),
@@ -288,19 +290,14 @@ class SaddleProblem:
     # so the first rank_a columns are those of the largest |eigenvalues|
     @cached_property
     def range_a(self):
-        return _frozen(self.eig_a.vectors[:, : self.summary.rank_a])
+        return _frozen(self.a_vectors[:, : self.summary.rank_a])
 
     @cached_property
     def kernel_a(self):
         """The columns past rank_a, by |eigenvalue| descending (stable)."""
         rank = self.summary.rank_a
-        order = np.argsort(-np.abs(self.eig_a.values[rank:]), kind="stable")
-        return _frozen(self.eig_a.vectors[:, rank + order])
-
-    @property
-    def row_space_b(self):
-        # B is validated full row rank, so all m right singular vectors qualify
-        return self.svd_b.right_vectors
+        order = np.argsort(-np.abs(self.a_raw_values[rank:]), kind="stable")
+        return _frozen(self.a_vectors[:, rank + order])
 
     @cached_property
     def bt_b(self):
@@ -310,18 +307,19 @@ class SaddleProblem:
 
     @cached_property
     def range_angles(self):
-        """Principal angles between range(A) and range(B^T)."""
+        """Cosines of the principal angles between range(A) and range(B^T),
+        descending, as ``principal_angles`` returns them."""
         return principal_angles(self.range_a, self.row_space_b)
 
     @cached_property
     def kernel_angles(self):
-        """Principal angles between ker(A) and ker(B); ker(B) is formed
-        here and not kept."""
+        """Cosines of the principal angles between ker(A) and ker(B),
+        descending; ker(B) is formed here and not kept."""
         return principal_angles(self.kernel_a, kernel_basis_rect(self.B, self.rel_tol))
 
     @cached_property
     def split_quantities(self):
-        """(mu_{n-m}, angles, degenerate) of the split at the top-(n - m)
+        """(mu_{n-m}, angle cosines, degenerate) of the split at the top-(n - m)
         eigenspace of A; RankTooLowError when rank(A) < n - m (K singular).
 
         In the lowest-rank case the split basis holds exactly the columns
@@ -332,12 +330,12 @@ class SaddleProblem:
             raise RankTooLowError(
                 f"rank(A) = {rank} < n - m = {k}; the saddle matrix would be singular"
             )
-        raw = self.eig_a.values
+        raw = self.a_raw_values
         mu_nm = float(self.a_values[k - 1])
         degenerate = abs(float(raw[k - 1]) - float(raw[k])) <= self.rel_tol * abs(float(raw[0]))
         if self.is_lowest_rank:
             return mu_nm, self.range_angles, degenerate
-        return mu_nm, principal_angles(self.eig_a.vectors[:, :k], self.row_space_b), degenerate
+        return mu_nm, principal_angles(self.a_vectors[:, :k], self.row_space_b), degenerate
 
     def augmented_blocks(self, gammas):
         """A + gamma B^T B, stacked when ``gammas`` is an array: the one place
@@ -467,10 +465,11 @@ def _require_lowest_rank(problem):
         )
 
 
-def rho_from_angles(angles):
-    """(1 - cos(theta_min), theta_min) of a PrincipalAngles, theta_min
-    its smallest angle: the angle data every angle bound reads."""
-    return 1.0 - float(angles.cosines[0]), float(angles.angles[0])
+def rho_from_angles(cosines):
+    """(1 - cos(theta_min), theta_min) of the descending cosines of the
+    principal angles, theta_min the smallest angle: the angle data every
+    angle bound reads."""
+    return 1.0 - float(cosines[0]), float(np.arccos(cosines)[0])
 
 
 # subspace pair of an angle bound -> (report name, details key of its angle)
@@ -491,16 +490,16 @@ def _angle_bound(problem, pair, angle_tol):
     angle_tol = _tolerance(angle_tol, "angle_tol")
     s = problem.summary
     if pair == "split":
-        mu, angles, degenerate = problem.split_quantities
+        mu, cosines, degenerate = problem.split_quantities
         details = {"mu_n_minus_m": mu, "rank_a": s.rank_a}
         warns = ("degenerate-split",) if degenerate else ()
     else:
         _require_lowest_rank(problem)
         mu = s.mu_min_plus
-        angles = problem.range_angles if pair == "range" else problem.kernel_angles
+        cosines = problem.range_angles if pair == "range" else problem.kernel_angles
         details, warns = {"mu_min_plus": mu}, ()
     name, angle_key = _ANGLE_BOUNDS[pair]
-    rho, theta_min = rho_from_angles(angles)
+    rho, theta_min = rho_from_angles(cosines)
     arg_mu, arg_sigma = mu * rho, s.sigma_min * math.sqrt(rho)
     value, active = (arg_mu, "mu") if arg_mu <= arg_sigma else (arg_sigma, "sigma")
     if theta_min <= angle_tol:

@@ -5,16 +5,8 @@ class SaddleBoundsError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonFiniteError(SaddleBoundsError):
-    """Input contains NaN or Inf entries."""
-
-
 class ConvergenceError(SaddleBoundsError):
     """A dense eigenvalue or singular value iteration failed to converge."""
-
-
-class DimensionMismatchError(SaddleBoundsError):
-    """Operands have incompatible or empty shapes."""
 
 
 class ProblemValidationError(SaddleBoundsError):
@@ -53,7 +45,8 @@ class ZeroAngleError(SaddleBoundsError):
 
 
 class ParameterOutOfRangeError(SaddleBoundsError):
-    """A parameter lies outside its documented domain."""
+    """A parameter lies outside its documented domain, or a matrix entry is
+    not a finite real number."""
 
 
 class GenerationFailedError(SaddleBoundsError):
@@ -81,4 +74,6 @@ class ParseError(SaddleBoundsError):
 
 
 class StructureError(SaddleBoundsError):
-    """Ingested matrices violate the saddle-point block structure."""
+    """A matrix has the wrong shape or structure: not 2-D, empty, not
+    square or not symmetric where that is needed, or blocks that do not
+    fit the saddle-point block structure."""

@@ -305,14 +305,14 @@ def ptp_spectrum_deviation(problem):
     p = np.hstack([problem.range_a, problem.row_space_b])
     # eigvalsh returns the eigenvalues ascending, as expected is sorted
     gram_eigs = lapack("eigvalsh", "eigensolve of the stacked-basis Gram matrix", p.T @ p)
-    cos = problem.range_angles.cosines
+    cos = problem.range_angles
     k = cos.shape[0]
     expected = np.sort(
         np.concatenate([np.ones(problem.n - 2 * k), 1.0 - cos, 1.0 + cos])
     )
     dev_spectrum = float(np.max(np.abs(gram_eigs - expected)))
     # sigma_min(P)^2 is the smallest eigenvalue of P^T P
-    dev_inverse = abs(float(gram_eigs[0]) - rho_from_angles(problem.range_angles)[0])
+    dev_inverse = abs(float(gram_eigs[0]) - rho_from_angles(cos)[0])
     return dev_spectrum, dev_inverse
 
 

@@ -5,8 +5,11 @@ number, ``_integer``, the one test of an integer, and ``_tolerance``,
 the one test of a caller's absolute tolerance.
 
 The decompositions take the validated SymmetricMatrix and RectMatrix
-wrappers, whose backing arrays are read-only. A subspace basis is a
-read-only array with one orthonormal column per basis vector. Every
+wrappers, whose backing arrays are read-only, and return read-only
+arrays. A matrix of the wrong shape is refused with StructureError; an
+entry that is not a real number, or not finite, with
+ParameterOutOfRangeError. A subspace basis is a read-only array with
+one orthonormal column per basis vector. Every
 function here is a pure map from immutable values to immutable values,
 so results can be shared across threads.
 """
@@ -16,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    NonFiniteError,
-    ParameterOutOfRangeError,
-    StructureError,
-)
+from .errors import ConvergenceError, ParameterOutOfRangeError, StructureError
 
 EPS = float(np.finfo(float).eps)
 
@@ -118,11 +115,9 @@ class SymmetricMatrix:
     def from_array(cls, m):
         arr = _real(m, "each matrix entry")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise DimensionMismatchError(
-                f"expected a nonempty square matrix, got shape {arr.shape}"
-            )
+            raise StructureError(f"expected a nonempty square matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise NonFiniteError("matrix contains NaN or Inf entries")
+            raise ParameterOutOfRangeError("matrix contains NaN or Inf entries")
         # one work array serves |M|, |M - M^T| and the stored (M + M^T) / 2
         work = np.abs(arr, out=np.empty(arr.shape))
         scale = float(work.max())
@@ -152,41 +147,10 @@ class RectMatrix:
         # a copy: the caller keeps m
         arr = np.array(_real(m, "each matrix entry"), order="C")
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise DimensionMismatchError(
-                f"expected a nonempty 2-D matrix, got shape {arr.shape}"
-            )
+            raise StructureError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise NonFiniteError("matrix contains NaN or Inf entries")
+            raise ParameterOutOfRangeError("matrix contains NaN or Inf entries")
         return cls(_frozen(arr))
-
-
-@dataclass(frozen=True, eq=False)
-class EigDecomposition:
-    """Eigenpairs of a symmetric matrix, values sorted descending.
-
-    Column i of ``vectors`` belongs to ``values[i]``. Ties keep the order
-    in which the solver produced them.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SvdDecomposition:
-    """Economy-size SVD: singular values descending; column i of
-    ``right_vectors`` belongs to ``singular_values[i]``."""
-
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class PrincipalAngles:
-    """Cosines descending in [0, 1] and the matching angles ascending."""
-
-    cosines: np.ndarray
-    angles: np.ndarray
 
 
 def lapack(routine, what, *args, **kwargs):
@@ -200,17 +164,21 @@ def lapack(routine, what, *args, **kwargs):
 
 
 def sym_eig(m):
-    """Full eigendecomposition of a SymmetricMatrix, values descending."""
+    """(values, vectors) of a SymmetricMatrix, read-only, values sorted
+    descending; column i of ``vectors`` belongs to ``values[i]``, and ties
+    keep the order in which the solver produced them."""
     values, vectors = lapack("eigh", "symmetric eigensolve", m.array)
     order = np.argsort(-values, kind="stable")
     # take writes a C-ordered array, which _frozen keeps without a copy
-    return EigDecomposition(_frozen(values[order]), _frozen(vectors.take(order, axis=1)))
+    return _frozen(values[order]), _frozen(vectors.take(order, axis=1))
 
 
 def svd(m):
-    """Economy-size singular value decomposition of a RectMatrix."""
+    """(singular values, right singular vectors) of the economy-size SVD
+    of a RectMatrix, read-only, values descending; column i of the
+    vectors belongs to value i."""
     _, s, vh = lapack("svd", "singular value decomposition", m.array, full_matrices=False)
-    return SvdDecomposition(_frozen(s), _frozen(vh.T))
+    return _frozen(s), _frozen(vh.T)
 
 
 def numerical_rank(values, rel_tol):
@@ -221,12 +189,12 @@ def numerical_rank(values, rel_tol):
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
-        raise DimensionMismatchError("numerical_rank expects a 1-D value array")
+        raise StructureError("numerical_rank expects a 1-D value array")
     rel_tol = checked_rel_tol(rel_tol)
     if vals.size == 0:
         return 0
     if not np.isfinite(vals).all():
-        raise NonFiniteError("values contain NaN or Inf")
+        raise ParameterOutOfRangeError("values contain NaN or Inf")
     if np.any(np.diff(vals) > 0):
         raise ParameterOutOfRangeError("values must be sorted descending")
     if vals[-1] < 0:
@@ -266,20 +234,19 @@ def kernel_basis_rect(m, rel_tol):
 
 
 def principal_angles(x, y):
-    """Principal angles between two subspaces given by orthonormal bases,
-    arrays with one column per basis vector.
+    """Cosines of the principal angles between two subspaces given by
+    orthonormal bases, arrays with one column per basis vector: a read-only
+    array, descending, so ``np.arccos`` of it is the angles ascending.
 
     The cosines are the singular values of X^T Y clamped into [0, 1];
     their count is the smaller of the two subspace dimensions. Bases of
-    different ambient dimensions, or an empty basis, raise
-    DimensionMismatchError.
+    different ambient dimensions, or an empty basis, raise StructureError.
     """
     if x.shape[0] != y.shape[0]:
-        raise DimensionMismatchError(
+        raise StructureError(
             f"subspaces live in different ambient spaces: {x.shape[0]} vs {y.shape[0]}"
         )
     if x.shape[1] == 0 or y.shape[1] == 0:
-        raise DimensionMismatchError("principal angles need both subspaces nonempty")
+        raise StructureError("principal angles need both subspaces nonempty")
     s = lapack("svd", "singular value decomposition", x.T @ y, compute_uv=False)
-    cos = np.clip(s, 0.0, 1.0)
-    return PrincipalAngles(_frozen(cos), _frozen(np.arccos(cos)))
+    return _frozen(np.clip(s, 0.0, 1.0))

@@ -4,7 +4,9 @@ Handles coordinate and array formats with general or symmetric storage.
 A line ends only where the file's own lines end (``\n``, ``\r\n`` or
 ``\r``, as universal newlines give them); any other whitespace,
 ``\v``, ``\f`` and ``\x1c``-``\x1f`` included, separates tokens as a
-space does. The banner and size line are parsed by one function, which
+space does. Comment and blank lines after the banner are skipped,
+before the size line as in the data section, as NIST's mmio.c skips
+them. The banner and size line are parsed by one function, which
 also serves ``read_matrix_market_shape``: a file's shape with no data
 read. The reader then hands the open file, after the size line, to
 numpy's C text reader. Whatever that reader declines (a malformed
@@ -49,6 +51,11 @@ PLACE_CHUNK_ENTRIES = 4096
 def _tokens(line):
     """(text, 1-based column) for each whitespace-separated token."""
     return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
+
+
+def _skipped(line):
+    """Whether ``line`` is a comment or blank, a line every reader skips."""
+    return not line.strip() or line.lstrip().startswith("%")
 
 
 def _parse_int(text, lineno, column):
@@ -99,13 +106,12 @@ def _read_header(lines):
     if symmetry not in _SYMMETRIES:
         raise ParseError(f"unsupported symmetry {symmetry!r}", 1, header[4][1])
 
-    # skip comments, locate the size line
     idx = 1
     line = next(lines, None)
-    while line is not None and line.lstrip().startswith("%"):
+    while line is not None and _skipped(line):
         idx += 1
         line = next(lines, None)
-    if line is None or not line.strip():
+    if line is None:
         raise ParseError("missing size line", idx + 1)
     size_toks = _tokens(line)
     want = 3 if fmt == "coordinate" else 2
@@ -231,11 +237,8 @@ def _scan_columns(lines, idx, fmt, field, symmetry, rows, cols, count):
     _load_columns does, or raise the ParseError of the first malformed
     line with the line and column of the bad token."""
     parse_value = _parse_float if field == "real" else _parse_integral
-    data_lines = []
-    for off, line in enumerate(lines[idx + 1 :], start=idx + 2):
-        if line.lstrip().startswith("%") or not line.strip():
-            continue
-        data_lines.append((off, line))
+    data_lines = [(off, line) for off, line in enumerate(lines[idx + 1 :], start=idx + 2)
+                  if not _skipped(line)]
     last = data_lines[-1][0] if data_lines else idx + 1
 
     if fmt == "coordinate":

@@ -184,7 +184,7 @@ def gen_prescribed_angles(n, m, a_eigs, b_sing_vals, thetas, seed=0):
     b = left @ (b_sing_vals[:, None] * e.T)
     problem = SaddleProblem(a, b)
 
-    measured = problem.range_angles.angles
+    measured = np.arccos(problem.range_angles)
     # measured ascending vs requested ascending
     err = float(np.max(np.abs(np.sort(measured) - thetas)))
     if err > _ANGLE_ROUNDTRIP_TOL:

@@ -141,6 +141,25 @@ FIXED_GAMMA_WBOUND = [
 ]
 
 
+# the default 25-point sweep reports mu_min(A_gamma) >= 0, A_gamma being
+# positive semidefinite. Rows 23 and 24 are negative: -5.9e-12 and -5.8e-11
+# on draw 23, -1.7e-9 and -8.1e-10 on draw 46, among the rows where wbound
+# would refuse A_gamma as numerically singular (18-24 and 16-24)
+SWEEP_SEMIDEFINITE = [
+    Member(f"wide-range-draw-{i}", lambda i=i: wide_range_draw(i), today=AssertionError,
+           why="a floating eigenvalue of a numerically singular A_gamma rounds below zero")
+    for i in (23, 46)
+]
+
+# the default sweep grid [1e-4, 1e4] brackets the crossing of 1/gamma and
+# mu_min(A_gamma). Here mu_min_plus(K) = 1.7e-6, and the leading-block term
+# is active at all 25 points
+DEFAULT_GRID_CROSSING = [
+    random_member(400, 160, 3, today=AssertionError,
+                  why="mu_min_plus(K) < 1e-4 puts the crossing past the grid's top"),
+]
+
+
 def _right_angle_member(label, a_eigs, theta_min):
     """prescribed-angles, m = 1, B's singular value 1, seed 2."""
     return Member(label, lambda: _arrays(gen_prescribed_angles(

@@ -32,7 +32,6 @@ from saddlebounds.bounds import (
 )
 from saddlebounds.errors import (
     AugmentedBlockSingularError,
-    DimensionMismatchError,
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
     RankAssumptionError,
@@ -40,6 +39,7 @@ from saddlebounds.errors import (
     RankTooLowError,
     SingularKError,
     SizeCapError,
+    StructureError,
     ZeroAngleError,
 )
 from saddlebounds.harness import (
@@ -70,11 +70,13 @@ def toy(b1=0.6, b2=0.8):
 
 class TestProblemValidation:
     def test_rejects_block_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        refusal = "^constraint block is 1x2 but the leading block has order 3$"
+        with pytest.raises(StructureError, match=refusal):
             SaddleProblem(np.eye(3), np.array([[1.0, 0.0]]))
 
     def test_rejects_m_not_below_n(self):
-        with pytest.raises(DimensionMismatchError):
+        refusal = "^need m < n for a saddle problem, got m = 2, n = 2$"
+        with pytest.raises(StructureError, match=refusal):
             SaddleProblem(np.eye(2), np.eye(2))
 
     def test_rejects_indefinite_leading_block(self):

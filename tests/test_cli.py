@@ -957,6 +957,26 @@ class TestExitCodes:
         assert info.value.code == 0
         assert "saddlebounds" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--gamma", "1"],
+        ["bound", "--gamma", "1", "--out", "rep"],
+        ["verify"],
+    ], ids=["bound", "bound-out", "verify"])
+    def test_nan_entry_is_an_input_error(self, tmp_path, capsys, argv):
+        pa = tmp_path / "A.mtx"
+        pa.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                      "3 3 2\n1 1 1.0\n2 2 nan\n")
+        pb = tmp_path / "B.mtx"
+        write_matrix_market(pb, np.array([[0.0, 0.3, 1.0]]))
+        out = tmp_path / "rep"
+        argv = [str(out) if arg == "rep" else arg for arg in argv]
+        rc = cli.main([*argv, "--A", str(pa), "--B", str(pb)])
+        assert rc == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix contains NaN or Inf entries\n"
+        assert not out.exists()
+
     def test_structure_error_maps_to_two(self, tmp_path, capsys):
         pa = tmp_path / "A.mtx"
         pb = tmp_path / "B.mtx"

@@ -29,9 +29,12 @@ from saddlebounds.harness import (
     run_verification,
 )
 from saddlebounds.mmio import write_matrix_market
+from saddlebounds.reporting import RunConfig
 
 # absolute tolerance of the inverse-identity residual
 INVERSE_IDENTITY_TOL = 1e-8
+# the sweep command's default grid
+DEFAULT_GRID = log_gamma_grid(RunConfig.gamma_min, RunConfig.gamma_max, RunConfig.gamma_points)
 
 
 def problem_of(member):
@@ -128,3 +131,15 @@ def test_certify_calls_no_refuted_value_sound(member):
                if certify(BoundReport("wbound", v), orc).status == "sound"
                and not exact.proves_lower_bound(a, b, v)]
     assert refuted == []
+
+
+@pytest.mark.parametrize("member", [m.param() for m in hard.SWEEP_SEMIDEFINITE])
+def test_default_sweep_reports_no_negative_mu_min(member):
+    sweep = gamma_sweep(problem_of(member), DEFAULT_GRID)
+    negative = [i for i, mu in enumerate(sweep.mu_min_a_gamma.tolist()) if mu < 0]
+    assert negative == []
+
+
+@pytest.mark.parametrize("member", [m.param() for m in hard.DEFAULT_GRID_CROSSING])
+def test_default_sweep_brackets_the_crossing(member):
+    assert gamma_sweep(problem_of(member), DEFAULT_GRID).crossing_index is not None

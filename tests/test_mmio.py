@@ -55,11 +55,12 @@ def reference_read_data(text):
     """The line-by-line reader of a data section, kept as the reference for
     read_matrix_market: per line tokenize, parse, range-check and store.
     ``text`` has a well-formed banner on its first line and a well-formed
-    size line on the first line after it that is not a comment. Lines end
-    where universal newlines end them."""
+    size line on the first line after it that is neither a comment nor
+    blank. Lines end where universal newlines end them."""
     lines = io.StringIO(text, newline=None).readlines()
     _, _, fmt, _, symmetry = lines[0].split()
-    at = next(k for k in range(1, len(lines)) if not lines[k].lstrip().startswith("%"))
+    at = next(k for k in range(1, len(lines))
+              if lines[k].strip() and not lines[k].lstrip().startswith("%"))
     size = [int(t) for t in lines[at].split()]
     rows, cols = size[:2]
     out = np.zeros((rows, cols))
@@ -321,6 +322,20 @@ class TestShape:
         path = write_text(tmp_path / "m.mtx", text)
         assert read_matrix_market_shape(path) == read_matrix_market(path).shape == shape
 
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate real general\n% c\n\n2 2 1\n1 1 3.0\n",
+        "%%MatrixMarket matrix coordinate real general\r\n \t\r\n% c\r\n\r\n2 2 1\r\n1 1 3.0\r\n",
+        "%%MatrixMarket matrix array real general\n\n2 2\n3.0\n0\n0\n0\n",
+    ])
+    def test_blank_lines_before_the_size_line_are_skipped(self, tmp_path, text):
+        # as the data section skips them, and as NIST's mmio.c and
+        # scipy.io.mmread read such a file
+        path = write_text(tmp_path / "m.mtx", text)
+        expected = [[3.0, 0.0], [0.0, 0.0]]
+        np.testing.assert_array_equal(read_matrix_market(path), expected)
+        np.testing.assert_array_equal(reference_read_data(text), expected)
+        assert read_matrix_market_shape(path) == (2, 2)
+
     def test_reads_no_data(self, tmp_path):
         path = write_text(tmp_path / "m.mtx",
                           "%%MatrixMarket matrix coordinate real general\n"
@@ -335,7 +350,8 @@ class TestShape:
         "%%MatrixMarket matrix coordinate real general\n% only comments\n",
         # a form feed ends no line, so the size line stays in the comment
         "%%MatrixMarket matrix coordinate real general\r\n% c\x0c2 3 0\r\n",
-        "%%MatrixMarket matrix coordinate real general\n\n1 1 0\n",
+        # blank lines are skipped, and no size line follows them
+        "%%MatrixMarket matrix coordinate real general\n\n  \t\n",
         "%%MatrixMarket matrix coordinate real general\n2 2\n",
         "%%MatrixMarket matrix coordinate real general\n2 x 0\n",
         "%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n",

@@ -98,7 +98,7 @@ class TestPrescribedAngles:
         a_eigs = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
         b_sing = np.array([0.8, 1.1, 1.6])
         p = gen_prescribed_angles(10, 3, a_eigs, b_sing, thetas, seed=0)
-        measured = principal_angles(p.range_a, p.row_space_b).angles
+        measured = np.arccos(principal_angles(p.range_a, p.row_space_b))
         np.testing.assert_allclose(np.sort(measured), thetas, atol=1e-8)
         s = p.summary
         assert abs(s.mu_max - 3.5) <= 1e-12
@@ -122,7 +122,7 @@ class TestPrescribedAngles:
     def test_tiny_angle_survives_validation(self):
         thetas = np.array([1e-6, 0.5])
         p = gen_prescribed_angles(8, 2, np.ones(6), np.ones(2), thetas, seed=2)
-        measured = principal_angles(p.range_a, p.row_space_b).angles
+        measured = np.arccos(principal_angles(p.range_a, p.row_space_b))
         assert abs(float(np.min(measured)) - 1e-6) <= 1e-8
 
     def test_needs_twice_the_rows(self):

@@ -11,7 +11,7 @@ from saddlebounds import cli
 from saddlebounds.bounds import applicable_bounds, general_rank_optimal_gamma, optimal_gamma
 from saddlebounds.errors import ParameterOutOfRangeError, StructureError, ZeroAngleError
 from saddlebounds.harness import certify, gamma_sweep, log_gamma_grid, oracle
-from saddlebounds.mmio import write_matrix_market
+from saddlebounds.mmio import format_matrix_market, write_matrix_market
 from saddlebounds.problems import gen_remark, gen_toy
 from saddlebounds.reporting import (
     BOUNDS_CSV_HEADER,
@@ -160,6 +160,14 @@ class TestReadProblem:
         assert (q.n, q.m) == (3, 2)
         assert np.array_equal(q.A.array, read_problem({"K": str(pk), "n": 3}).A.array)
         assert size_line_order({"K": str(pk), "n": n}) == 5
+
+    def test_blank_lines_before_the_size_line_are_skipped(self, tmp_path):
+        p = gen_remark(0.5)
+        banner, rest = format_matrix_market(p.k_matrix, symmetric=True).split("\n", 1)
+        pk = tmp_path / "K.mtx"
+        pk.write_text(f"{banner}\n% c\n\n  \t\n{rest}")
+        assert size_line_order({"K": str(pk), "n": 3}) == 5
+        assert np.array_equal(read_problem({"K": str(pk), "n": 3}).A.array, p.A.array)
 
     @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, float("inf"), float("nan")])
     def test_rel_tol_is_checked_before_the_structure(self, tmp_path, rel_tol):
