@@ -20,7 +20,6 @@ from .errors import ParameterOutOfRangeError, SaddleBoundsError, SizeCapError
 from .harness import (
     DEFAULT_VERIFY_GAMMAS,
     certify,
-    check_size_cap,
     gamma_sweep,
     log_gamma_grid,
     oracle,
@@ -34,7 +33,6 @@ from .reporting import (
     envelope_to_json,
     read_problem,
     report_envelope,
-    size_line_order,
     write_report,
 )
 
@@ -75,16 +73,6 @@ def _source(args):
     if args.n is not None:
         raise ParameterOutOfRangeError("--n applies only with --K")
     return {"A": args.A, "B": args.B}
-
-
-def _read_under_cap(source, cfg):
-    """``read_problem`` for the commands that need the oracle: an order
-    above the size cap is refused from the files' size lines, before any
-    data is read."""
-    order = size_line_order(source)
-    if order is not None:
-        check_size_cap(order, cfg.size_cap)
-    return read_problem(source, cfg.rel_tol)
 
 
 def _certified_envelope(problem, cfg, source, gamma=None, sweep=None, notes=()):
@@ -184,7 +172,7 @@ def cmd_sweep(args):
     # the grid is checked before the problem arguments and files
     grid = log_gamma_grid(cfg.gamma_min, cfg.gamma_max, cfg.gamma_points)
     source = _source(args)
-    problem = _read_under_cap(source, cfg)
+    problem = read_problem(source, cfg.rel_tol, cfg.size_cap)
     sweep = gamma_sweep(problem, grid, size_cap=cfg.size_cap)
     envelope = _certified_envelope(problem, cfg, source, sweep=sweep)
     for path in write_report(args.out, envelope, sweep=sweep):
@@ -217,7 +205,7 @@ def cmd_generate(args):
 
 def cmd_verify(args):
     cfg = RunConfig(rel_tol=args.relTol)
-    problem = _read_under_cap(_source(args), cfg)
+    problem = read_problem(_source(args), cfg.rel_tol, cfg.size_cap)
     gammas = (args.gamma,) if args.gamma is not None else DEFAULT_VERIFY_GAMMAS
     failures = run_verification(
         problem, gammas, cfg.cert_slack, cfg.angle_tol, cfg.size_cap

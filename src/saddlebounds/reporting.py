@@ -22,12 +22,8 @@ from typing import ClassVar
 import numpy as np
 
 from .bounds import DEFAULT_ANGLE_TOL, SaddleProblem
-from .errors import (
-    ProblemValidationError,
-    SaddleBoundsError,
-    StructureError,
-)
-from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP, SWEEP_CSV_HEADER
+from .errors import ParseError, ProblemValidationError, StructureError
+from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP, SWEEP_CSV_HEADER, check_size_cap
 from .linalg import _integer, _scalar, checked_rel_tol, default_rank_tol
 from .mmio import read_matrix_market, read_matrix_market_shape
 
@@ -79,7 +75,20 @@ class RunConfig:
         object.__setattr__(self, "gamma_points", _integer(self.gamma_points, "points"))
 
 
-def read_problem(source, rel_tol=None):
+def _order(shapes, n=None):
+    """The order n + m of K from the (rows, cols) of A and B, or of K with
+    the split index n; 0, which no cap refuses, when they describe no
+    saddle problem."""
+    if n is not None:
+        ((rows, cols),) = shapes
+        if rows != cols:
+            return 0
+        shapes = (n, n), (rows - n, n)
+    (n, a_cols), (m, b_cols) = shapes
+    return n + m if n == a_cols == b_cols and 0 < m < n else 0
+
+
+def read_problem(source, rel_tol=None, size_cap=None):
     """Load and validate a saddle problem from Matrix Market files.
 
     ``source`` is the dict report.json records as the problem's source:
@@ -89,14 +98,35 @@ def read_problem(source, rel_tol=None):
     numerically zero and the off-diagonal blocks exact transposes, both
     within rel_tol * max|K| (rel_tol of None: (n + m) * machine epsilon).
     Structural failures raise StructureError naming the violated
-    invariant. A rel_tol that is not one positive, finite real number, and
-    a split index n that is not an integer (3.0 reads as 3), are refused
-    first, with ParameterOutOfRangeError.
+    invariant. A rel_tol that is not one positive, finite real number, a
+    split index n that is not an integer (3.0 reads as 3), and a size_cap
+    that ``check_size_cap`` refuses are refused first, with
+    ParameterOutOfRangeError, before any file is opened.
+
+    With ``size_cap`` set, an order n + m of K above it raises SizeCapError
+    before any eigensolve: from the banner and size lines of regular
+    files, before any data is read, and from the shapes of the blocks
+    just parsed for a stream, which can be read only once. Lines or shapes
+    that describe no saddle problem are left to the read, which says why.
     """
     rel_tol = checked_rel_tol(rel_tol) if rel_tol is not None else None
-    if "K" in source:
-        n = _integer(source["n"], "split index n")
-        k = read_matrix_market(source["K"])
+    n = _integer(source["n"], "split index n") if "K" in source else None
+    paths = [source["A"], source["B"]] if n is None else [source["K"]]
+    if size_cap is not None:
+        check_size_cap(0, size_cap)  # the cap itself, before any file is opened
+        try:
+            # stat, not open: opening and closing a named pipe breaks its writer
+            if all(stat.S_ISREG(os.stat(path).st_mode) for path in paths):
+                check_size_cap(_order([read_matrix_market_shape(p) for p in paths], n), size_cap)
+        except (ParseError, OSError):
+            pass  # the read reports it
+    blocks = [read_matrix_market(path) for path in paths]
+    if size_cap is not None:  # a stream's order, from the blocks just parsed
+        check_size_cap(_order([block.shape for block in blocks], n), size_cap)
+    if n is None:
+        a, b = blocks
+    else:
+        (k,) = blocks
         order = k.shape[0]
         if k.shape[0] != k.shape[1]:
             raise StructureError(f"K file must be square, got shape {k.shape}")
@@ -119,37 +149,10 @@ def read_problem(source, rel_tol=None):
             )
         a = k[:n, :n]
         b = k[n:, :n]
-    else:
-        a = read_matrix_market(source["A"])
-        b = read_matrix_market(source["B"])
     try:
         return SaddleProblem(a, b, rel_tol=rel_tol)
     except ProblemValidationError as exc:
         raise StructureError(f"invalid saddle problem: {exc}") from exc
-
-
-def size_line_order(source):
-    """The order n + m of K as the banner and size lines of the files in
-    ``source`` give it, with no data read; None when a file is not a
-    regular file (a stream can be read only once, so only ``read_problem``
-    reads it), or when those lines cannot be read or describe no saddle
-    problem (``read_problem`` then reports why). A split index n is
-    judged first, as ``read_problem`` judges it."""
-    n = _integer(source["n"], "split index n") if "K" in source else None
-    paths = [source["K"]] if "K" in source else [source["A"], source["B"]]
-    try:
-        # stat, not open: opening and closing a named pipe breaks its writer
-        if not all(stat.S_ISREG(os.stat(path).st_mode) for path in paths):
-            return None
-        if "K" in source:
-            rows, cols = read_matrix_market_shape(source["K"])
-            m = rows - n
-            return rows if rows == cols and 0 < m < n else None
-        n, a_cols = read_matrix_market_shape(source["A"])
-        m, b_cols = read_matrix_market_shape(source["B"])
-    except (SaddleBoundsError, OSError):
-        return None
-    return n + m if n == a_cols == b_cols and m < n else None
 
 
 def bound_entry(report, certification=None):

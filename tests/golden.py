@@ -164,16 +164,15 @@ def _commands(call, problem_args):
 @contextlib.contextmanager
 def _reading(a, b):
     """``cli`` reads the problem (a, b) from any source, one problem for
-    every command (none of them sets --relTol), whose size lines give its
-    order."""
+    every command (none of them sets --relTol); the size cap is left to the
+    commands' own checks."""
     problem = SaddleProblem(a, b)
-    saved = cli.read_problem, cli.size_line_order
-    cli.read_problem = lambda source, rel_tol=None: problem
-    cli.size_line_order = lambda source: problem.n + problem.m
+    saved = cli.read_problem
+    cli.read_problem = lambda source, rel_tol=None, size_cap=None: problem
     try:
         yield
     finally:
-        cli.read_problem, cli.size_line_order = saved
+        cli.read_problem = saved
 
 
 def _subcommand(args):

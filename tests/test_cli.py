@@ -23,7 +23,7 @@ from saddlebounds.errors import (
     ZeroAngleError,
 )
 from saddlebounds.harness import MAX_GAMMA_POINTS, SWEEP_CSV_HEADER
-from saddlebounds.mmio import write_matrix_market
+from saddlebounds.mmio import read_matrix_market, write_matrix_market
 from saddlebounds.problems import gen_ipm_like, gen_toy
 from saddlebounds.reporting import BOUNDS_CSV_HEADER, RunConfig, read_problem
 
@@ -398,9 +398,9 @@ class TestProblemRoute:
         args = problem_routes(tmp_path)[route]
         read = []
 
-        def recording(source, rel_tol=None):
+        def recording(source, rel_tol=None, size_cap=None):
             read.append(source)
-            return read_problem(source, rel_tol)
+            return read_problem(source, rel_tol, size_cap)
 
         monkeypatch.setattr(cli, "read_problem", recording)
         out = tmp_path / "rep"
@@ -887,12 +887,26 @@ class TestStreams:
         file_env["problem"].pop("source")
         assert pipe_env == file_env
 
-    def test_over_cap_stream_is_refused_after_the_read(self, prob, capsys, monkeypatch):
+    @pytest.mark.parametrize("route", ["A/B", "K"])
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_over_cap_stream_is_refused_after_the_read(self, prob, tmp_path, capsys,
+                                                       monkeypatch, stub_linalg, command, route):
+        # the stream is parsed whole, then refused before any eigensolve or SVD
+        write_matrix_market(prob / "K.mtx", saddle_matrix(read_matrix_market(prob / "A.mtx"),
+                                                          read_matrix_market(prob / "B.mtx")),
+                            symmetric=True)
         monkeypatch.setattr(RunConfig, "size_cap", 40)
-        with piped(prob / "A.mtx") as pa:
-            rc = cli.main(["verify", "--A", pa, "--B", str(prob / "B.mtx")])
+        stub_linalg()
+        capsys.readouterr()
+        out = tmp_path / "sw"
+        out_args = ["--out", str(out)] if command == "sweep" else []
+        with piped(prob / {"A/B": "A.mtx", "K": "K.mtx"}[route]) as stream:
+            files = {"A/B": ["--A", stream, "--B", str(prob / "B.mtx")],
+                     "K": ["--K", stream, "--n", "30"]}[route]
+            rc = cli.main([command, *files, *out_args])
         assert rc == cli.EXIT_SIZE_CAP
-        assert capsys.readouterr().err == "error: K has order 42, above the size cap 40\n"
+        assert capsys.readouterr() == ("", "error: K has order 42, above the size cap 40\n")
+        assert not out.exists()
 
 
 class TestUndecidedKAboveTheCap:

@@ -271,6 +271,9 @@ SIZE_CAPS = {
     "gamma_sweep size_cap": lambda v, p: gamma_sweep(p, [1.0], v),
     "run_verification size_cap": lambda v, p: run_verification(p, (1.0,), size_cap=v,
                                                                  emit=_no_line),
+    # judged before the files are opened: neither exists
+    "read_problem size_cap": lambda v, p: read_problem({"A": "no-A.mtx", "B": "no-B.mtx"},
+                                                       size_cap=v),
 }
 
 

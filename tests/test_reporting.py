@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlebounds import cli
+from saddlebounds import cli, reporting
 from saddlebounds.bounds import applicable_bounds, general_rank_optimal_gamma, optimal_gamma
-from saddlebounds.errors import ParameterOutOfRangeError, StructureError, ZeroAngleError
+from saddlebounds.errors import (
+    ParameterOutOfRangeError,
+    SizeCapError,
+    StructureError,
+    ZeroAngleError,
+)
 from saddlebounds.harness import certify, gamma_sweep, log_gamma_grid, oracle
 from saddlebounds.mmio import format_matrix_market, write_matrix_market
 from saddlebounds.problems import gen_remark, gen_toy
@@ -20,7 +25,6 @@ from saddlebounds.reporting import (
     envelope_to_json,
     read_problem,
     report_envelope,
-    size_line_order,
     write_report,
 )
 
@@ -32,6 +36,15 @@ def toy_files(tmp_path):
     write_matrix_market(pa, p.A.array, symmetric=True)
     write_matrix_market(pb, p.B.array)
     return p, str(pa), str(pb)
+
+
+def assert_order_from_the_size_line(source, order):
+    """read_problem refuses ``source`` one below its ``order`` from the
+    size lines, before any data is read."""
+    message = f"^K has order {order}, above the size cap {order - 1}$"
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(SizeCapError, match=message):
+        patch.setattr(reporting, "read_matrix_market", None)
+        read_problem(source, size_cap=order - 1)
 
 
 def toy_envelope(sweep=False):
@@ -127,17 +140,19 @@ class TestReadProblem:
         write_matrix_market(pk, np.ones((3, 4)))
         with pytest.raises(StructureError, match=r"^K file must be square, got shape \(3, 4\)$"):
             read_problem({"K": str(pk), "n": 2})
-        assert size_line_order({"K": str(pk), "n": 2}) is None
+        # its size line gives no order, so the cap leaves it to the read
+        with pytest.raises(StructureError, match=r"^K file must be square, got shape \(3, 4\)$"):
+            read_problem({"K": str(pk), "n": 2}, size_cap=1)
 
     @pytest.mark.parametrize("missing", ["K", "A", "B"])
-    def test_size_line_order_of_a_missing_file_is_none(self, tmp_path, missing):
-        # read_problem then reports the missing file
+    @pytest.mark.parametrize("size_cap", [None, 1])
+    def test_a_missing_file_is_left_to_the_read(self, tmp_path, missing, size_cap):
+        # the size-line probe gives no order; the read reports the missing file
         _, pa, pb = toy_files(tmp_path)
         gone = str(tmp_path / "missing.mtx")
         source = {"K": gone, "n": 2} if missing == "K" else {"A": pa, "B": pb, missing: gone}
-        assert size_line_order(source) is None
         with pytest.raises(FileNotFoundError):
-            read_problem(source)
+            read_problem(source, size_cap=size_cap)
 
     @pytest.mark.parametrize("n, refusal", [
         (3.7, "must be an integer, got 3.7"),
@@ -147,27 +162,28 @@ class TestReadProblem:
     def test_split_index_must_be_an_integer(self, tmp_path, n, refusal):
         # judged before the file is opened: it does not exist
         source = {"K": str(tmp_path / "missing.mtx"), "n": n}
-        for judge in (read_problem, size_line_order):
+        for size_cap in (None, 1):
             with pytest.raises(ParameterOutOfRangeError, match=f"^split index n {refusal}$"):
-                judge(source)
+                read_problem(source, size_cap=size_cap)
 
     @pytest.mark.parametrize("n", [3.0, np.float64(3.0), np.int32(3)])
     def test_integral_split_index_reads_as_an_integer(self, tmp_path, n):
         p = gen_remark(0.5)
         pk = tmp_path / "K.mtx"
         write_matrix_market(pk, p.k_matrix, symmetric=True)
-        q = read_problem({"K": str(pk), "n": n})
+        q = read_problem({"K": str(pk), "n": n}, size_cap=5)
         assert (q.n, q.m) == (3, 2)
         assert np.array_equal(q.A.array, read_problem({"K": str(pk), "n": 3}).A.array)
-        assert size_line_order({"K": str(pk), "n": n}) == 5
+        assert_order_from_the_size_line({"K": str(pk), "n": n}, 5)
 
     def test_blank_lines_before_the_size_line_are_skipped(self, tmp_path):
         p = gen_remark(0.5)
         banner, rest = format_matrix_market(p.k_matrix, symmetric=True).split("\n", 1)
         pk = tmp_path / "K.mtx"
         pk.write_text(f"{banner}\n% c\n\n  \t\n{rest}")
-        assert size_line_order({"K": str(pk), "n": 3}) == 5
-        assert np.array_equal(read_problem({"K": str(pk), "n": 3}).A.array, p.A.array)
+        assert np.array_equal(read_problem({"K": str(pk), "n": 3}, size_cap=5).A.array,
+                              p.A.array)
+        assert_order_from_the_size_line({"K": str(pk), "n": 3}, 5)
 
     @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, float("inf"), float("nan")])
     def test_rel_tol_is_checked_before_the_structure(self, tmp_path, rel_tol):
