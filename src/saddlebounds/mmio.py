@@ -6,9 +6,9 @@ A line ends only where the file's own lines end (``\n``, ``\r\n`` or
 ``\v``, ``\f`` and ``\x1c``-``\x1f`` included, separates tokens as a
 space does. Comment and blank lines after the banner are skipped,
 before the size line as in the data section, as NIST's mmio.c skips
-them. The banner and size line are parsed by one function, which
-also serves ``read_matrix_market_shape``: a file's shape with no data
-read. The reader then hands the open file, after the size line, to
+them. The banner and size line are parsed first; a caller's
+``check_shape`` sees the shape they give before any data is parsed.
+The reader then hands the open file, after the size line, to
 numpy's C text reader. Whatever that reader declines (a malformed
 section, or syntax only Python's int() and float() accept, such as 1_0,
 interior % comments or an empty section) is re-read and scanned line by
@@ -150,20 +150,17 @@ def _rereadable(fh):
     return io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding=fh.encoding, errors=fh.errors)
 
 
-def read_matrix_market_shape(path):
-    """(rows, cols) of a Matrix Market file from its banner and size
-    line, read and checked as ``read_matrix_market`` reads them; no line
-    after the size line is read."""
-    with _open_text(path) as fh:
-        _, _, _, rows, cols, _, _ = _read_header(fh)
-    return rows, cols
+def read_matrix_market(path, check_shape=None):
+    """Read a Matrix Market file into a dense float array.
 
-
-def read_matrix_market(path):
-    """Read a Matrix Market file into a dense float array."""
+    ``check_shape``, if given, is called with the (rows, cols) of the
+    banner and size line before any data is parsed; what it raises ends
+    the read."""
     with _open_text(path) as opened:
         fh = _rereadable(opened)
         fmt, field, symmetry, rows, cols, count, idx = _read_header(fh)
+        if check_shape is not None:
+            check_shape(rows, cols)
         try:
             out = np.zeros((rows, cols))
         except (MemoryError, ValueError):

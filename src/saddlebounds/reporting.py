@@ -14,7 +14,6 @@ of any other type, which json.dumps would turn into text.
 """
 
 import os
-import stat
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import ClassVar
@@ -22,10 +21,10 @@ from typing import ClassVar
 import numpy as np
 
 from .bounds import DEFAULT_ANGLE_TOL, SaddleProblem
-from .errors import ParseError, ProblemValidationError, StructureError
+from .errors import ProblemValidationError, StructureError
 from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP, SWEEP_CSV_HEADER, check_size_cap
 from .linalg import _integer, _scalar, checked_rel_tol, default_rank_tol
-from .mmio import read_matrix_market, read_matrix_market_shape
+from .mmio import read_matrix_market
 
 BOUNDS_CSV_HEADER = "name,value,assumptions_met,status,slack,warnings"
 # the keys of a sweep row in report.json: the columns of sweep.csv
@@ -75,17 +74,13 @@ class RunConfig:
         object.__setattr__(self, "gamma_points", _integer(self.gamma_points, "points"))
 
 
-def _order(shapes, n=None):
-    """The order n + m of K from the (rows, cols) of A and B, or of K with
-    the split index n; 0, which no cap refuses, when they describe no
-    saddle problem."""
-    if n is not None:
-        ((rows, cols),) = shapes
-        if rows != cols:
-            return 0
-        shapes = (n, n), (rows - n, n)
-    (n, a_cols), (m, b_cols) = shapes
-    return n + m if n == a_cols == b_cols and 0 < m < n else 0
+def _order(rows, cols, n=None):
+    """The order n + m of K from the (rows, cols) = (m, n) of B, or from
+    those of K with the split index n; 0, which no cap refuses, when they
+    describe no saddle problem."""
+    if n is None:
+        return rows + cols if 0 < rows < cols else 0
+    return rows if rows == cols and 0 < rows - n < n else 0
 
 
 def read_problem(source, rel_tol=None, size_cap=None):
@@ -103,30 +98,25 @@ def read_problem(source, rel_tol=None, size_cap=None):
     that ``check_size_cap`` refuses are refused first, with
     ParameterOutOfRangeError, before any file is opened.
 
-    With ``size_cap`` set, an order n + m of K above it raises SizeCapError
-    before any eigensolve: from the banner and size lines of regular
-    files, before any data is read, and from the shapes of the blocks
-    just parsed for a stream, which can be read only once. Lines or shapes
-    that describe no saddle problem are left to the read, which says why.
+    B is read before A. With ``size_cap`` set, an order n + m of K above
+    it raises SizeCapError from the size line of B (or of K) alone, before
+    any of its data is parsed and before A is opened; a size line that
+    describes no saddle problem is left to the read, which says why.
     """
     rel_tol = checked_rel_tol(rel_tol) if rel_tol is not None else None
     n = _integer(source["n"], "split index n") if "K" in source else None
-    paths = [source["A"], source["B"]] if n is None else [source["K"]]
+    check_shape = None
     if size_cap is not None:
         check_size_cap(0, size_cap)  # the cap itself, before any file is opened
-        try:
-            # stat, not open: opening and closing a named pipe breaks its writer
-            if all(stat.S_ISREG(os.stat(path).st_mode) for path in paths):
-                check_size_cap(_order([read_matrix_market_shape(p) for p in paths], n), size_cap)
-        except (ParseError, OSError):
-            pass  # the read reports it
-    blocks = [read_matrix_market(path) for path in paths]
-    if size_cap is not None:  # a stream's order, from the blocks just parsed
-        check_size_cap(_order([block.shape for block in blocks], n), size_cap)
+
+        def check_shape(rows, cols):
+            check_size_cap(_order(rows, cols, n), size_cap)
+
     if n is None:
-        a, b = blocks
+        b = read_matrix_market(source["B"], check_shape)
+        a = read_matrix_market(source["A"])
     else:
-        (k,) = blocks
+        k = read_matrix_market(source["K"], check_shape)
         order = k.shape[0]
         if k.shape[0] != k.shape[1]:
             raise StructureError(f"K file must be square, got shape {k.shape}")

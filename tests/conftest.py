@@ -20,6 +20,7 @@ from saddlebounds import (
     gen_random_lowest_rank,
     gen_remark,
     gen_toy,
+    mmio,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=25)
@@ -97,6 +98,18 @@ def build_corpus():
 
 def _linalg_called(*args, **kwargs):
     raise AssertionError("numpy.linalg was called")
+
+
+def _data_parsed(*args, **kwargs):
+    raise AssertionError("a Matrix Market data section was parsed")
+
+
+def forbid_parsing(patch):
+    """Make every parse of a Matrix Market data section fail while the
+    monkeypatch ``patch`` holds: a refusal checked after it comes from a
+    size line."""
+    patch.setattr(mmio, "_load_columns", _data_parsed)
+    patch.setattr(mmio, "_scan_columns", _data_parsed)
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import forbid_parsing
 from saddlebounds import bounds, cli, harness
 from saddlebounds.bounds import saddle_matrix
 from saddlebounds.errors import (
@@ -802,7 +803,7 @@ def over_cap_files(tmp_path):
 
 class TestSizeLines:
     """sweep and verify need the oracle, so an order above the size cap is
-    refused from the size lines before any data is read."""
+    refused from the size line of B (or K) before any data is read."""
 
     @pytest.mark.parametrize("route", ["A/B", "K"])
     @pytest.mark.parametrize("command", ["sweep", "verify"])
@@ -823,11 +824,15 @@ class TestSizeLines:
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_size_lines_of_no_saddle_problem_are_left_to_the_read(self, tmp_path, capsys):
-        # B has 1400 columns where A has order 1500: the read reports the data
+    @pytest.mark.parametrize("size_line", [
+        "600 1400",  # K of order 2000, at the cap: B's cut data is read
+        "1600 1500",  # more rows than columns: no saddle problem
+    ])
+    def test_size_lines_of_no_saddle_problem_are_left_to_the_read(self, tmp_path, capsys,
+                                                                  size_line):
         files = over_cap_files(tmp_path)
         (tmp_path / "B.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
-                                        "600 1400 1\n1 1 0.5\n1 2")
+                                        f"{size_line} 1\n1 1 0.5\n1 2")
         rc = cli.main(["verify"] + files["A/B"])
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
@@ -841,7 +846,9 @@ def piped(path):
     data = path.read_bytes()
 
     def feed():
-        with os.fdopen(w, "wb") as fh:
+        # a stream that is never read (A behind a refused B) breaks the
+        # pipe, as it ends bash's cat
+        with contextlib.suppress(BrokenPipeError), os.fdopen(w, "wb") as fh:
             fh.write(data)
 
     feeder = threading.Thread(target=feed)
@@ -889,23 +896,50 @@ class TestStreams:
 
     @pytest.mark.parametrize("route", ["A/B", "K"])
     @pytest.mark.parametrize("command", ["sweep", "verify"])
-    def test_over_cap_stream_is_refused_after_the_read(self, prob, tmp_path, capsys,
-                                                       monkeypatch, stub_linalg, command, route):
-        # the stream is parsed whole, then refused before any eigensolve or SVD
+    def test_over_cap_stream_is_refused_from_its_size_line(self, prob, tmp_path, capsys,
+                                                           monkeypatch, stub_linalg,
+                                                           command, route):
+        # B (or K) is read first, so the stream is refused before any of its
+        # data is parsed, and before any eigensolve or SVD
         write_matrix_market(prob / "K.mtx", saddle_matrix(read_matrix_market(prob / "A.mtx"),
                                                           read_matrix_market(prob / "B.mtx")),
                             symmetric=True)
         monkeypatch.setattr(RunConfig, "size_cap", 40)
         stub_linalg()
+        forbid_parsing(monkeypatch)
         capsys.readouterr()
         out = tmp_path / "sw"
         out_args = ["--out", str(out)] if command == "sweep" else []
-        with piped(prob / {"A/B": "A.mtx", "K": "K.mtx"}[route]) as stream:
-            files = {"A/B": ["--A", stream, "--B", str(prob / "B.mtx")],
+        with piped(prob / {"A/B": "B.mtx", "K": "K.mtx"}[route]) as stream:
+            files = {"A/B": ["--A", str(prob / "A.mtx"), "--B", stream],
                      "K": ["--K", stream, "--n", "30"]}[route]
             rc = cli.main([command, *files, *out_args])
         assert rc == cli.EXIT_SIZE_CAP
         assert capsys.readouterr() == ("", "error: K has order 42, above the size cap 40\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["A/B", "K"])
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_header_only_over_cap_stream_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                    stub_linalg, command, route):
+        # banner and size line only, every file on a pipe
+        headers = {"A": "coordinate real symmetric\n1500 1500 1125750",
+                   "B": "coordinate real general\n600 1500 900000",
+                   "K": "coordinate real symmetric\n2100 2100 5"}
+        for name, header in headers.items():
+            (tmp_path / f"{name}.mtx").write_text(f"%%MatrixMarket matrix {header}\n")
+        stub_linalg()
+        forbid_parsing(monkeypatch)
+        out = tmp_path / "sw"
+        out_args = ["--out", str(out)] if command == "sweep" else []
+        with contextlib.ExitStack() as stack:
+            stream = {name: stack.enter_context(piped(tmp_path / f"{name}.mtx"))
+                      for name in headers}
+            files = {"A/B": ["--A", stream["A"], "--B", stream["B"]],
+                     "K": ["--K", stream["K"], "--n", "1500"]}[route]
+            rc = cli.main([command, *files, *out_args])
+        assert rc == cli.EXIT_SIZE_CAP
+        assert capsys.readouterr() == ("", "error: K has order 2100, above the size cap 2000\n")
         assert not out.exists()
 
 

@@ -21,7 +21,6 @@ from saddlebounds.mmio import (
     _tokens,
     format_matrix_market,
     read_matrix_market,
-    read_matrix_market_shape,
     write_matrix_market,
 )
 
@@ -309,9 +308,34 @@ class TestParseErrors:
                    line=2, fragment="positive")
 
 
+class _Stop(Exception):
+    pass
+
+
+def shapes_checked(path, stop=False):
+    """The shapes read_matrix_market passes to its check_shape, and the
+    array it reads, or None when the check raises to stop the read."""
+    seen = []
+
+    def check(rows, cols):
+        seen.append((rows, cols))
+        if stop:
+            raise _Stop
+
+    try:
+        out = read_matrix_market(path, check_shape=check)
+    except _Stop:
+        out = None
+    return seen, out
+
+
+def _never_called(rows, cols):
+    raise AssertionError(f"check_shape called with {rows} x {cols}")
+
+
 class TestShape:
-    """read_matrix_market_shape reads the banner and size line as the
-    full reader does, and nothing after them."""
+    """read_matrix_market's check_shape sees the shape of the banner and
+    size line as the full read gives it, before any data is parsed."""
 
     @pytest.mark.parametrize("text, shape", [
         ("%%MatrixMarket matrix coordinate real symmetric\n% c\n3 3 1\n1 1 1.0\n", (3, 3)),
@@ -320,7 +344,8 @@ class TestShape:
     ])
     def test_agrees_with_the_full_read(self, tmp_path, text, shape):
         path = write_text(tmp_path / "m.mtx", text)
-        assert read_matrix_market_shape(path) == read_matrix_market(path).shape == shape
+        seen, out = shapes_checked(path)
+        assert seen == [out.shape] == [read_matrix_market(path).shape] == [shape]
 
     @pytest.mark.parametrize("text", [
         "%%MatrixMarket matrix coordinate real general\n% c\n\n2 2 1\n1 1 3.0\n",
@@ -334,13 +359,16 @@ class TestShape:
         expected = [[3.0, 0.0], [0.0, 0.0]]
         np.testing.assert_array_equal(read_matrix_market(path), expected)
         np.testing.assert_array_equal(reference_read_data(text), expected)
-        assert read_matrix_market_shape(path) == (2, 2)
+        assert shapes_checked(path, stop=True) == ([(2, 2)], None)
 
     def test_reads_no_data(self, tmp_path):
+        # a check that raises ends the read before the malformed data
         path = write_text(tmp_path / "m.mtx",
                           "%%MatrixMarket matrix coordinate real general\n"
                           "1500 600 900000\n1 1 1.0\n1 2 not-a-num")
-        assert read_matrix_market_shape(path) == (1500, 600)
+        assert shapes_checked(path, stop=True) == ([(1500, 600)], None)
+        with pytest.raises(ParseError, match="^expected 900000 entries, found 2"):
+            read_matrix_market(path)
 
     @pytest.mark.parametrize("text", [
         "",
@@ -359,11 +387,12 @@ class TestShape:
         "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
     ])
     def test_header_errors_are_the_full_reads(self, tmp_path, text):
+        # raised unchanged, and check_shape is never called for them
         path = write_text(tmp_path / "bad.mtx", text)
         with pytest.raises(ParseError) as full:
             read_matrix_market(path)
         with pytest.raises(ParseError) as shape:
-            read_matrix_market_shape(path)
+            read_matrix_market(path, check_shape=_never_called)
         assert (str(shape.value), shape.value.line, shape.value.column) == (
             str(full.value), full.value.line, full.value.column)
 

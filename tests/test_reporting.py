@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlebounds import cli, reporting
+from conftest import forbid_parsing
+from saddlebounds import cli
 from saddlebounds.bounds import applicable_bounds, general_rank_optimal_gamma, optimal_gamma
 from saddlebounds.errors import (
     ParameterOutOfRangeError,
@@ -40,10 +41,10 @@ def toy_files(tmp_path):
 
 def assert_order_from_the_size_line(source, order):
     """read_problem refuses ``source`` one below its ``order`` from the
-    size lines, before any data is read."""
+    size line, before any data is parsed."""
     message = f"^K has order {order}, above the size cap {order - 1}$"
     with pytest.MonkeyPatch.context() as patch, pytest.raises(SizeCapError, match=message):
-        patch.setattr(reporting, "read_matrix_market", None)
+        forbid_parsing(patch)
         read_problem(source, size_cap=order - 1)
 
 
@@ -147,12 +148,18 @@ class TestReadProblem:
     @pytest.mark.parametrize("missing", ["K", "A", "B"])
     @pytest.mark.parametrize("size_cap", [None, 1])
     def test_a_missing_file_is_left_to_the_read(self, tmp_path, missing, size_cap):
-        # the size-line probe gives no order; the read reports the missing file
+        # a missing K or B gives no size line, so the read reports it; B is
+        # read first, and its size line refuses an over-cap order before A
+        # is opened
         _, pa, pb = toy_files(tmp_path)
         gone = str(tmp_path / "missing.mtx")
         source = {"K": gone, "n": 2} if missing == "K" else {"A": pa, "B": pb, missing: gone}
-        with pytest.raises(FileNotFoundError):
-            read_problem(source, size_cap=size_cap)
+        if missing == "A" and size_cap is not None:
+            with pytest.raises(SizeCapError, match="^K has order 3, above the size cap 1$"):
+                read_problem(source, size_cap=size_cap)
+        else:
+            with pytest.raises(FileNotFoundError):
+                read_problem(source, size_cap=size_cap)
 
     @pytest.mark.parametrize("n, refusal", [
         (3.7, "must be an integer, got 3.7"),
