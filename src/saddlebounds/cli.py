@@ -138,8 +138,7 @@ def build_parser():
 
 
 def cmd_bound(args):
-    cfg = RunConfig(rel_tol=args.relTol)
-    fmt = "csv" if args.csv else "json"
+    cfg = RunConfig(rel_tol=args.relTol, output_format="csv" if args.csv else "json")
     source = _source(args)
     problem = read_problem(source, cfg.rel_tol)
     notes = []
@@ -156,9 +155,9 @@ def cmd_bound(args):
             print(f"warning: {notes[-1]}", file=sys.stderr)
     envelope = _certified_envelope(problem, cfg, source, gamma=gamma, notes=notes)
     if args.out:
-        for path in write_report(args.out, envelope, output_format=fmt):
+        for path in write_report(args.out, envelope):
             print(path)
-    elif fmt == "csv":
+    elif cfg.output_format == "csv":
         sys.stdout.write(bounds_to_csv(envelope))
     else:
         sys.stdout.write(envelope_to_json(envelope))
@@ -197,7 +196,7 @@ def cmd_generate(args):
     write_matrix_market(path_a, problem.A.array, symmetric=True)
     write_matrix_market(path_b, problem.B.array)
     with open(path_spec, "w", encoding="ascii") as fh:
-        fh.write(spec.to_json_str())
+        fh.write(envelope_to_json(spec.to_json()))
     for path in (path_a, path_b, path_spec):
         print(path)
     return EXIT_OK

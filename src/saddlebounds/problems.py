@@ -23,7 +23,6 @@ Identical specs (family, parameters, seed) yield bit-identical matrices.
 Parameters and seeds meet linalg's number rules before any work.
 """
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -50,9 +49,6 @@ class GeneratorSpec:
 
     def to_json(self):
         return {"family": self.family, "parameters": dict(self.parameters), "seed": self.seed}
-
-    def to_json_str(self):
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
 def _converted(name, convert, value):

@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .bounds import DEFAULT_ANGLE_TOL, SaddleProblem
-from .errors import ProblemValidationError, StructureError
+from .errors import ParameterOutOfRangeError, StructureError
 from .harness import DEFAULT_CERT_SLACK, DEFAULT_SIZE_CAP, SWEEP_CSV_HEADER, check_size_cap
 from .linalg import _integer, _scalar, checked_rel_tol, default_rank_tol
 from .mmio import read_matrix_market
@@ -47,16 +47,15 @@ _SCALAR_TEXT = {
 class RunConfig:
     """The CLI's run settings.
 
-    ``rel_tol`` (None: each problem uses its own default n * machine
-    epsilon) and the sweep's gamma grid come from the command line. Each
-    is kept as the float or int that linalg's number rules give;
-    ``log_gamma_grid`` checks the grid's range. The class-level values are
-    fixed; report.json records them all.
+    ``rel_tol`` (None: each problem's n * machine epsilon), the sweep's
+    gamma grid and the output format, "json" or "csv", come from the
+    command line; numbers are kept as linalg's number rules give them and
+    ``log_gamma_grid`` checks the grid's range. The four class-level values
+    are fixed; report.json records them all.
     """
 
     angle_tol: ClassVar[float] = DEFAULT_ANGLE_TOL
     cert_slack: ClassVar[float] = DEFAULT_CERT_SLACK
-    output_format: ClassVar[str] = "json"
     seed: ClassVar[int] = 0
     size_cap: ClassVar[int] = DEFAULT_SIZE_CAP
 
@@ -64,8 +63,12 @@ class RunConfig:
     gamma_min: float = 1e-4
     gamma_max: float = 1e4
     gamma_points: int = 25
+    output_format: str = "json"
 
     def __post_init__(self):
+        if self.output_format not in ("json", "csv"):
+            raise ParameterOutOfRangeError(f"output_format must be json or csv, got "
+                                           f"{self.output_format!r}")
         # frozen: each checked number replaces the value given
         if self.rel_tol is not None:
             object.__setattr__(self, "rel_tol", checked_rel_tol(self.rel_tol))
@@ -93,10 +96,12 @@ def read_problem(source, rel_tol=None, size_cap=None):
     numerically zero and the off-diagonal blocks exact transposes, both
     within rel_tol * max|K| (rel_tol of None: (n + m) * machine epsilon).
     Structural failures raise StructureError naming the violated
-    invariant. A rel_tol that is not one positive, finite real number, a
-    split index n that is not an integer (3.0 reads as 3), and a size_cap
-    that ``check_size_cap`` refuses are refused first, with
-    ParameterOutOfRangeError, before any file is opened.
+    invariant; ``SaddleProblem`` then raises NotPositiveSemidefiniteError,
+    RankDeficientError or SingularKError as it does. A rel_tol that is not
+    one positive, finite real number, a split index n that is not an
+    integer (3.0 reads as 3), and a size_cap that ``check_size_cap``
+    refuses are refused first, with ParameterOutOfRangeError, before any
+    file is opened.
 
     B is read before A. With ``size_cap`` set, an order n + m of K above
     it raises SizeCapError from the size line of B (or of K) alone, before
@@ -139,10 +144,7 @@ def read_problem(source, rel_tol=None, size_cap=None):
             )
         a = k[:n, :n]
         b = k[n:, :n]
-    try:
-        return SaddleProblem(a, b, rel_tol=rel_tol)
-    except ProblemValidationError as exc:
-        raise StructureError(f"invalid saddle problem: {exc}") from exc
+    return SaddleProblem(a, b, rel_tol=rel_tol)
 
 
 def bound_entry(report, certification=None):
@@ -304,12 +306,12 @@ def bounds_to_csv(envelope):
     return "\n".join(lines) + "\n"
 
 
-def write_report(out_dir, envelope, sweep=None, output_format="json"):
+def write_report(out_dir, envelope, sweep=None):
     """Write the report files into a directory and return their paths.
 
     Always writes report.json; adds sweep.csv when sweep rows exist and
-    bounds.csv, the envelope's bounds as CSV, when the CSV format is
-    selected.
+    bounds.csv, the envelope's bounds as CSV, when the envelope's config
+    records the CSV format.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -322,7 +324,7 @@ def write_report(out_dir, envelope, sweep=None, output_format="json"):
         with open(path, "w", encoding="ascii") as fh:
             fh.write(sweep.to_csv())
         written.append(path)
-    if output_format == "csv":
+    if envelope["config"]["output_format"] == "csv":
         path = os.path.join(out_dir, "bounds.csv")
         with open(path, "w", encoding="ascii") as fh:
             fh.write(bounds_to_csv(envelope))

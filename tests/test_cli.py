@@ -238,9 +238,6 @@ class TestBound:
         assert (out / "bounds.csv").read_text() == stdout_csv
         assert json.loads((out / "report.json").read_text())["problem"]["n"] == 2
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="ROADMAP item 4: report.json records output_format json "
-                              "under --csv")
     def test_csv_to_directory_records_the_csv_format(self, tmp_path):
         pa, pb = tmp_path / "A.mtx", tmp_path / "B.mtx"
         write_matrix_market(pa, np.diag([2.0, 1.0, 0.0]), symmetric=True)
@@ -249,6 +246,11 @@ class TestBound:
         argv = ["bound", "--A", str(pa), "--B", str(pb), "--gamma", "1", "--csv", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
         assert json.loads((out / "report.json").read_text())["config"]["output_format"] == "csv"
+        # without --csv the report records json and no bounds.csv is written
+        out = tmp_path / "rep-json"
+        assert cli.main(argv[:-3] + ["--out", str(out)]) == cli.EXIT_OK
+        assert json.loads((out / "report.json").read_text())["config"]["output_format"] == "json"
+        assert sorted(os.listdir(out)) == ["report.json"]
 
     def test_over_the_size_cap_certification_is_skipped(self, tmp_path, capsys, monkeypatch):
         pa, pb, _ = generate_toy(tmp_path)
@@ -1032,4 +1034,6 @@ class TestExitCodes:
         write_matrix_market(pb, np.array([[1.0, 0.0, 0.0]]))
         rc = cli.main(["bound", "--A", str(pa), "--B", str(pb)])
         assert rc == cli.EXIT_INPUT
-        assert "invalid saddle problem" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: saddle matrix is numerically singular: ")
+        assert "invalid saddle problem" not in err

@@ -1,6 +1,7 @@
 """Config validation, problem ingestion, and report serialization."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from saddlebounds import cli
 from saddlebounds.bounds import applicable_bounds, general_rank_optimal_gamma, optimal_gamma
 from saddlebounds.errors import (
     ParameterOutOfRangeError,
+    SingularKError,
     SizeCapError,
     StructureError,
     ZeroAngleError,
@@ -48,9 +50,8 @@ def assert_order_from_the_size_line(source, order):
         read_problem(source, size_cap=order - 1)
 
 
-def toy_envelope(sweep=False):
+def toy_envelope(sweep=False, cfg=RunConfig()):
     p = gen_toy(0.6, 0.8)
-    cfg = RunConfig()
     reports = applicable_bounds(p, gamma=1.0)
     orc = oracle(p)
     certs = [certify(r, orc) for r in reports]
@@ -68,7 +69,7 @@ class TestRunConfig:
 
     def test_fixed_values_are_recorded_not_settable(self):
         recorded = toy_envelope()[0]["config"]
-        for name in ("angle_tol", "cert_slack", "output_format", "seed", "size_cap"):
+        for name in ("angle_tol", "cert_slack", "seed", "size_cap"):
             assert recorded[name] == getattr(RunConfig(), name)
             with pytest.raises(TypeError):
                 RunConfig(**{name: getattr(RunConfig, name)})
@@ -84,6 +85,7 @@ class TestRunConfig:
             {"rel_tol": float("nan")},
             {"gamma_max": float("nan")},
             {"rel_tol": float("inf")},
+            {"output_format": "xml"},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -203,11 +205,12 @@ class TestReadProblem:
                 read_problem(source, rel_tol=rel_tol)
 
     def test_wraps_validation_failures(self, tmp_path):
+        # SaddleProblem's own typed refusal reaches the caller unwrapped
         pa = tmp_path / "A.mtx"
         pb = tmp_path / "B.mtx"
         write_matrix_market(pa, np.diag([1.0, 0.0, 0.0]), symmetric=True)
         write_matrix_market(pb, np.array([[1.0, 0.0, 0.0]]))
-        with pytest.raises(StructureError, match="invalid saddle problem"):
+        with pytest.raises(SingularKError, match="^saddle matrix is numerically singular: "):
             read_problem({"A": str(pa), "B": str(pb)})
 
 
@@ -275,15 +278,25 @@ class TestCsvAndFiles:
         assert first[5] == "vacuous-positive-lower"
 
     def test_write_report_files_and_determinism(self, tmp_path):
-        env, _, _, sw = toy_envelope(sweep=True)
+        env, _, _, sw = toy_envelope(sweep=True, cfg=RunConfig(output_format="csv"))
         d1 = tmp_path / "r1"
         d2 = tmp_path / "r2"
-        w1 = write_report(str(d1), env, sweep=sw, output_format="csv")
-        w2 = write_report(str(d2), env, sweep=sw, output_format="csv")
+        w1 = write_report(str(d1), env, sweep=sw)
+        w2 = write_report(str(d2), env, sweep=sw)
         assert [p.rsplit("/", 1)[1] for p in w1] == ["report.json", "sweep.csv", "bounds.csv"]
         for a, b in zip(w1, w2):
             with open(a, "rb") as one, open(b, "rb") as two:
                 assert one.read() == two.read()
+
+    def test_write_report_follows_the_recorded_format(self, tmp_path):
+        # the format RunConfig records is the one write_report writes
+        for fmt, names in (("csv", ["report.json", "bounds.csv"]), ("json", ["report.json"])):
+            env, *_ = toy_envelope(cfg=RunConfig(output_format=fmt))
+            assert env["config"]["output_format"] == fmt
+            written = write_report(str(tmp_path / fmt), env)
+            assert [p.rsplit("/", 1)[1] for p in written] == names
+            assert sorted(os.listdir(tmp_path / fmt)) == sorted(names)
+        assert (tmp_path / "csv" / "bounds.csv").read_text() == bounds_to_csv(toy_envelope()[0])
 
     def test_write_report_json_only(self, tmp_path):
         env, _, _, _ = toy_envelope()
